@@ -46,10 +46,11 @@ def layer_checks(eps: float = 1e-5) -> list[tuple[str, float]]:
     r_gap = rng.standard_normal((2, 3))
     labels = rng.integers(0, 4, size=3)
     targets = (rng.random((3, 4)) > 0.5).astype(float)
+    x_odd = x[:, :, 1:, :7].copy()
 
-    def conv(stride, padding, weight, kind):
+    def conv(stride, padding, weight, kind, inp=x):
         def f(v):
-            parts = {"x": _v(x), "w": _v(weight), "b": _v(bias)}
+            parts = {"x": _v(inp), "w": _v(weight), "b": _v(bias)}
             parts[kind] = v
             p = L.Conv2dParams(parts["w"], parts["b"], stride=stride, padding=padding)
             out = L.conv2d(parts["x"], p)
@@ -85,6 +86,10 @@ def layer_checks(eps: float = 1e-5) -> list[tuple[str, float]]:
         ("conv2d/weight", conv(1, 1, w3, "w"), w3),
         ("conv2d/bias", conv(1, 1, w3, "b"), bias),
         ("conv2d-stride2/x", conv(2, 1, w3, "x"), x),
+        ("conv2d-stride2/weight", conv(2, 1, w3, "w"), w3),
+        ("conv2d-stride2/bias", conv(2, 1, w3, "b"), bias),
+        ("conv2d-stride2-odd/x", conv(2, 1, w3, "x", x_odd), x_odd),
+        ("conv2d-1x1/x", conv(1, 0, w1, "x"), x),
         ("conv2d-1x1/weight", conv(1, 0, w1, "w"), w1),
         ("average_pool/x", lambda v: _weigh(L.average_pool(v, 2), r_pool), x),
         ("relu/x", lambda v: _weigh(L.relu(v), r_like), relu_x),
@@ -143,35 +148,13 @@ def model_checks(config: M.WaveletCnnConfig | None = None, eps: float = 1e-5,
         return ad.add(L.softmax_cross_entropy(logits, labels),
                       ad.total(ad.mul(logits, r_logits)))
 
-    leaf = ad.Variable(Tensor(x0), requires_grad=True)
-    out = loss_of(leaf)
-    ad.backward(out)
-    input_grad = leaf.grad.data.reshape(-1)
-    flat = x0.reshape(-1)
-    worst_in = 0.0
-    for i in range(0, flat.size, input_stride):
-        keep = flat[i]
-        flat[i] = keep + eps
-        fp = loss_of(ad.Variable(Tensor(x0))).value.item()
-        flat[i] = keep - eps
-        fm = loss_of(ad.Variable(Tensor(x0))).value.item()
-        flat[i] = keep
-        numeric = (fp - fm) / (2 * eps)
-        err = abs(numeric - input_grad[i]) / max(abs(input_grad[i]) + abs(numeric), 1e-4)
-        worst_in = max(worst_in, err)
-    rows = [("model/input", worst_in)]
-
     batch = Tensor(x0)
-    loss = loss_of(ad.Variable(batch))
-    ad.backward(loss)
+    leaf = ad.Variable(batch, requires_grad=True)
+    ad.backward(loss_of(leaf))
 
-    for name, p in model.params.items():
-        flat = p.value.data.reshape(-1)
-        analytic = p.grad.data.reshape(-1)
-        n = flat.size
-        picks = sorted(set(int(c) for c in rng.integers(0, n, size=min(coords_per_param, n))))
+    def worst_error(flat, analytic, coords):
         worst = 0.0
-        for i in picks:
+        for i in coords:
             keep = flat[i]
             flat[i] = keep + eps
             fp = loss_of(ad.Variable(batch)).value.item()
@@ -181,7 +164,15 @@ def model_checks(config: M.WaveletCnnConfig | None = None, eps: float = 1e-5,
             numeric = (fp - fm) / (2 * eps)
             err = abs(numeric - analytic[i]) / max(abs(analytic[i]) + abs(numeric), 1e-4)
             worst = max(worst, err)
-        rows.append((f"model/{name}", worst))
+        return worst
+
+    rows = [("model/input", worst_error(x0.reshape(-1), leaf.grad.data.reshape(-1),
+                                        range(0, x0.size, input_stride)))]
+    for name, p in model.params.items():
+        n = p.value.size
+        picks = sorted(set(int(c) for c in rng.integers(0, n, size=min(coords_per_param, n))))
+        rows.append((f"model/{name}", worst_error(p.value.data.reshape(-1),
+                                                  p.grad.data.reshape(-1), picks)))
         p.grad = None
     return rows
 

@@ -5,6 +5,11 @@ CNN convention; learned weights make the orientation immaterial.  The filter
 bank in `wavelet` handles its own alignment explicitly.  Padding is zero
 padding.  This artifact only needs square 1x1/3x3 kernels and strides 1/2,
 and the parameter records enforce that.
+
+`conv2d` unrolls each image channel-major (Caffe-style im2col) into columns
+`[n, c*k*k, ho*wo]`: the forward GEMM writes C-contiguous NCHW output and the
+input-gradient columns come out as contiguous per-tap blocks.  The columns of
+a 1x1 stride-1 unpadded kernel are a view of the input, so it is one GEMM.
 """
 
 from __future__ import annotations
@@ -97,21 +102,24 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
 
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
     wmat = wd.reshape(o, c * kh * kw)
-    y = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2) + bd[None, :, None, None]
-
-    hp, wp = xp.shape[2], xp.shape[3]
+    y = (wmat @ cols).reshape(n, o, ho, wo)
+    y += bd[:, None, None]
 
     def backward_fn(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
+        nonlocal cols
+        gm = g.reshape(n, o, ho * wo)
         db = g.sum(axis=(0, 2, 3))
-        dw = (gmat.T @ cols).reshape(o, c, kh, kw)
-        dwin = (gmat @ wmat).reshape(n, ho, wo, c, kh, kw)
-        dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
+        dw = sum(gm[i] @ cols[i].T for i in range(n)).reshape(o, c, kh, kw)
+        cols = None  # spent; free it before the input-gradient columns are allocated
+        if not x._live:
+            return None, dw, db
+        dcols = (wmat.T @ gm).reshape(n, c, kh, kw, ho, wo)
+        dxp = np.zeros((n, c, h + 2 * pad, width + 2 * pad), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
         dx = dxp[:, :, pad:pad + h, pad:pad + width] if pad else dxp
         return dx, dw, db
 

@@ -1,8 +1,13 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wcnn import autodiff as ad
 from wcnn import layers as L
+from wcnn import model as M
 from wcnn import wavelet
 from wcnn.tensor import ShapeError, Tensor
 
@@ -100,6 +105,119 @@ def test_conv2d_finite_differences():
         return ad.total(L.conv2d(var(x0), p))
 
     assert ad.finite_difference_check(wrt_b, Tensor(b0), eps=1e-5) < 1e-6
+
+
+def _conv2d_reference(xd, wd, bd, s, pad, g):
+    """Pixel-major (NHWC-ordered) im2col convolution, forward and backward.
+
+    Returns y and, for the output gradient g, (dx, dw, db).
+    """
+    n, c, h, width = xd.shape
+    o, _, kh, kw = wd.shape
+    ho = (h + 2 * pad - kh) // s + 1
+    wo = (width + 2 * pad - kw) // s + 1
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+    wmat = wd.reshape(o, c * kh * kw)
+    y = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2) + bd[None, :, None, None]
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
+    db = g.sum(axis=(0, 2, 3))
+    dw = (gmat.T @ cols).reshape(o, c, kh, kw)
+    dwin = (gmat @ wmat).reshape(n, ho, wo, c, kh, kw)
+    dxp = np.zeros(xp.shape, dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return y, dxp[:, :, pad:pad + h, pad:pad + width], dw, db
+
+
+@pytest.mark.parametrize("dtype,rtol", [("f64", 1e-12), ("f32", 1e-5)])
+@pytest.mark.parametrize("k,s,pad", list(itertools.product((1, 3), (1, 2), (0, 1))))
+def test_conv2d_matches_reference(k, s, pad, dtype, rtol):
+    rng = np.random.default_rng(15)
+    for n, (h, w) in itertools.product((1, 3), [(1, 1), (5, 5), (7, 6), (8, 8)]):
+        if h + 2 * pad < k or w + 2 * pad < k:
+            continue  # empty output, rejected by conv2d
+        x = var(rng.standard_normal((n, 2, h, w)), requires_grad=True, dtype=dtype)
+        p = L.Conv2dParams(var(rng.standard_normal((3, 2, k, k)), True, dtype),
+                           var(rng.standard_normal(3), True, dtype), stride=s, padding=pad)
+        y = L.conv2d(x, p)
+        g = rng.standard_normal(y.value.shape).astype(y.value.data.dtype)
+        ad.backward(ad.total(ad.mul(y, var(g, dtype=dtype))))
+        ref = _conv2d_reference(x.value.data, p.weight.value.data, p.bias.value.data, s, pad, g)
+        got = (y.value.data, x.grad.data, p.weight.grad.data, p.bias.grad.data)
+        for name, a, b in zip(("y", "dx", "dw", "db"), got, ref):
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol, err_msg=f"{name} n={n} {h}x{w}")
+
+
+def test_conv2d_dead_input_gradient_is_skipped():
+    # the input gradient is neither computed nor returned when nothing upstream
+    # needs it, and the parameter gradients do not depend on whether it does
+    rng = np.random.default_rng(16)
+    x0 = rng.standard_normal((2, 3, 7, 7))
+    w0 = rng.standard_normal((4, 3, 3, 3))
+    b0 = rng.standard_normal(4)
+    grads = []
+    for live in (True, False):
+        x = var(x0, requires_grad=live)
+        p = L.Conv2dParams(var(w0, True), var(b0, True), stride=2, padding=1)
+        y = L.conv2d(x, p)
+        dx = y._backward_fn(np.ones(y.value.shape))[0]
+        assert (dx is None) == (not live)
+        y = L.conv2d(x, p)
+        ad.backward(ad.total(ad.mul(y, y)))
+        grads.append((p.weight.grad.data, p.bias.grad.data))
+    assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
+def test_conv2d_output_is_contiguous_nchw():
+    # every kernel/stride/padding combination the model builds
+    model = M.build(M.WaveletCnnConfig(levels=2, input_size=32, channels=(4, 6), num_classes=3))
+    combos = {(p.weight.value.shape[2], p.stride, p.padding) for p in model.convs.values()}
+    assert combos == {(3, 2, 1), (1, 1, 0), (3, 1, 1)}
+    rng = np.random.default_rng(17)
+    for (k, s, pad), (h, w) in itertools.product(combos, [(8, 8), (7, 5)]):
+        x = var(rng.standard_normal((2, 3, h, w)))
+        y = L.conv2d(x, conv_params(rng.standard_normal((4, 3, k, k)), stride=s, padding=pad))
+        yd = y.value.data
+        assert yd.shape == (2, 4, (h + 2 * pad - k) // s + 1, (w + 2 * pad - k) // s + 1)
+        assert yd.flags["C_CONTIGUOUS"]
+
+
+def test_conv2d_1x1_is_a_plain_gemm_without_unrolling():
+    # the columns of a 1x1 stride-1 unpadded kernel are a view of the input,
+    # so the forward allocates far less than a copy of the input
+    x = var(np.ones((2, 64, 32, 32)))
+    p = conv_params(np.ones((4, 64, 1, 1)))
+    tracemalloc.start()
+    try:
+        y = L.conv2d(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(y.value.data == 64.0)
+    assert peak < x.value.data.nbytes // 2
+
+
+def test_conv2d_backward_frees_columns_before_input_gradient():
+    # the unrolled columns are spent once dW is formed; holding them while the
+    # equally large input-gradient columns exist would double the peak
+    x = var(np.ones((2, 16, 32, 32)), requires_grad=True)
+    p = conv_params(np.ones((4, 16, 3, 3)), padding=1)
+    cols_nbytes = 2 * 16 * 9 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        y = L.conv2d(x, p)
+        g = np.ones(y.value.shape)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        y._backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < cols_nbytes // 2
 
 
 # --- pooling ------------------------------------------------------------------
