@@ -35,7 +35,6 @@ def _config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a configuration key (repeatable)")
     parser.add_argument("--seed", type=int, help="override the seed key")
-    parser.add_argument("--threads", type=int, help="worker threads (1 = deterministic)")
     parser.add_argument("--out", default=".", help="output directory")
 
 
@@ -44,8 +43,6 @@ def _merged_config(args) -> dict[str, str]:
     cfg = RC.apply_overrides(cfg, args.set)
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
-    if args.threads is not None:
-        cfg["threads"] = str(args.threads)
     RC.check_known_keys(cfg)
     return cfg
 

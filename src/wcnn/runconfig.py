@@ -107,7 +107,7 @@ def get_int_tuple(cfg, key, default=()) -> tuple[int, ...]:
 
 
 KNOWN_KEYS = {
-    "seed", "threads",
+    "seed",
     "model.levels", "model.input_size", "model.input_channels", "model.channels",
     "model.blocks_per_stage", "model.classes", "model.head", "model.embedding_dim",
     "model.proj_fraction", "model.ablated", "model.wavelet", "model.precision",
@@ -160,5 +160,4 @@ def train_config_from(cfg: dict[str, str]) -> TrainConfig:
         resize_to=get_int(cfg, "train.resize_to", 0),
         flip=get_bool(cfg, "train.flip", True),
         eval_every=get_int(cfg, "train.eval_every", 1),
-        threads=get_int(cfg, "threads", 1),
     )

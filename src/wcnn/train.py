@@ -162,7 +162,6 @@ class TrainConfig:
     resize_to: int = 0  # 0 = input_size * 256 // 224
     flip: bool = True
     eval_every: int = 1
-    threads: int = 1
     checkpoint_path: str | None = None
 
     def validate(self):
@@ -241,8 +240,9 @@ def _targets(records: list[ImageRecord], head: str, num_classes: int):
 
 
 def iter_batches(order, batch_size):
-    for at in range(0, len(order), batch_size):
-        yield order[at:at + batch_size]
+    """Consecutive batches; a 1-image tail joins the one before (batch norm cannot train on it)."""
+    ends = [*range(batch_size, len(order) - 1, batch_size), len(order)]
+    return (order[at:end] for at, end in zip([0, *ends], ends))
 
 
 def train(model: M.Model, train_records: list[ImageRecord],
@@ -268,7 +268,6 @@ def train(model: M.Model, train_records: list[ImageRecord],
         "augment": str(cfg.augment), "batch_size": str(cfg.batch_size),
         "epochs": str(cfg.epochs), "eval_every": str(cfg.eval_every),
         "precision": mcfg.precision, "seed": str(cfg.seed),
-        "threads": str(cfg.threads),
         "resize_to": str(cfg.resolved_resize(input_size)),
         "train_images": str(len(train_records)),
         "eval_images": str(len(eval_records)),

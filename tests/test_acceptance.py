@@ -267,7 +267,7 @@ def test_acceptance_8_determinism(texture_corpus, tmp_path):
         "data.split = 0",
     ]) + "\n")
     for name in ("run_a", "run_b"):
-        rc = cli.main(["train", "--config", str(cfg_path), "--threads", "1",
+        rc = cli.main(["train", "--config", str(cfg_path),
                        "--out", str(tmp_path / name)])
         assert rc == 0
     a = (tmp_path / "run_a" / "best.wcnn").read_bytes()

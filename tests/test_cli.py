@@ -216,7 +216,7 @@ def test_levels_sweep_cli(tmp_path, corpus, capsys):
 def test_cli_determinism_reports(tmp_path, corpus):
     cfg = write_cfg(tmp_path, corpus, **{"model.precision": "f64"})
     for name in ("r1", "r2"):
-        assert cli.main(["train", "--config", str(cfg), "--threads", "1",
+        assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / name)]) == 0
     a = (tmp_path / "r1" / "best.wcnn").read_bytes()
     b = (tmp_path / "r2" / "best.wcnn").read_bytes()

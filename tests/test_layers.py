@@ -6,6 +6,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from wcnn import autodiff as ad
+from wcnn import gradcheck as G
 from wcnn import layers as L
 from wcnn import model as M
 from wcnn import wavelet
@@ -218,6 +219,68 @@ def test_conv2d_backward_frees_columns_before_input_gradient():
     finally:
         tracemalloc.stop()
     assert peak - before < cols_nbytes // 2
+
+
+def _conv2d_serial(xd, wd, bd, s, pad, g):
+    """Whole-batch channel-major conv2d: the arithmetic every image range must repeat."""
+    n, c, h, width = xd.shape
+    o, _, kh, kw = wd.shape
+    ho, wo = g.shape[2:]
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+    wmat = wd.reshape(o, c * kh * kw)
+    y = (wmat @ cols).reshape(n, o, ho, wo)
+    y += bd[:, None, None]
+    gm = g.reshape(n, o, ho * wo)
+    dw = sum(gm[i] @ cols[i].T for i in range(n)).reshape(o, c, kh, kw)
+    dcols = (wmat.T @ gm).reshape(n, c, kh, kw, ho, wo)
+    dxp = np.zeros(xp.shape, dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
+    return y, dxp[:, :, pad:pad + h, pad:pad + width], dw, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("k,s,pad", list(itertools.product((1, 3), (1, 2), (0, 1))))
+def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, pad, dtype):
+    # a gate of 0 splits every batch into min(n, 3) uneven ranges on the pool,
+    # a gate of inf runs one range on the calling thread; both must give the
+    # bits of the whole-batch arithmetic
+    monkeypatch.setattr(L, "_CPUS", 3)
+    rng = np.random.default_rng(18)
+    big = rng.standard_normal((7, 6, 9, 16))
+    views = {  # non-owning inputs, as the subband stacks and sliced batches are
+        "owned": lambda n: big[:n, :4, :, :8].copy(),
+        "channel-slice": lambda n: big[1:1 + n, 2:6, :, :8],
+        "column-stride": lambda n: big[:n, :4, :, ::2],
+    }
+    for n, (kind, make) in itertools.product((1, 2, 3, 5), views.items()):
+        x0 = make(n)
+        assert x0.shape == (n, 4, 9, 8) and (kind == "owned") == (x0.base is None)
+        w0, b0 = rng.standard_normal((5, 4, k, k)), rng.standard_normal(5)
+        g = rng.standard_normal((n, 5, (9 + 2 * pad - k) // s + 1, (8 + 2 * pad - k) // s + 1))
+        x = var(x0, requires_grad=True, dtype=dtype)
+        p = L.Conv2dParams(var(w0, True, dtype), var(b0, True, dtype), stride=s, padding=pad)
+        g = g.astype(x.value.data.dtype)
+        want = _conv2d_serial(x.value.data, p.weight.value.data, p.bias.value.data, s, pad, g)
+        for gate in (np.inf, 0.0):
+            monkeypatch.setattr(L, "_SPLIT_FLOP", gate)
+            y = L.conv2d(x, p)
+            got = (y.value.data, *y._backward_fn(g))
+            for name, a, b in zip(("y", "dx", "dw", "db"), got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f"{name} n={n} {kind} {gate}"
+
+
+def test_conv2d_gradcheck_over_image_ranges(monkeypatch):
+    # the gradcheck fixtures are far below the gate, so force the split
+    monkeypatch.setattr(L, "_SPLIT_FLOP", 0.0)
+    monkeypatch.setattr(L, "_CPUS", 2)
+    rows = [(name, err) for name, err in G.layer_checks() if name.startswith("conv2d")]
+    assert len(rows) == 9
+    for name, err in rows:
+        assert err < 1e-5, f"{name}: {err:.2e}"
 
 
 # --- pooling ------------------------------------------------------------------

@@ -189,6 +189,21 @@ def test_batch_iteration_preserves_pairing():
             assert rec.labels[0] == t  # label rides with its image
 
 
+def test_one_image_tail_joins_the_previous_batch():
+    # a 1-image batch cannot train batch norm once the last stage is 1x1, so
+    # the tail folds into the batch before it and every image still trains once
+    for n, sizes in [(5, [5]), (6, [4, 2]), (8, [4, 4]), (9, [4, 5]), (1, [1])]:
+        batches = list(TR.iter_batches(np.arange(n), 4))
+        assert [len(b) for b in batches] == sizes
+        assert np.array_equal(np.concatenate(batches), np.arange(n))
+    records = separable_records()
+    model = M.build(M.WaveletCnnConfig(levels=3, input_size=8, input_channels=1,
+                                       channels=(4, 4, 4), blocks_per_stage=1,
+                                       num_classes=2, precision="f64"))
+    report = TR.train(model, records[:5], records[16:18], quick_cfg(epochs=1, batch_size=4))
+    assert [split for _, split, _, _ in report.rows] == ["train", "test"]
+
+
 def test_first_batch_loss_near_log_classes():
     # class-balanced batch: any class-constant logit bias of the untrained
     # network cancels, leaving the uniform-prediction value log(C)
