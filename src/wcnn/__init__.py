@@ -8,7 +8,9 @@ finite differences.
 
 Module map:
 
-- `tensor`    dense f32/f64 values, shape-checked ops, the WTNS1 file format
+- `tensor`    dense f32/f64 values, shape-checked structural ops (no
+              elementwise arithmetic), the little-endian codec shared by
+              WTNS1 files and WCNN1 checkpoints
 - `autodiff`  tape-based reverse-mode differentiation and the FD checker
 - `layers`    conv / batch norm / pooling / losses over the tape
 - `wavelet`   filter pairs, subband pyramids, the convolve-then-downsample
@@ -18,7 +20,9 @@ Module map:
 - `data`      PNM images, manifests, split policies, synthetic textures
 - `metrics`   accuracy, multi-label precision/recall/F1, split aggregation
 - `gradcheck` finite-difference sweeps over every layer and the whole model
-- `cli`       the `wcnn` command line
+- `schema`    dataclass configs from `key = value` text (run configs and
+              the checkpoint config block)
+- `cli`       the `wcnn` command line, configured through `runconfig`
 """
 
 from .tensor import ShapeError, Tensor, load_wtns, save_wtns

@@ -18,6 +18,7 @@ import itertools
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 _creation_rank = itertools.count()
@@ -172,16 +173,12 @@ def total(a: Variable) -> Variable:
 
 def reshape(a: Variable, shape) -> Variable:
     a = _as_variable(a)
-    from . import tensor as T
-
     value = T.reshape(a.value, shape)
     orig = a.value.shape
     return record("reshape", value, (a,), lambda g: (g.reshape(orig),))
 
 
 def concat_channels(parts: list[Variable]) -> Variable:
-    from . import tensor as T
-
     parts = [_as_variable(p) for p in parts]
     value = T.concat_channels([p.value for p in parts])
     sizes = [p.value.shape[1] for p in parts]
@@ -205,7 +202,7 @@ def finite_difference_check(f, x, eps: float = 1e-5, coords=None) -> float:
     `f` maps a leaf Variable to a scalar Variable and must be deterministic.
     Returns the worst relative error over the checked coordinates:
 
-        |numeric - analytic| / (|analytic| + |numeric| + 1e-12)
+        |numeric - analytic| / max(|analytic| + |numeric|, 1e-12)
 
     `coords` restricts the sweep to the given flat indices (all by default).
     """
@@ -217,24 +214,35 @@ def finite_difference_check(f, x, eps: float = 1e-5, coords=None) -> float:
     if out.value.size != 1:
         raise ShapeError(f"finite_difference_check needs a scalar function, got {out.value.shape}")
     backward(out)
-    if leaf.grad is None:
-        analytic = np.zeros(x.shape, dtype=x.data.dtype)
-    else:
-        analytic = leaf.grad.data
-    analytic = analytic.reshape(-1)
+    analytic = np.zeros(x.size) if leaf.grad is None else leaf.grad.data.reshape(-1)
+    probe = Tensor(x.data.copy())  # perturbed in place; the caller's tensor stays as it was
+    return central_difference_error(
+        lambda: f(Variable(probe)).value.item(), probe.data.reshape(-1), analytic,
+        range(x.size) if coords is None else coords, eps, floor=1e-12)
 
-    flat = x.data.reshape(-1)
-    indices = range(flat.size) if coords is None else coords
+
+def central_difference_error(f, flat: np.ndarray, analytic: np.ndarray, coords, eps: float,
+                             floor: float) -> float:
+    """Worst error of central differences of `f()` against `analytic` over `coords`.
+
+    `flat` is a flat view of the array `f` reads.  Each probed coordinate is
+    set to keep + eps and keep - eps, then restored; a non-finite `f()` raises.
+    The error of a coordinate is
+
+        |numeric - analytic| / max(|analytic| + |numeric|, floor)
+
+    so `floor` decides below which gradient magnitude the error turns absolute.
+    """
     worst = 0.0
-    for i in indices:
-        probe = flat.copy()
-        probe[i] += eps
-        fp = f(Variable(Tensor(probe.reshape(x.shape)))).value.item()
-        probe[i] -= 2 * eps
-        fm = f(Variable(Tensor(probe.reshape(x.shape)))).value.item()
+    for i in coords:
+        keep = flat[i]
+        flat[i] = keep + eps
+        fp = f()
+        flat[i] = keep - eps
+        fm = f()
+        flat[i] = keep
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise ValueError(f"non-finite output while probing coordinate {i}")
         numeric = (fp - fm) / (2 * eps)
-        err = abs(numeric - analytic[i]) / (abs(analytic[i]) + abs(numeric) + 1e-12)
-        worst = max(worst, err)
+        worst = max(worst, abs(numeric - analytic[i]) / max(abs(analytic[i]) + abs(numeric), floor))
     return worst

@@ -23,6 +23,7 @@ from . import model as M
 from . import train as TR
 from . import wavelet as W
 from . import runconfig as RC
+from .schema import get_value, to_items
 from .tensor import ShapeError, Tensor, save_wtns
 
 USAGE_ERRORS = (RC.ConfigError, ShapeError, D.ManifestError, D.PnmError,
@@ -54,7 +55,7 @@ def _out_dir(args) -> Path:
 
 
 def _split_records(cfg: dict[str, str], model_cfg: M.WaveletCnnConfig):
-    manifest_key = RC.get_str(cfg, "data.manifest")
+    manifest_key = get_value(cfg, "data.manifest", "")
     if not manifest_key:
         raise RC.ConfigError("data.manifest is required")
     manifest = D.load_manifest(manifest_key)
@@ -63,10 +64,10 @@ def _split_records(cfg: dict[str, str], model_cfg: M.WaveletCnnConfig):
             f"manifest has {len(manifest.class_names)} classes, "
             f"model.classes = {model_cfg.num_classes}"
         )
-    policy = RC.get_str(cfg, "data.policy", "by-split-column")
-    splits = D.make_splits(manifest, policy, k=RC.get_int(cfg, "data.k", 0) or None,
-                           seed=RC.get_int(cfg, "seed", 0))
-    index = RC.get_int(cfg, "data.split", 0)
+    policy = get_value(cfg, "data.policy", "by-split-column")
+    splits = D.make_splits(manifest, policy, k=get_value(cfg, "data.k", 0) or None,
+                           seed=get_value(cfg, "seed", 0))
+    index = get_value(cfg, "data.split", 0)
     if not 0 <= index < len(splits):
         raise RC.ConfigError(f"data.split {index} out of range; policy yields {len(splits)}")
     train_idx, test_idx = splits[index]
@@ -162,7 +163,7 @@ def cmd_eval(args) -> int:
     else:
         records = D.load_images(manifest)
     result = TR.evaluate(model, records)
-    ckpt_hash = RC.config_hash(dict(M.config_to_items(model.config)))
+    ckpt_hash = RC.config_hash(dict(to_items(model.config)))
     text = f"# checkpoint_config_hash = {ckpt_hash}\n"
     if model.config.head == "multilabel":
         text += X.bundle_to_tsv(result) + f"accuracy\t{result['accuracy']:.2f}\n"
@@ -189,9 +190,7 @@ def cmd_gradcheck(args) -> int:
     cfg = _merged_config(args)
     model_cfg = None
     if args.config or args.set:
-        model_cfg = RC.model_config_from(cfg)
-        if model_cfg.precision != "f64":
-            model_cfg = replace(model_cfg, precision="f64")
+        model_cfg = replace(RC.model_config_from(cfg), precision="f64")
     stride = 1 if args.full else 4
     rows = G.layer_checks() + G.model_checks(model_cfg, input_stride=stride,
                                              coords_per_param=args.coords_per_param)
@@ -230,7 +229,7 @@ def cmd_levels_sweep(args) -> int:
     if not levels:
         raise RC.ConfigError("--levels needs a comma-separated list, e.g. 2,3,4")
     base_cfg = RC.model_config_from(cfg)
-    base_seed = RC.get_int(cfg, "seed", 0)
+    base_seed = base_cfg.init_seed
     schedule = base_cfg.channels or M.DEFAULT_CHANNELS
     if len(schedule) < max(levels):
         raise RC.ConfigError(

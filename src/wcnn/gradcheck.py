@@ -152,32 +152,16 @@ def model_checks(config: M.WaveletCnnConfig | None = None, eps: float = 1e-5,
     leaf = ad.Variable(batch, requires_grad=True)
     ad.backward(loss_of(leaf))
 
-    def worst_error(flat, analytic, coords):
-        worst = 0.0
-        for i in coords:
-            keep = flat[i]
-            flat[i] = keep + eps
-            fp = loss_of(ad.Variable(batch)).value.item()
-            flat[i] = keep - eps
-            fm = loss_of(ad.Variable(batch)).value.item()
-            flat[i] = keep
-            numeric = (fp - fm) / (2 * eps)
-            err = abs(numeric - analytic[i]) / max(abs(analytic[i]) + abs(numeric), 1e-4)
-            worst = max(worst, err)
-        return worst
+    def probe():
+        return loss_of(ad.Variable(batch)).value.item()
 
-    rows = [("model/input", worst_error(x0.reshape(-1), leaf.grad.data.reshape(-1),
-                                        range(0, x0.size, input_stride)))]
+    rows = [("model/input", ad.central_difference_error(
+        probe, x0.reshape(-1), leaf.grad.data.reshape(-1), range(0, x0.size, input_stride),
+        eps, floor=1e-4))]
     for name, p in model.params.items():
         n = p.value.size
         picks = sorted(set(int(c) for c in rng.integers(0, n, size=min(coords_per_param, n))))
-        rows.append((f"model/{name}", worst_error(p.value.data.reshape(-1),
-                                                  p.grad.data.reshape(-1), picks)))
+        rows.append((f"model/{name}", ad.central_difference_error(
+            probe, p.value.data.reshape(-1), p.grad.data.reshape(-1), picks, eps, floor=1e-4)))
         p.grad = None
     return rows
-
-
-def run_suite(eps: float = 1e-5, input_stride: int = 1,
-              coords_per_param: int = 8) -> list[tuple[str, float]]:
-    return layer_checks(eps=eps) + model_checks(
-        eps=eps, input_stride=input_stride, coords_per_param=coords_per_param)

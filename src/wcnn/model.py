@@ -19,15 +19,16 @@ recompute the totals from the configuration arithmetic independently.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import layers as L
 from . import wavelet as W
+from .schema import ConfigError, field_keys, from_items, to_items
 from .seeding import INIT, stream_rng
-from .tensor import DTYPES, ShapeError, Tensor
+from .tensor import DTYPES, ShapeError, Tensor, decode, encode, parse_shape_fields, shape_fields
 
 DEFAULT_CHANNELS = (64, 128, 256, 512, 512)
 MAX_LEVELS = 5
@@ -292,39 +293,6 @@ class CheckpointError(ValueError):
     pass
 
 
-def config_to_items(config: WaveletCnnConfig) -> list[tuple[str, str]]:
-    items = []
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if f.name == "channels":
-            v = ",".join(str(c) for c in v)
-        items.append((f.name, str(v)))
-    return sorted(items)
-
-
-_STR_FIELDS = ("head", "wavelet", "precision")
-_FLOAT_FIELDS = ("proj_fraction", "bn_epsilon", "bn_momentum")
-
-
-def config_from_items(items: dict[str, str]) -> WaveletCnnConfig:
-    kwargs = {}
-    for f in fields(WaveletCnnConfig):
-        if f.name not in items:
-            continue
-        raw = items[f.name]
-        if f.name == "channels":
-            kwargs[f.name] = tuple(int(c) for c in raw.split(",") if c) if raw else ()
-        elif f.name == "ablated":
-            kwargs[f.name] = raw == "True"
-        elif f.name in _FLOAT_FIELDS:
-            kwargs[f.name] = float(raw)
-        elif f.name in _STR_FIELDS:
-            kwargs[f.name] = raw
-        else:
-            kwargs[f.name] = int(raw)
-    return WaveletCnnConfig(**kwargs)
-
-
 def save_model(model: Model, path) -> None:
     entries: list[tuple[str, str, Tensor]] = []
     for name, v in model.params.items():
@@ -334,26 +302,16 @@ def save_model(model: Model, path) -> None:
 
     payload = io.BytesIO()
     manifest_lines = []
-    le = {"f32": "<f4", "f64": "<f8"}
     for name, kind, t in entries:
-        offset = payload.tell()
-        payload.write(np.ascontiguousarray(t.data).astype(le[t.dtype]).tobytes())
-        dims = " ".join(str(d) for d in t.shape)
-        manifest_lines.append(
-            f"{name} {kind} {t.dtype} {t.ndim}" + (f" {dims}" if dims else "") + f" {offset}"
-        )
+        manifest_lines.append(f"{name} {kind} {shape_fields(t)} {payload.tell()}")
+        payload.write(encode(t))
     blob = payload.getvalue()
 
-    cfg_lines = [f"{k} = {v}" for k, v in config_to_items(model.config)]
+    cfg_lines = [f"{k} = {v}" for k, v in to_items(model.config)]
+    header = [f"{_MAGIC} {_VERSION}", f"config {len(cfg_lines)}", *cfg_lines,
+              f"manifest {len(manifest_lines)}", *manifest_lines, f"payload {len(blob)}"]
     with open(path, "wb") as fh:
-        fh.write(f"{_MAGIC} {_VERSION}\n".encode("ascii"))
-        fh.write(f"config {len(cfg_lines)}\n".encode("ascii"))
-        for line in cfg_lines:
-            fh.write((line + "\n").encode("ascii"))
-        fh.write(f"manifest {len(manifest_lines)}\n".encode("ascii"))
-        for line in manifest_lines:
-            fh.write((line + "\n").encode("ascii"))
-        fh.write(f"payload {len(blob)}\n".encode("ascii"))
+        fh.write("".join(line + "\n" for line in header).encode("ascii"))
         fh.write(blob)
 
 
@@ -361,69 +319,68 @@ def load_model(path, precision: str | None = None) -> Model:
     """Rebuild a model from a checkpoint.
 
     `precision` overrides the stored one; narrowing f64 -> f32 rounds each
-    scalar to the nearest representable value.
+    scalar to the nearest representable value.  Any malformed header line,
+    config value, manifest line or payload raises `CheckpointError`.
     """
     with open(path, "rb") as fh:
-        head = fh.readline().decode("ascii", errors="replace").split()
+        def line() -> str:
+            raw = fh.readline()
+            if not raw.endswith(b"\n") or not raw.isascii():
+                raise CheckpointError(f"{path}: truncated or non-ASCII header line {raw[:60]!r}")
+            return raw[:-1].decode("ascii")
+
+        def expect(tag) -> int:
+            fields = line().split()
+            if len(fields) != 2 or fields[0] != tag or not fields[1].isdecimal():
+                raise CheckpointError(f"{path}: malformed {tag} header")
+            return int(fields[1])
+
+        head = line().split()
         if len(head) != 2 or head[0] != _MAGIC:
             raise CheckpointError(f"{path}: not a {_MAGIC} checkpoint")
-        if int(head[1]) != _VERSION:
+        if head[1] != str(_VERSION):
             raise CheckpointError(f"{path}: unsupported version {head[1]}")
-
-        def expect(tag):
-            line = fh.readline().decode("ascii").split()
-            if len(line) != 2 or line[0] != tag:
-                raise CheckpointError(f"{path}: malformed {tag} header")
-            return int(line[1])
-
         items = {}
         for _ in range(expect("config")):
-            key, _, value = fh.readline().decode("ascii").rstrip("\n").partition(" = ")
+            key, sep, value = line().partition(" = ")
+            if not sep:
+                raise CheckpointError(f"{path}: malformed config line {key!r}")
             items[key] = value
-        manifest = []
-        for _ in range(expect("manifest")):
-            parts = fh.readline().decode("ascii").split()
-            name, kind, dtype, ndim = parts[0], parts[1], parts[2], int(parts[3])
-            dims = tuple(int(d) for d in parts[4:4 + ndim])
-            offset = int(parts[4 + ndim])
-            manifest.append((name, kind, dtype, dims, offset))
+        manifest = [line().split() for _ in range(expect("manifest"))]
         nbytes = expect("payload")
         blob = fh.read()
     if len(blob) != nbytes:
         raise CheckpointError(f"{path}: payload is {len(blob)} bytes, expected {nbytes}")
 
-    config = config_from_items(items)
-    if precision is not None:
-        config = replace(config, precision=precision)
-    model = build(config)
+    keys = field_keys(WaveletCnnConfig, "")
+    if set(items) != set(keys.values()):
+        raise CheckpointError(f"{path}: config block keys are not the config fields")
+    try:
+        config = from_items(WaveletCnnConfig, items, keys)
+        if precision is not None:
+            config = replace(config, precision=precision)
+        model = build(config)
+        stored = {}
+        for parts in manifest:
+            # name kind <dtype> <ndim> <d0> ... offset
+            if len(parts) < 5 or not parts[-1].isdecimal():
+                raise CheckpointError(f"{path}: malformed manifest line {' '.join(parts)!r}")
+            dtype, shape = parse_shape_fields(parts[2:-1])
+            stored[parts[0]] = decode(blob, dtype, shape, int(parts[-1]))
+    except (ConfigError, ShapeError) as e:
+        raise CheckpointError(f"{path}: {e}") from None
 
-    stored: dict[str, tuple[str, Tensor]] = {}
-    le = {"f32": "<f4", "f64": "<f8"}
-    for name, kind, dtype, dims, offset in manifest:
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        width = np.dtype(le[dtype]).itemsize
-        raw = blob[offset:offset + count * width]
-        if len(raw) != count * width:
-            raise CheckpointError(f"{path}: truncated payload for {name}")
-        arr = np.frombuffer(raw, dtype=le[dtype]).reshape(dims)
-        stored[name] = (kind, Tensor(arr.astype(DTYPES[config.precision])))
+    def restore(name: str, like: Tensor) -> Tensor:
+        if name not in stored:
+            raise CheckpointError(f"{path}: missing {name}")
+        arr = stored[name]
+        if arr.shape != like.shape:
+            raise CheckpointError(f"{path}: {name} has shape {arr.shape}, expected {like.shape}")
+        return Tensor(arr.astype(DTYPES[config.precision], copy=False))
 
     for name, v in model.params.items():
-        if name not in stored:
-            raise CheckpointError(f"{path}: missing parameter {name}")
-        kind, t = stored[name]
-        if t.shape != v.value.shape:
-            raise CheckpointError(
-                f"{path}: {name} has shape {t.shape}, model expects {v.value.shape}"
-            )
-        v.value = t
-    for name in model.buffers():
-        if name not in stored:
-            raise CheckpointError(f"{path}: missing buffer {name}")
-        bn_name, _, stat = name.rpartition(".")
-        bn = model.norms[bn_name]
-        if stat == "running_mean":
-            bn.running_mean = stored[name][1]
-        else:
-            bn.running_var = stored[name][1]
+        v.value = restore(name, v.value)
+    for name, bn in model.norms.items():
+        bn.running_mean = restore(f"{name}.running_mean", bn.running_mean)
+        bn.running_var = restore(f"{name}.running_var", bn.running_var)
     return model

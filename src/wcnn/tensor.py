@@ -1,19 +1,25 @@
-"""Dense tensor values and shape-checked structural operations.
+"""Dense tensor values, shape-checked structural operations, the raw tensor codec.
 
 Every value flowing through the library is a `Tensor`: a dense N-dimensional
 array (N <= 4) of float32 or float64 scalars, tagged "f32"/"f64".  Images use
 the NCHW layout [batch, channel, height, width].
 
-There is no implicit broadcasting except against a plain Python scalar, and
-operands of mixed precision are rejected: shape or dtype bugs in the network
-wiring must fail loudly instead of being papered over.
+There is no elementwise arithmetic here: the network computes on the tape
+(`autodiff`, `layers`).  The structural operations (`concat_channels`,
+`reshape`) reject shape and dtype mismatches instead of papering over them.
 
 Tensors are immutable from the caller's point of view; operations return new
 tensors.  The only sanctioned in-place mutation is the optimizer's parameter
 update, which owns its arrays.
+
+One little-endian codec (`shape_fields`/`parse_shape_fields`,
+`encode`/`decode`) is the payload encoding of both WTNS1 tensor files and
+WCNN1 checkpoints; malformed fields or short payloads raise `ShapeError`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,15 +68,9 @@ class Tensor:
         return _TAG_OF[self.data.dtype]
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.size == 1 else _raise_item(self)
-
-    def astype(self, dtype: str) -> "Tensor":
-        if dtype not in DTYPES:
-            raise ShapeError(f"unknown dtype tag {dtype!r}")
-        return Tensor(self.data.astype(DTYPES[dtype]))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
+        if self.size != 1:
+            raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def tolist(self):
         return self.data.tolist()
@@ -78,10 +78,6 @@ class Tensor:
     def __repr__(self) -> str:
         dims = ",".join(str(d) for d in self.shape)
         return f"Tensor({self.dtype}[{dims}])"
-
-
-def _raise_item(t: Tensor):
-    raise ShapeError(f"item() requires a single-element tensor, got shape {t.shape}")
 
 
 def _check_extents(shape) -> tuple[int, ...]:
@@ -92,47 +88,6 @@ def _check_extents(shape) -> tuple[int, ...]:
         if d < 0:
             raise ShapeError(f"negative extent in shape {shape}")
     return shape
-
-
-def zeros(shape, dtype: str = "f64") -> Tensor:
-    return Tensor(np.zeros(_check_extents(shape), dtype=DTYPES[dtype]))
-
-
-def ones(shape, dtype: str = "f64") -> Tensor:
-    return Tensor(np.ones(_check_extents(shape), dtype=DTYPES[dtype]))
-
-
-def full(shape, value: float, dtype: str = "f64") -> Tensor:
-    return Tensor(np.full(_check_extents(shape), value, dtype=DTYPES[dtype]))
-
-
-def _binary_operand(a: Tensor, b) -> np.ndarray | float:
-    """Validate the second operand of an elementwise op: equal-shape tensor or scalar."""
-    if isinstance(b, Tensor):
-        if b.shape != a.shape:
-            raise ShapeError(f"elementwise shape mismatch: {a.shape} vs {b.shape}")
-        if b.data.dtype != a.data.dtype:
-            raise ShapeError(f"elementwise dtype mismatch: {a.dtype} vs {b.dtype}")
-        return b.data
-    if np.isscalar(b):
-        return float(b)
-    raise ShapeError(f"elementwise operand must be a Tensor or scalar, got {type(b).__name__}")
-
-
-def add(a: Tensor, b) -> Tensor:
-    return Tensor(a.data + _binary_operand(a, b))
-
-
-def sub(a: Tensor, b) -> Tensor:
-    return Tensor(a.data - _binary_operand(a, b))
-
-
-def mul(a: Tensor, b) -> Tensor:
-    return Tensor(a.data * _binary_operand(a, b))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return Tensor(a.data * a.data.dtype.type(s))
 
 
 def concat_channels(tensors: list[Tensor]) -> Tensor:
@@ -157,15 +112,6 @@ def concat_channels(tensors: list[Tensor]) -> Tensor:
     return Tensor(np.concatenate([t.data for t in tensors], axis=1))
 
 
-def channel_offsets(tensors: list[Tensor]) -> list[int]:
-    """Start offsets of each input block inside concat_channels(tensors)."""
-    offs, total = [], 0
-    for t in tensors:
-        offs.append(total)
-        total += t.shape[1]
-    return offs
-
-
 def reshape(t: Tensor, shape) -> Tensor:
     shape = _check_extents(shape)
     if int(np.prod(shape, dtype=np.int64)) != t.size:
@@ -173,59 +119,69 @@ def reshape(t: Tensor, shape) -> Tensor:
     return Tensor(t.data.reshape(shape))
 
 
-def transpose(t: Tensor, axes=None) -> Tensor:
-    return Tensor(np.transpose(t.data, axes))
+# --- little-endian tensor codec, shared by WTNS1 files and WCNN1 checkpoints --
+#
+# A tensor is described by the ASCII fields `<dtype> <ndim> <d0> <d1> ...` and
+# stored as its scalars in little-endian byte order, row-major.
+
+_LE = {"f32": "<f4", "f64": "<f8"}
 
 
-def narrow(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Slice [start, stop) along one axis; indices must be in range."""
-    if not -t.ndim <= axis < t.ndim:
-        raise ShapeError(f"axis {axis} out of range for rank {t.ndim}")
-    extent = t.shape[axis]
-    if not (0 <= start <= stop <= extent):
-        raise ShapeError(f"slice [{start}, {stop}) out of range for extent {extent}")
-    index = [slice(None)] * t.ndim
-    index[axis] = slice(start, stop)
-    return Tensor(t.data[tuple(index)].copy())
+def shape_fields(t: Tensor) -> str:
+    """The `<dtype> <ndim> <d0> <d1> ...` fields describing `t`."""
+    return " ".join([t.dtype, str(t.ndim), *map(str, t.shape)])
 
 
-def slice_channels(t: Tensor, start: int, stop: int) -> Tensor:
-    return narrow(t, 1, start, stop)
+def parse_shape_fields(fields: list[str]) -> tuple[str, tuple[int, ...]]:
+    """(dtype, shape) from the fields `shape_fields` writes; ShapeError if malformed."""
+    text = " ".join(fields)
+    if len(fields) < 2 or fields[0] not in _LE:
+        raise ShapeError(f"expected '<{'|'.join(_LE)}> <ndim> <extents>', got {text!r}")
+    if not all(f.isdecimal() for f in fields[1:]):
+        raise ShapeError(f"rank and extents must be non-negative integers, got {text!r}")
+    if len(fields) != 2 + int(fields[1]):
+        raise ShapeError(f"{len(fields) - 2} extents listed for rank {fields[1]}")
+    return fields[0], _check_extents(fields[2:])
+
+
+def encode(t: Tensor) -> bytes:
+    return t.data.astype(_LE[t.dtype]).tobytes()
+
+
+def decode(buf: bytes, dtype: str, shape: tuple[int, ...], offset: int) -> np.ndarray:
+    """The `shape` tensor encoded at byte `offset` of `buf`, as a native-order array."""
+    le = np.dtype(_LE[dtype])
+    size = math.prod(shape) * le.itemsize
+    if offset + size > len(buf):
+        raise ShapeError(f"{size} payload bytes needed at offset {offset}, {len(buf)} present")
+    return np.frombuffer(buf, le, size // le.itemsize, offset).reshape(shape).astype(DTYPES[dtype])
 
 
 # --- WTNS1 raw tensor file format ------------------------------------------
 #
 # ASCII header line `WTNS1 <dtype> <ndim> <d0> <d1> ...` terminated by a
-# newline, followed by the scalars as little-endian bytes in row-major order.
+# newline, followed by the encoded scalars.
 
 _WTNS_MAGIC = "WTNS1"
-_LE = {"f32": "<f4", "f64": "<f8"}
 
 
 def save_wtns(path, t: Tensor) -> None:
-    dims = " ".join(str(d) for d in t.shape)
-    header = f"{_WTNS_MAGIC} {t.dtype} {t.ndim}" + (f" {dims}" if dims else "") + "\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(t.data).astype(_LE[t.dtype]).tobytes())
+        fh.write(f"{_WTNS_MAGIC} {shape_fields(t)}\n".encode("ascii"))
+        fh.write(encode(t))
 
 
 def load_wtns(path) -> Tensor:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").strip()
-        fields = header.split()
+        header, payload = fh.readline(), fh.read()
+    fields = header.decode("ascii", errors="replace").split()
+    try:
         if len(fields) < 3 or fields[0] != _WTNS_MAGIC:
-            raise ShapeError(f"{path}: not a {_WTNS_MAGIC} file (header {header!r})")
-        dtype, ndim = fields[1], int(fields[2])
-        if dtype not in _LE:
-            raise ShapeError(f"{path}: unknown dtype tag {dtype!r}")
-        if len(fields) != 3 + ndim:
-            raise ShapeError(f"{path}: header lists {len(fields) - 3} extents, expected {ndim}")
-        shape = _check_extents(int(d) for d in fields[3:])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = fh.read()
-    expected = count * np.dtype(_LE[dtype]).itemsize
-    if len(payload) != expected:
-        raise ShapeError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    arr = np.frombuffer(payload, dtype=_LE[dtype]).reshape(shape)
-    return Tensor(arr.astype(DTYPES[dtype]))
+            raise ShapeError(f"not a {_WTNS_MAGIC} file (header {header[:60]!r})")
+        dtype, shape = parse_shape_fields(fields[1:])
+        arr = decode(payload, dtype, shape, 0)
+        if arr.nbytes != len(payload):
+            raise ShapeError(f"payload is {len(payload)} bytes, expected {arr.nbytes}")
+    except ShapeError as e:
+        raise ShapeError(f"{path}: {e}") from None
+    return Tensor(arr)

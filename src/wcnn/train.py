@@ -8,8 +8,9 @@ target defaults to input_size * 256 // 224, mirroring the full-scale
 Adam hyperparameters default to lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8;
 they are echoed in every report header.  All randomness flows from the
 single seed through per-(epoch, sample) streams, so runs are reproducible
-independent of batch size, and two identical single-threaded 64-bit runs
-produce bit-identical checkpoints.
+independent of batch size.  Two identical 64-bit runs produce bit-identical
+checkpoints when BLAS runs the same number of threads in both, on any number
+of CPUs (see the README's determinism contract).
 """
 
 from __future__ import annotations
@@ -366,20 +367,3 @@ def evaluate(model: M.Model, records: list[ImageRecord], batch_size: int = 32) -
     bundle = X.multilabel_bundle(outcomes, mcfg.num_classes)
     bundle["accuracy"] = 100.0 * exact / len(records)
     return bundle
-
-
-def run_splits(model_factory, manifest, splits, cfg: TrainConfig,
-               load_images) -> tuple[list[TrainReport], tuple[float, float | None]]:
-    """Rotate through (train, test) index pairs: fresh model per split, one
-    training run each, accuracy aggregated as mean and population deviation.
-
-    This is the group-rotation protocol: with leave-one-group-in splits each
-    sample group trains once while the others test.
-    """
-    reports = []
-    for train_idx, test_idx in splits:
-        model = model_factory()
-        reports.append(train(model, load_images(manifest, train_idx),
-                             load_images(manifest, test_idx), cfg))
-    aggregate = X.split_aggregate([r.best_test_acc for r in reports])
-    return reports, aggregate

@@ -202,11 +202,6 @@ def dwt1d(x, f: FilterPair = HAAR) -> tuple[Tensor, Tensor]:
     return Tensor(lo), Tensor(hi)
 
 
-def idwt1d(lo, hi, f: FilterPair = HAAR) -> Tensor:
-    _check_two_taps(f)
-    return Tensor(_merge_axis(_as_tensor(lo).data, _as_tensor(hi).data, f, 0))
-
-
 def _dwt2d_arrays(a: np.ndarray, f: FilterPair):
     lo_w, hi_w = _split_axis(a, f, a.ndim - 1)
     ll, hl = _split_axis(lo_w, f, a.ndim - 2)
@@ -232,14 +227,6 @@ def dwt2d_level(image, f: FilterPair = HAAR) -> tuple[Tensor, Tensor, Tensor, Te
     _check_two_taps(f)
     ll, lh, hl, hh = _dwt2d_arrays(image.data, f)
     return Tensor(ll), Tensor(lh), Tensor(hl), Tensor(hh)
-
-
-def idwt2d_level(ll, lh, hl, hh, f: FilterPair = HAAR) -> Tensor:
-    _check_two_taps(f)
-    return Tensor(
-        _idwt2d_arrays(_as_tensor(ll).data, _as_tensor(lh).data,
-                       _as_tensor(hl).data, _as_tensor(hh).data, f)
-    )
 
 
 def check_divisible(shape, levels: int):

@@ -110,3 +110,19 @@ def test_finite_difference_check_flags_missing_grad_term():
     x = Tensor([1.0, 2.0, 3.0])
     err = ad.finite_difference_check(broken_square, x, eps=1e-5)
     assert err > 1e-2
+
+
+def test_finite_difference_check_leaves_the_input_unchanged():
+    # `f` fails as soon as a coordinate moves, so the sweep stops mid-probe
+    x = Tensor([1.0, 2.0, 3.0])
+    before = x.data.copy()
+
+    def defined_only_at_x(v):
+        val = v.value.data
+        if not np.array_equal(val, before):
+            raise FloatingPointError("probe moved")
+        return ad.record("probe", np.asarray(val.sum()), (v,), lambda g: (np.ones_like(val) * g,))
+
+    with pytest.raises(FloatingPointError):
+        ad.finite_difference_check(defined_only_at_x, x, eps=1e-5)
+    assert np.array_equal(x.data, before)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from wcnn import cli
 from wcnn import data as D
 from wcnn import model as M
 from wcnn import runconfig as RC
+from wcnn import train as TR
+from wcnn.schema import field_keys, from_items, to_items
 from wcnn.tensor import load_wtns
 
 
@@ -49,6 +53,71 @@ def test_config_parsing_and_hash(tmp_path):
     with pytest.raises(RC.ConfigError):
         RC.apply_overrides(cfg, ["oops"])
     assert RC.apply_overrides(cfg, ["seed=9"])["seed"] == "9"
+
+
+# the accepted keys before the schema was derived from the dataclasses
+KNOWN_KEYS_LITERAL = {
+    "seed",
+    "model.levels", "model.input_size", "model.input_channels", "model.channels",
+    "model.blocks_per_stage", "model.classes", "model.head", "model.embedding_dim",
+    "model.proj_fraction", "model.ablated", "model.wavelet", "model.precision",
+    "model.bn_epsilon", "model.bn_momentum",
+    "train.epochs", "train.batch_size", "train.lr", "train.lr_decay_every",
+    "train.lr_decay_factor", "train.beta1", "train.beta2",
+    "train.epsilon", "train.augment", "train.resize_to", "train.flip", "train.eval_every",
+    "data.manifest", "data.policy", "data.split", "data.k",
+}
+
+# key -> (non-default text, WaveletCnnConfig fields it sets, TrainConfig fields it sets)
+SCHEMA = {
+    "seed": ("7", {"init_seed": 7}, {"seed": 7}),
+    "model.levels": ("3", {"levels": 3}, {}),
+    "model.input_size": ("64", {"input_size": 64}, {}),
+    "model.input_channels": ("1", {"input_channels": 1}, {}),
+    "model.channels": ("8,16,32", {"channels": (8, 16, 32)}, {}),
+    "model.blocks_per_stage": ("3", {"blocks_per_stage": 3}, {}),
+    "model.classes": ("10", {"num_classes": 10}, {}),
+    "model.head": ("multilabel", {"head": "multilabel"}, {}),
+    "model.embedding_dim": ("12", {"embedding_dim": 12}, {}),
+    "model.proj_fraction": ("0.5", {"proj_fraction": 0.5}, {}),
+    "model.ablated": ("true", {"ablated": True}, {}),
+    "model.wavelet": ("db2", {"wavelet": "db2"}, {}),
+    "model.precision": ("f64", {"precision": "f64"}, {}),
+    "model.bn_epsilon": ("0.001", {"bn_epsilon": 0.001}, {}),
+    "model.bn_momentum": ("0.3", {"bn_momentum": 0.3}, {}),
+    "train.epochs": ("3", {}, {"epochs": 3}),
+    "train.batch_size": ("4", {}, {"batch_size": 4}),
+    "train.lr": ("0.01", {}, {"lr": 0.01}),
+    "train.lr_decay_every": ("2", {}, {"lr_decay_every": 2}),
+    "train.lr_decay_factor": ("0.5", {}, {"lr_decay_factor": 0.5}),
+    "train.beta1": ("0.8", {}, {"beta1": 0.8}),
+    "train.beta2": ("0.99", {}, {"beta2": 0.99}),
+    "train.epsilon": ("1e-07", {}, {"adam_epsilon": 1e-7}),
+    "train.augment": ("false", {}, {"augment": False}),
+    "train.resize_to": ("40", {}, {"resize_to": 40}),
+    "train.flip": ("off", {}, {"flip": False}),
+    "train.eval_every": ("2", {}, {"eval_every": 2}),
+}
+
+
+@pytest.mark.parametrize("key", [None, *SCHEMA], ids=lambda k: k or "every-key")
+def test_config_schema(key, tmp_path, capsys):
+    """One key (or every key) at a non-default value reaches exactly its fields."""
+    cfg = {k: text for k, (text, _, _) in SCHEMA.items() if key in (None, k)}
+    assert RC.KNOWN_KEYS == KNOWN_KEYS_LITERAL
+    model_cfg = RC.model_config_from(cfg)
+    assert model_cfg == M.WaveletCnnConfig(**{f: v for k in cfg for f, v in SCHEMA[k][1].items()})
+    assert RC.train_config_from(cfg) == TR.TrainConfig(
+        **{f: v for k in cfg for f, v in SCHEMA[k][2].items()})
+    # the checkpoint config block is read by the same schema, with the field names as keys
+    keys = field_keys(M.WaveletCnnConfig, "")
+    assert from_items(M.WaveletCnnConfig, dict(to_items(model_cfg)), keys) == model_cfg
+    if key is None:
+        model = M.build(replace(model_cfg, wavelet="haar"))
+        M.save_model(model, tmp_path / "m.wcnn")
+        assert M.load_model(tmp_path / "m.wcnn").config == model.config
+        assert cli.main(["param-count", "--set", "model.levels=two"]) == 2
+        assert "model.levels: expected an integer, got 'two'" in capsys.readouterr().err
 
 
 def test_decompose_constant_image(tmp_path, capsys):
@@ -181,6 +250,20 @@ def test_eval_class_mismatch_exits_2(tmp_path, corpus, capsys):
     D.synth_textures(other, classes=2, samples_per_class=3, size=16, seed=1)
     rc = cli.main(["eval", str(out / "best.wcnn"), "--manifest", str(other / "manifest.tsv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("before, after", [(b"levels = 2", b"levels = \xff"),
+                                           (b"levels = 2", b"levels = x"),
+                                           (b"manifest ", b"manifesT ")])
+def test_eval_corrupted_checkpoint_header_exits_2(tmp_path, corpus, capsys, before, after):
+    cfg = RC.model_config_from(RC.load_config(write_cfg(tmp_path, corpus)))
+    path = tmp_path / "m.wcnn"
+    M.save_model(M.build(cfg), path)
+    path.write_bytes(path.read_bytes().replace(before, after, 1))
+    rc = cli.main(["eval", str(path), "--manifest", str(corpus / "manifest.tsv"),
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gradcheck_cli(tmp_path, capsys):

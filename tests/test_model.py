@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcnn import autodiff as ad
 from wcnn import layers as L
@@ -270,3 +272,29 @@ def test_checkpoint_narrowing(tmp_path):
         scale = np.maximum(np.abs(hi), 1e-30)
         worst = max(worst, float(np.max(np.abs(lo - hi) / scale)))
     assert worst <= 2.0**-24  # round-to-nearest float32
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.wcnn"
+    M.save_model(M.build(tiny_config(levels=2, input_size=16, input_channels=1, channels=(4, 6),
+                                     blocks_per_stage=1)), path)
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_checkpoint_corruption_loads_or_raises_checkpoint_error(tiny_checkpoint, data):
+    """1-3 overwritten bytes, in the header (everything before the payload) or anywhere."""
+    raw = tiny_checkpoint.read_bytes()
+    header = raw.index(b"\n", raw.index(b"\npayload ") + 1) + 1
+    buf = bytearray(raw)
+    limit = header if data.draw(st.booleans(), label="in header") else len(raw)
+    for _ in range(data.draw(st.integers(1, 3), label="bytes")):
+        buf[data.draw(st.integers(0, limit - 1))] = data.draw(st.integers(0, 255))
+    corrupted = tiny_checkpoint.with_name("corrupted.wcnn")
+    corrupted.write_bytes(bytes(buf))
+    try:
+        M.load_model(corrupted)
+    except M.CheckpointError:
+        pass

@@ -316,26 +316,6 @@ def test_training_with_step_decay_runs():
     assert len(report.rows) > 0
 
 
-def test_run_splits_group_rotation(tmp_path):
-    from wcnn import data as D
-
-    D.synth_textures(tmp_path, classes=2, samples_per_class=8, size=16, seed=0)
-    manifest = D.load_manifest(tmp_path / "manifest.tsv")
-    splits = D.make_splits(manifest, "leave-one-group-in")
-    assert len(splits) == 4
-
-    def factory():
-        return M.build(M.WaveletCnnConfig(levels=2, input_size=16, input_channels=1,
-                                          channels=(4, 6), blocks_per_stage=1,
-                                          num_classes=2, precision="f32"))
-
-    cfg = TR.TrainConfig(epochs=2, batch_size=4, lr=2e-3, augment=False)
-    reports, (mean, sd) = TR.run_splits(factory, manifest, splits, cfg, D.load_images)
-    assert len(reports) == 4
-    assert mean == pytest.approx(np.mean([r.best_test_acc for r in reports]))
-    assert sd is not None
-
-
 def test_report_text_format():
     records = separable_records()
     model = tiny_model()

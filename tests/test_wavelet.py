@@ -88,14 +88,6 @@ def test_dwt1d_odd_extent_rejected():
         W.dwt1d(Tensor([1.0, 2.0, 3.0]))
 
 
-def test_dwt1d_roundtrip():
-    rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal(16))
-    lo, hi = W.dwt1d(x)
-    back = W.idwt1d(lo, hi)
-    assert rel_err(back.data, x.data) < 1e-12
-
-
 def test_dwt1d_matches_generalized_conv_pool():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal(12))
