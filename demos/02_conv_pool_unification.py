@@ -6,17 +6,17 @@ correlate-then-keep-every-p-th:
   * averaging kernel, p>1   -> average pooling
   * composite kernel w*p    -> convolution followed by pooling, in one pass
 
-Chaining only the lowpass branch of a filter pair is exactly what a stack of
+Chaining only the lowpass branch of the Haar pair is exactly what a stack of
 strided convolutions computes; the detail subbands are what such a stack
 throws away.
 """
 
 import numpy as np
 
-from wcnn import HAAR, Tensor
+from wcnn import Tensor
 from wcnn.autodiff import Variable
 from wcnn.layers import average_pool
-from wcnn.wavelet import cnn_reduction, generalized_conv_pool
+from wcnn.wavelet import HAAR_LOWPASS, cnn_reduction, generalized_conv_pool
 
 rng = np.random.default_rng(1)
 x = Tensor(rng.standard_normal(16))
@@ -35,7 +35,7 @@ print("agreement              :", np.abs(two_pass.data - one_pass.data).max())
 
 # the lowpass-only chain vs stacked average pooling (gain 2 per level)
 img = Tensor(rng.standard_normal((1, 1, 32, 32)))
-chain = cnn_reduction(img, [HAAR.low_kernel_2d()] * 3)
+chain = cnn_reduction(img, [np.outer(HAAR_LOWPASS, HAAR_LOWPASS)] * 3)
 pooled = Variable(img)
 for _ in range(3):
     pooled = average_pool(pooled, 2)

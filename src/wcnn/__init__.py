@@ -8,13 +8,14 @@ finite differences.
 
 Module map:
 
-- `tensor`    dense f32/f64 values, shape-checked structural ops (no
-              elementwise arithmetic), the little-endian codec shared by
+- `tensor`    dense f32/f64 values, a shape-checked channel concatenation
+              (no elementwise arithmetic), the little-endian codec shared by
               WTNS1 files and WCNN1 checkpoints
 - `autodiff`  tape-based reverse-mode differentiation and the FD checker
 - `layers`    conv / batch norm / pooling / losses over the tape
-- `wavelet`   filter pairs, subband pyramids, the convolve-then-downsample
-              primitive and its lowpass-only reduction
+- `wavelet`   the Haar transform and its subband pyramids, the
+              convolve-then-downsample primitive and its lowpass-only
+              reduction
 - `model`     the subband-injection network, parameter census, checkpoints
 - `train`     Adam, contrast normalization, augmentation, the epoch loop
 - `data`      PNM images, manifests, split policies, synthetic textures
@@ -27,7 +28,7 @@ Module map:
 
 from .tensor import ShapeError, Tensor, load_wtns, save_wtns
 from .autodiff import Variable, backward, finite_difference_check
-from .wavelet import HAAR, FilterPair, SubbandPyramid, decompose, reconstruct
+from .wavelet import SubbandPyramid, decompose, reconstruct
 from .model import Model, WaveletCnnConfig, build, forward, load_model, param_count, save_model
 # the epoch loop itself lives in wcnn.train (re-exporting the `train`
 # function here would shadow that submodule)
@@ -37,8 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "FilterPair",
-    "HAAR",
     "Model",
     "ShapeError",
     "SubbandPyramid",

@@ -141,14 +141,6 @@ def add(a: Variable, b: Variable) -> Variable:
     return record("add", value, (a, b), lambda g: (g, g))
 
 
-def sub(a: Variable, b: Variable) -> Variable:
-    a, b = _as_variable(a), _as_variable(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"sub shape mismatch: {a.value.shape} vs {b.value.shape}")
-    value = a.value.data - b.value.data
-    return record("sub", value, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Variable, b: Variable) -> Variable:
     a, b = _as_variable(a), _as_variable(b)
     if a.value.shape != b.value.shape:
@@ -169,13 +161,6 @@ def total(a: Variable) -> Variable:
     shape, dt = a.value.shape, a.value.data.dtype
     value = np.asarray(a.value.data.sum(), dtype=dt)
     return record("total", value, (a,), lambda g: (np.full(shape, g.reshape(-1)[0], dtype=dt),))
-
-
-def reshape(a: Variable, shape) -> Variable:
-    a = _as_variable(a)
-    value = T.reshape(a.value, shape)
-    orig = a.value.shape
-    return record("reshape", value, (a,), lambda g: (g.reshape(orig),))
 
 
 def concat_channels(parts: list[Variable]) -> Variable:

@@ -62,11 +62,14 @@ def load_pnm(path) -> np.ndarray:
         if magic not in (b"P5", b"P6"):
             raise PnmError(f"unsupported magic {magic!r}; only binary P5/P6")
         channels = 1 if magic == b"P5" else 3
-        w_tok, pos = _next_token(buf, pos)
-        h_tok, pos = _next_token(buf, pos)
-        max_tok, pos = _next_token(buf, pos)
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except PnmError as e:
+        fields = []
+        for name in ("width", "height", "maxval"):
+            tok, pos = _next_token(buf, pos)
+            if not tok.isdigit():  # ASCII decimal digits only, no sign
+                raise PnmError(f"{name} {tok[:20]!r} is not a decimal integer")
+            fields.append(int(tok))  # ValueError past Python's digit limit
+        width, height, maxval = fields
+    except ValueError as e:  # PnmError included
         raise PnmError(f"{path}: {e}") from None
     if width <= 0 or height <= 0:
         raise PnmError(f"{path}: bad dimensions {width}x{height}")

@@ -58,7 +58,6 @@ class WaveletCnnConfig:
     embedding_dim: int = 0
     proj_fraction: float = 0.25
     ablated: bool = False
-    wavelet: str = "haar"
     bn_epsilon: float = 1e-5
     bn_momentum: float = 0.1
     precision: str = "f32"
@@ -97,7 +96,6 @@ class WaveletCnnConfig:
             raise ShapeError("proj_fraction must lie in (0, 1]")
         if self.precision not in DTYPES:
             raise ShapeError(f"precision must be one of {sorted(DTYPES)}")
-        W.get_filter(self.wavelet)
 
 
 @dataclass
@@ -237,7 +235,7 @@ def forward(model: Model, batch, mode: str = "eval",
 
     stacks = None
     if not cfg.ablated:
-        stacks = W.decompose_variables(x, cfg.levels, W.get_filter(cfg.wavelet))
+        stacks = W.decompose_variables(x, cfg.levels)
 
     h = x
     for t in range(1, cfg.levels + 1):
@@ -352,6 +350,10 @@ def load_model(path, precision: str | None = None) -> Model:
     if len(blob) != nbytes:
         raise CheckpointError(f"{path}: payload is {len(blob)} bytes, expected {nbytes}")
 
+    # checkpoints written while the wavelet was a config field carry `wavelet = haar`
+    wavelet = items.pop("wavelet", "haar")
+    if wavelet != "haar":
+        raise CheckpointError(f"{path}: stored wavelet {wavelet!r}; only Haar is supported")
     keys = field_keys(WaveletCnnConfig, "")
     if set(items) != set(keys.values()):
         raise CheckpointError(f"{path}: config block keys are not the config fields")

@@ -1,12 +1,12 @@
-"""Dense tensor values, shape-checked structural operations, the raw tensor codec.
+"""Dense tensor values, a shape-checked channel concatenation, the raw tensor codec.
 
 Every value flowing through the library is a `Tensor`: a dense N-dimensional
 array (N <= 4) of float32 or float64 scalars, tagged "f32"/"f64".  Images use
 the NCHW layout [batch, channel, height, width].
 
 There is no elementwise arithmetic here: the network computes on the tape
-(`autodiff`, `layers`).  The structural operations (`concat_channels`,
-`reshape`) reject shape and dtype mismatches instead of papering over them.
+(`autodiff`, `layers`).  The one structural operation, `concat_channels`,
+rejects shape and dtype mismatches instead of papering over them.
 
 Tensors are immutable from the caller's point of view; operations return new
 tensors.  The only sanctioned in-place mutation is the optimizer's parameter
@@ -110,13 +110,6 @@ def concat_channels(tensors: list[Tensor]) -> Tensor:
     if len(tensors) == 1:
         return Tensor(first.data.copy())
     return Tensor(np.concatenate([t.data for t in tensors], axis=1))
-
-
-def reshape(t: Tensor, shape) -> Tensor:
-    shape = _check_extents(shape)
-    if int(np.prod(shape, dtype=np.int64)) != t.size:
-        raise ShapeError(f"cannot reshape {t.shape} (size {t.size}) to {shape}")
-    return Tensor(t.data.reshape(shape))
 
 
 # --- little-endian tensor codec, shared by WTNS1 files and WCNN1 checkpoints --

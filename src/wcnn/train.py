@@ -5,10 +5,10 @@ random horizontal flip, then global contrast normalization.  The resize
 target defaults to input_size * 256 // 224, mirroring the full-scale
 256 -> 224 recipe at any desk scale.
 
-Adam hyperparameters default to lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8;
-they are echoed in every report header.  All randomness flows from the
-single seed through per-(epoch, sample) streams, so runs are reproducible
-independent of batch size.  Two identical 64-bit runs produce bit-identical
+Adam's hyperparameters and their defaults are `TrainConfig`'s; they are
+echoed in every report header.  All randomness flows from the single seed
+through per-(epoch, sample) streams, so runs are reproducible independent of
+batch size.  Two identical 64-bit runs produce bit-identical
 checkpoints when BLAS runs the same number of threads in both, on any number
 of CPUs (see the README's determinism contract).
 """
@@ -38,15 +38,59 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
+# --- configuration ------------------------------------------------------------
+
+
+@dataclass
+class TrainConfig:
+    epochs: int = 50
+    batch_size: int = 16
+    lr: float = 1e-3
+    lr_decay_every: int = 0  # 0 = constant schedule
+    lr_decay_factor: float = 0.1
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_epsilon: float = 1e-8
+    seed: int = 0
+    augment: bool = True
+    resize_to: int = 0  # 0 = input_size * 256 // 224
+    flip: bool = True
+    eval_every: int = 1
+    checkpoint_path: str | None = None
+
+    def validate(self):
+        if self.epochs < 1:
+            raise ShapeError("epochs must be >= 1")
+        if self.batch_size < 2:
+            raise ShapeError("batch size must be >= 2 while batch norm trains")
+        if self.lr <= 0:
+            raise ShapeError("learning rate must be positive")
+        if self.eval_every < 1:
+            raise ShapeError("eval_every must be >= 1")
+        if self.lr_decay_every < 0 or not 0 < self.lr_decay_factor <= 1:
+            raise ShapeError("lr decay needs every >= 0 and factor in (0, 1]")
+
+    def resolved_resize(self, input_size: int) -> int:
+        return self.resize_to if self.resize_to else input_size * 256 // 224
+
+    def lr_at(self, epoch: int) -> float:
+        """Constant by default; optional step decay every `lr_decay_every` epochs."""
+        if not self.lr_decay_every:
+            return self.lr
+        return self.lr * self.lr_decay_factor ** (epoch // self.lr_decay_every)
+
+
 # --- Adam ---------------------------------------------------------------------
 
 
 @dataclass
 class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    """Adam's hyperparameters, step count and moments; the defaults are `TrainConfig`'s."""
+
+    lr: float = TrainConfig.lr
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    epsilon: float = TrainConfig.adam_epsilon
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -149,45 +193,6 @@ def augment(image: np.ndarray, rng: np.random.Generator, resize_to: int,
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 16
-    lr: float = 1e-3
-    lr_decay_every: int = 0  # 0 = constant schedule
-    lr_decay_factor: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    seed: int = 0
-    augment: bool = True
-    resize_to: int = 0  # 0 = input_size * 256 // 224
-    flip: bool = True
-    eval_every: int = 1
-    checkpoint_path: str | None = None
-
-    def validate(self):
-        if self.epochs < 1:
-            raise ShapeError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ShapeError("batch size must be >= 2 while batch norm trains")
-        if self.lr <= 0:
-            raise ShapeError("learning rate must be positive")
-        if self.eval_every < 1:
-            raise ShapeError("eval_every must be >= 1")
-        if self.lr_decay_every < 0 or not 0 < self.lr_decay_factor <= 1:
-            raise ShapeError("lr decay needs every >= 0 and factor in (0, 1]")
-
-    def resolved_resize(self, input_size: int) -> int:
-        return self.resize_to if self.resize_to else input_size * 256 // 224
-
-    def lr_at(self, epoch: int) -> float:
-        """Constant by default; optional step decay every `lr_decay_every` epochs."""
-        if not self.lr_decay_every:
-            return self.lr
-        return self.lr * self.lr_decay_factor ** (epoch // self.lr_decay_every)
-
-
-@dataclass
 class TrainReport:
     header: dict[str, str]
     rows: list[tuple[int, str, float, float]] = field(default_factory=list)
@@ -246,6 +251,10 @@ def iter_batches(order, batch_size):
     return (order[at:end] for at, end in zip([0, *ends], ends))
 
 
+# AdamState field -> the TrainConfig field that sets it
+_ADAM_FIELDS = {"lr": "lr", "beta1": "beta1", "beta2": "beta2", "epsilon": "adam_epsilon"}
+
+
 def train(model: M.Model, train_records: list[ImageRecord],
           eval_records: list[ImageRecord], cfg: TrainConfig) -> TrainReport:
     """Run the epoch loop; returns the report and (optionally) saves the best
@@ -260,10 +269,9 @@ def train(model: M.Model, train_records: list[ImageRecord],
     input_size = mcfg.input_size
     head, classes = mcfg.head, mcfg.num_classes
 
-    state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.adam_epsilon)
+    state = AdamState(**{name: getattr(cfg, field) for name, field in _ADAM_FIELDS.items()})
     header = {
-        "adam.lr": str(cfg.lr), "adam.beta1": str(cfg.beta1),
-        "adam.beta2": str(cfg.beta2), "adam.epsilon": str(cfg.adam_epsilon),
+        **{f"adam.{name}": str(getattr(state, name)) for name in _ADAM_FIELDS},
         "lr_schedule": ("constant" if not cfg.lr_decay_every else
                         f"step(every={cfg.lr_decay_every}, factor={cfg.lr_decay_factor})"),
         "augment": str(cfg.augment), "batch_size": str(cfg.batch_size),

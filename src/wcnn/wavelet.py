@@ -1,19 +1,18 @@
-"""Multiresolution analysis with paired orthonormal filters.
+"""Haar multiresolution analysis and the convolve-then-downsample primitive.
 
 The unifying primitive is convolve-then-downsample: correlate with a kernel,
-then keep every p-th sample starting at index 0.  A pair of kernels (the
-scaling/lowpass and wavelet/highpass functions) turns that primitive into one
-analysis level; recursing on the lowpass output builds the subband pyramid.
+then keep every p-th sample starting at index 0.  The Haar pair (a lowpass
+and a highpass kernel) turns that primitive into one analysis level;
+recursing on the lowpass output builds the subband pyramid.
 
-Alignment convention: the two-tap filters act on the non-overlapping pairs
-(x0,x1), (x2,x3), ... — correlation at even offsets.  2-D levels apply the
-pair separably along width and then height; a subband name's first letter is
-the height filter, the second the width filter (so "LH" is lowpass along
-height, highpass along width).
-
-The Haar pair shipped here is orthonormal (taps 1/sqrt(2)), which makes
-energy conservation and perfect reconstruction exact up to rounding; its
-lowpass band is exactly 2x a 2x2 average pool per 2-D level.
+The transform is the orthonormal Haar pair and nothing else: lowpass taps
+(s, s), highpass taps (s, -s), s = 1/sqrt(2).  They act on the
+non-overlapping pairs (x0,x1), (x2,x3), ... of the trailing two axes, along
+width and then height; a subband name's first letter is the height filter,
+the second the width filter (so "LH" is lowpass along height, highpass along
+width).  Orthonormality makes energy conservation and perfect reconstruction
+exact up to rounding, and the LL band is exactly 2x a 2x2 average pool per
+level.
 
 Inputs whose extents do not divide by 2^levels are rejected rather than
 padded, so subband extents are always exactly input/2^level.
@@ -28,50 +27,11 @@ import numpy as np
 from . import autodiff as ad
 from .tensor import ShapeError, Tensor
 
-_SQRT2 = float(np.sqrt(2.0))
+_S = 1.0 / float(np.sqrt(2.0))
 
-
-@dataclass(frozen=True)
-class FilterPair:
-    """Analysis filter pair: lowpass (scaling) and highpass (wavelet) taps."""
-
-    name: str
-    lowpass: tuple[float, ...]
-    highpass: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.lowpass) != len(self.highpass):
-            raise ShapeError("filter pair taps must have equal length")
-
-    @property
-    def taps(self) -> int:
-        return len(self.lowpass)
-
-    def low_kernel_2d(self) -> np.ndarray:
-        """Separable 2-D lowpass kernel (outer product of the 1-D taps)."""
-        lo = np.asarray(self.lowpass, dtype=np.float64)
-        return np.outer(lo, lo)
-
-    def is_orthonormal(self, tol: float = 1e-12) -> bool:
-        lo = np.asarray(self.lowpass)
-        hi = np.asarray(self.highpass)
-        return (
-            abs(lo @ lo - 1.0) < tol
-            and abs(hi @ hi - 1.0) < tol
-            and abs(lo @ hi) < tol
-        )
-
-
-HAAR = FilterPair("haar", (1.0 / _SQRT2, 1.0 / _SQRT2), (1.0 / _SQRT2, -1.0 / _SQRT2))
-
-_REGISTRY = {"haar": HAAR}
-
-
-def get_filter(name: str) -> FilterPair:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ShapeError(f"unknown filter pair {name!r}; available: {sorted(_REGISTRY)}") from None
+# the analysis taps, as kernels for `generalized_conv_pool`
+HAAR_LOWPASS = (_S, _S)
+HAAR_HIGHPASS = (_S, -_S)
 
 
 @dataclass
@@ -85,7 +45,6 @@ class SubbandPyramid:
     levels: list[tuple[Tensor, Tensor, Tensor]]
     lowpass: Tensor
     source_shape: tuple[int, ...]
-    filter_name: str = "haar"
 
     @property
     def depth(self) -> int:
@@ -150,83 +109,31 @@ def generalized_conv_pool2d(x, kernel2d, p: int) -> Tensor:
     return Tensor(np.ascontiguousarray(y[slicer]))
 
 
-# --- paired-filter analysis / synthesis --------------------------------------
+# --- Haar analysis / synthesis -------------------------------------------------
 
 
-def _check_two_taps(f: FilterPair):
-    if f.taps != 2:
-        raise ShapeError(
-            f"transform supports two-tap filter pairs; {f.name!r} has {f.taps} taps"
-        )
+def _butterfly(a, b):
+    """The Haar pair on matching samples: analysis of (even, odd), synthesis of (lo, hi)."""
+    return a * _S + b * _S, a * _S - b * _S
 
 
-def _split_axis(a: np.ndarray, f: FilterPair, axis: int):
-    extent = a.shape[axis]
-    if extent % 2:
-        raise ShapeError(f"extent {extent} along axis {axis} is odd; analysis needs even extents")
-    idx_even = [slice(None)] * a.ndim
-    idx_odd = [slice(None)] * a.ndim
-    idx_even[axis] = slice(0, None, 2)
-    idx_odd[axis] = slice(1, None, 2)
-    even, odd = a[tuple(idx_even)], a[tuple(idx_odd)]
-    l0, l1 = f.lowpass
-    h0, h1 = f.highpass
-    return even * l0 + odd * l1, even * h0 + odd * h1
-
-
-def _merge_axis(lo: np.ndarray, hi: np.ndarray, f: FilterPair, axis: int) -> np.ndarray:
-    if lo.shape != hi.shape:
-        raise ShapeError(f"subband shape mismatch: {lo.shape} vs {hi.shape}")
-    l0, l1 = f.lowpass
-    h0, h1 = f.highpass
-    shape = list(lo.shape)
-    shape[axis] *= 2
-    out = np.empty(shape, dtype=lo.dtype)
-    idx_even = [slice(None)] * out.ndim
-    idx_odd = [slice(None)] * out.ndim
-    idx_even[axis] = slice(0, None, 2)
-    idx_odd[axis] = slice(1, None, 2)
-    # orthonormal analysis matrix [[l0, l1], [h0, h1]]: synthesis is its transpose
-    out[tuple(idx_even)] = lo * l0 + hi * h0
-    out[tuple(idx_odd)] = lo * l1 + hi * h1
-    return out
-
-
-def dwt1d(x, f: FilterPair = HAAR) -> tuple[Tensor, Tensor]:
-    """One analysis level of a vector: (lowpass, highpass), each half extent."""
-    x = _as_tensor(x)
-    if x.ndim != 1:
-        raise ShapeError(f"dwt1d expects a vector, got rank {x.ndim}")
-    _check_two_taps(f)
-    lo, hi = _split_axis(x.data, f, 0)
-    return Tensor(lo), Tensor(hi)
-
-
-def _dwt2d_arrays(a: np.ndarray, f: FilterPair):
-    lo_w, hi_w = _split_axis(a, f, a.ndim - 1)
-    ll, hl = _split_axis(lo_w, f, a.ndim - 2)
-    lh, hh = _split_axis(hi_w, f, a.ndim - 2)
+def _analysis(x: np.ndarray):
+    """One level on the trailing two axes, width then height: (LL, LH, HL, HH)."""
+    lo, hi = _butterfly(x[..., 0::2], x[..., 1::2])
+    ll, hl = _butterfly(lo[..., 0::2, :], lo[..., 1::2, :])
+    lh, hh = _butterfly(hi[..., 0::2, :], hi[..., 1::2, :])
     return ll, lh, hl, hh
 
 
-def _idwt2d_arrays(ll, lh, hl, hh, f: FilterPair) -> np.ndarray:
-    lo_w = _merge_axis(ll, hl, f, ll.ndim - 2)
-    hi_w = _merge_axis(lh, hh, f, ll.ndim - 2)
-    return _merge_axis(lo_w, hi_w, f, ll.ndim - 1)
-
-
-def dwt2d_level(image, f: FilterPair = HAAR) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """One separable 2-D analysis level on the trailing two axes.
-
-    Returns (LL, LH, HL, HH) at half the spatial extent; leading axes
-    (batch, channel) pass through untouched.
-    """
-    image = _as_tensor(image)
-    if image.ndim < 2:
-        raise ShapeError(f"dwt2d_level expects >= 2 axes, got rank {image.ndim}")
-    _check_two_taps(f)
-    ll, lh, hl, hh = _dwt2d_arrays(image.data, f)
-    return Tensor(ll), Tensor(lh), Tensor(hl), Tensor(hh)
+def _synthesis(ll, lh, hl, hh) -> np.ndarray:
+    """Inverse of `_analysis`; the Haar matrix is orthonormal, so it is its own inverse."""
+    *n, h, w = ll.shape
+    lo, hi = np.empty((*n, 2 * h, w), ll.dtype), np.empty((*n, 2 * h, w), ll.dtype)
+    out = np.empty((*n, 2 * h, 2 * w), ll.dtype)
+    lo[..., 0::2, :], lo[..., 1::2, :] = _butterfly(ll, hl)
+    hi[..., 0::2, :], hi[..., 1::2, :] = _butterfly(lh, hh)
+    out[..., 0::2], out[..., 1::2] = _butterfly(lo, hi)
+    return out
 
 
 def check_divisible(shape, levels: int):
@@ -241,7 +148,7 @@ def check_divisible(shape, levels: int):
         )
 
 
-def decompose(image, levels: int, f: FilterPair = HAAR) -> SubbandPyramid:
+def decompose(image, levels: int) -> SubbandPyramid:
     """Recursive analysis: split off detail triples, recurse on the low band."""
     image = _as_tensor(image)
     if levels < 1:
@@ -250,22 +157,21 @@ def decompose(image, levels: int, f: FilterPair = HAAR) -> SubbandPyramid:
     detail: list[tuple[Tensor, Tensor, Tensor]] = []
     low = image.data
     for _ in range(levels):
-        low, lh, hl, hh = _dwt2d_arrays(low, f)
+        low, lh, hl, hh = _analysis(low)
         detail.append((Tensor(lh), Tensor(hl), Tensor(hh)))
-    return SubbandPyramid(detail, Tensor(low), image.shape, f.name)
+    return SubbandPyramid(detail, Tensor(low), image.shape)
 
 
-def reconstruct(pyramid: SubbandPyramid, f: FilterPair | None = None) -> Tensor:
-    """Exact inverse of `decompose` for orthonormal filter pairs."""
-    if f is None:
-        f = get_filter(pyramid.filter_name)
+def reconstruct(pyramid: SubbandPyramid) -> Tensor:
+    """Exact inverse of `decompose`."""
     low = pyramid.lowpass.data
     for lh, hl, hh in reversed(pyramid.levels):
-        if lh.shape != low.shape:
+        if not low.shape == lh.shape == hl.shape == hh.shape:
             raise ShapeError(
-                f"malformed pyramid: detail shape {lh.shape} does not match low band {low.shape}"
+                f"malformed pyramid: detail shapes {lh.shape}, {hl.shape}, {hh.shape} "
+                f"do not match low band {low.shape}"
             )
-        low = _idwt2d_arrays(low, lh.data, hl.data, hh.data, f)
+        low = _synthesis(low, lh.data, hl.data, hh.data)
     if low.shape != pyramid.source_shape:
         raise ShapeError(
             f"malformed pyramid: reconstructed {low.shape}, expected {pyramid.source_shape}"
@@ -290,36 +196,33 @@ def cnn_reduction(x, kernels, p: int = 2) -> Tensor:
 # --- autodiff bridge ----------------------------------------------------------
 
 
-def decompose_variables(x: ad.Variable, levels: int, f: FilterPair = HAAR) -> list[ad.Variable]:
+def decompose_variables(x: ad.Variable, levels: int) -> list[ad.Variable]:
     """Differentiable analysis of an NCHW batch into per-level detail stacks.
 
     Level t yields one Variable of shape [N, 3*C, H/2^t, W/2^t] holding the
-    (LH, HL, HH) bands concatenated channel-wise.  The filters are fixed:
+    (LH, HL, HH) bands concatenated channel-wise.  The taps are fixed:
     gradients flow through the transform to the input, never into the taps.
-    For orthonormal pairs the adjoint of analysis is synthesis, so each
+    Haar is orthonormal, so the adjoint of analysis is synthesis and each
     backward closure is an inverse-transform chain.
     """
     if x.value.ndim != 4:
         raise ShapeError(f"decompose_variables expects NCHW input, got rank {x.value.ndim}")
     check_divisible(x.value.shape, levels)
-    _check_two_taps(f)
-    n, c = x.value.shape[0], x.value.shape[1]
+    c = x.value.shape[1]
 
     stacks: list[ad.Variable] = []
     low = x.value.data
     for t in range(1, levels + 1):
-        ll, lh, hl, hh = _dwt2d_arrays(low, f)
+        low, lh, hl, hh = _analysis(low)
         stack = np.concatenate([lh, hl, hh], axis=1)
 
         def backward_fn(g, t=t):
             gl, gh, gg = g[:, :c], g[:, c:2 * c], g[:, 2 * c:]
-            zero = np.zeros_like(gl)
-            up = _idwt2d_arrays(zero, gl, gh, gg, f)
+            up = _synthesis(np.zeros_like(gl), gl, gh, gg)
             for _ in range(t - 1):
                 z = np.zeros_like(up)
-                up = _idwt2d_arrays(up, z, z, z, f)
+                up = _synthesis(up, z, z, z)
             return (up,)
 
         stacks.append(ad.record(f"subbands_level{t}", stack, (x,), backward_fn))
-        low = ll
     return stacks

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -60,7 +58,7 @@ KNOWN_KEYS_LITERAL = {
     "seed",
     "model.levels", "model.input_size", "model.input_channels", "model.channels",
     "model.blocks_per_stage", "model.classes", "model.head", "model.embedding_dim",
-    "model.proj_fraction", "model.ablated", "model.wavelet", "model.precision",
+    "model.proj_fraction", "model.ablated", "model.precision",
     "model.bn_epsilon", "model.bn_momentum",
     "train.epochs", "train.batch_size", "train.lr", "train.lr_decay_every",
     "train.lr_decay_factor", "train.beta1", "train.beta2",
@@ -81,7 +79,6 @@ SCHEMA = {
     "model.embedding_dim": ("12", {"embedding_dim": 12}, {}),
     "model.proj_fraction": ("0.5", {"proj_fraction": 0.5}, {}),
     "model.ablated": ("true", {"ablated": True}, {}),
-    "model.wavelet": ("db2", {"wavelet": "db2"}, {}),
     "model.precision": ("f64", {"precision": "f64"}, {}),
     "model.bn_epsilon": ("0.001", {"bn_epsilon": 0.001}, {}),
     "model.bn_momentum": ("0.3", {"bn_momentum": 0.3}, {}),
@@ -113,7 +110,7 @@ def test_config_schema(key, tmp_path, capsys):
     keys = field_keys(M.WaveletCnnConfig, "")
     assert from_items(M.WaveletCnnConfig, dict(to_items(model_cfg)), keys) == model_cfg
     if key is None:
-        model = M.build(replace(model_cfg, wavelet="haar"))
+        model = M.build(model_cfg)
         M.save_model(model, tmp_path / "m.wcnn")
         assert M.load_model(tmp_path / "m.wcnn").config == model.config
         assert cli.main(["param-count", "--set", "model.levels=two"]) == 2
@@ -152,6 +149,14 @@ def test_decompose_indivisible_exits_2(tmp_path, capsys):
     rc = cli.main(["decompose", str(img), "--levels", "3", "--out", str(tmp_path)])
     assert rc == 2
     assert "pad to" in capsys.readouterr().err
+
+
+def test_decompose_malformed_pnm_header_exits_2(tmp_path, capsys):
+    img = tmp_path / "bad.pgm"
+    img.write_bytes(b"P5 x 2 255\n" + bytes(4))
+    rc = cli.main(["decompose", str(img), "--levels", "1", "--out", str(tmp_path / "bands")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_synth_deterministic(tmp_path, capsys):
@@ -212,6 +217,12 @@ def test_train_rejects_unknown_key(tmp_path, corpus, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_wavelet_key_is_unknown(capsys):
+    # the transform is always Haar; the former `model.wavelet` key is not accepted
+    assert cli.main(["param-count", "--set", "model.wavelet=haar"]) == 2
+    assert "unknown config keys: ['model.wavelet']" in capsys.readouterr().err
+
+
 def test_train_class_count_mismatch_exits_2(tmp_path, corpus, capsys):
     cfg = write_cfg(tmp_path, corpus, **{"model.classes": 5})
     rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -264,6 +275,34 @@ def test_eval_corrupted_checkpoint_header_exits_2(tmp_path, corpus, capsys, befo
                    "--out", str(tmp_path / "ev")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def checkpoint_with_wavelet_line(tmp_path, corpus, wavelet):
+    """A checkpoint as written while the config had a `wavelet` field (sorted last)."""
+    model = M.build(RC.model_config_from(RC.load_config(write_cfg(tmp_path, corpus))))
+    path = tmp_path / "m.wcnn"
+    M.save_model(model, path)
+    n = len(to_items(model.config))
+    raw = path.read_bytes().replace(f"\nconfig {n}\n".encode(), f"\nconfig {n + 1}\n".encode(), 1)
+    path.write_bytes(raw.replace(b"\nmanifest ", f"\nwavelet = {wavelet}\nmanifest ".encode(), 1))
+    return model, path
+
+
+def test_checkpoint_with_haar_wavelet_line_loads(tmp_path, corpus):
+    model, path = checkpoint_with_wavelet_line(tmp_path, corpus, "haar")
+    loaded = M.load_model(path)
+    assert loaded.config == model.config
+    assert loaded.params.keys() == model.params.keys()
+    for name, v in model.params.items():
+        assert np.array_equal(loaded.params[name].value.data, v.value.data)
+
+
+def test_checkpoint_with_other_wavelet_exits_2(tmp_path, corpus, capsys):
+    _, path = checkpoint_with_wavelet_line(tmp_path, corpus, "db2")
+    rc = cli.main(["eval", str(path), "--manifest", str(corpus / "manifest.tsv"),
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert "stored wavelet 'db2'" in capsys.readouterr().err
 
 
 def test_gradcheck_cli(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcnn import data as D
 from wcnn import wavelet as W
@@ -59,6 +61,42 @@ def test_pnm_errors(tmp_path):
     big.write_bytes(b"P5\n1 1\n70000\n\x00\x00")
     with pytest.raises(D.PnmError):
         D.load_pnm(big)
+
+
+@pytest.mark.parametrize("header", [b"P5 x 2 255\n", b"P5 2 \xff 255\n", b"P6 2 2 25.5\n",
+                                    b"P5 +2 2 255\n", b"P5 2 2 1e3\n"],
+                         ids=["letter", "non-ascii", "fraction", "sign", "exponent"])
+def test_pnm_malformed_header_fields(tmp_path, header):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(12))
+    with pytest.raises(D.PnmError, match="is not a decimal integer"):
+        D.load_pnm(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_pgm(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pnm") / "t.pgm"
+    D.write_pnm(path, np.random.default_rng(0).random((1, 3, 4)))
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pnm_corruption_loads_or_raises_pnm_error(tiny_pgm, data):
+    """1-3 overwritten bytes, in the header (magic, width, height, maxval) or anywhere."""
+    header = b"P5\n4 3\n255\n"
+    raw = tiny_pgm.read_bytes()
+    assert raw.startswith(header)
+    buf = bytearray(raw)
+    limit = len(header) if data.draw(st.booleans(), label="in header") else len(raw)
+    for _ in range(data.draw(st.integers(1, 3), label="bytes")):
+        buf[data.draw(st.integers(0, limit - 1))] = data.draw(st.integers(0, 255))
+    corrupted = tiny_pgm.with_name("corrupted.pgm")
+    corrupted.write_bytes(bytes(buf))
+    try:
+        D.load_pnm(corrupted)
+    except D.PnmError:
+        pass
 
 
 # --- manifests --------------------------------------------------------------------

@@ -31,14 +31,6 @@ def test_concat_channels_and_offsets():
         T.concat_channels([a, Tensor(np.zeros((1, 1, 3, 2)))])
 
 
-def test_reshape_transpose_narrow():
-    t = Tensor([1.0, 2.0, 3.0, 4.0])
-    back = T.reshape(T.reshape(t, [2, 2]), [4])
-    assert np.array_equal(back.data, t.data)
-    with pytest.raises(ShapeError):
-        T.reshape(t, [3])
-
-
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_wtns_roundtrip(tmp_path, dtype):
     rng = np.random.default_rng(3)

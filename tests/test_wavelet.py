@@ -6,8 +6,6 @@ from wcnn import layers as L
 from wcnn import wavelet as W
 from wcnn.tensor import ShapeError, Tensor
 
-SQRT2 = np.sqrt(2.0)
-
 
 def rel_err(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -15,23 +13,20 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
-# --- filter pair ----------------------------------------------------------------
+def one_level(x):
+    """(LL, LH, HL, HH) of one analysis level."""
+    pyr = W.decompose(Tensor(x), 1)
+    return (pyr.lowpass, *pyr.levels[0])
+
+
+# --- the Haar taps --------------------------------------------------------------
 
 
 def test_haar_is_orthonormal():
-    assert W.HAAR.is_orthonormal()
-    lo, hi = np.asarray(W.HAAR.lowpass), np.asarray(W.HAAR.highpass)
+    lo, hi = np.asarray(W.HAAR_LOWPASS), np.asarray(W.HAAR_HIGHPASS)
     assert abs(lo @ lo - 1) < 1e-15
     assert abs(hi @ hi - 1) < 1e-15
     assert abs(lo @ hi) < 1e-15
-
-
-def test_filter_registry():
-    assert W.get_filter("haar") is W.HAAR
-    with pytest.raises(ShapeError):
-        W.get_filter("daubechies4")
-    with pytest.raises(ShapeError):
-        W.FilterPair("bad", (1.0,), (1.0, 2.0))
 
 
 # --- generalized convolve-then-downsample ----------------------------------------
@@ -68,40 +63,45 @@ def test_conv_pool_kernel_too_wide():
         W.generalized_conv_pool(Tensor([1.0, 2.0]), [1.0, 1.0, 1.0], 1)
 
 
-# --- 1-D analysis -----------------------------------------------------------------
+# --- one analysis level ----------------------------------------------------------
 
 
 def test_dwt1d_constant_kills_highpass():
-    lo, hi = W.dwt1d(Tensor([1.0, 1.0, 1.0, 1.0]))
-    assert np.allclose(lo.data, [SQRT2, SQRT2], atol=1e-15)
-    assert np.allclose(hi.data, [0.0, 0.0], atol=1e-15)
+    # rows constant along width: both width-highpass bands vanish
+    ll, lh, hl, hh = one_level([[1.0, 1.0, 1.0, 1.0], [3.0, 3.0, 3.0, 3.0]])
+    assert np.allclose(ll.data, [[4.0, 4.0]], atol=1e-15)
+    assert np.allclose(hl.data, [[-2.0, -2.0]], atol=1e-15)
+    assert np.max(np.abs(lh.data)) == 0.0 and np.max(np.abs(hh.data)) == 0.0
 
 
 def test_dwt1d_alternating_kills_lowpass():
-    lo, hi = W.dwt1d(Tensor([1.0, -1.0, 1.0, -1.0]))
-    assert np.allclose(lo.data, [0.0, 0.0], atol=1e-15)
-    assert np.allclose(hi.data, [SQRT2, SQRT2], atol=1e-15)
+    # rows alternating along width: both width-lowpass bands vanish
+    ll, lh, hl, hh = one_level([[1.0, -1.0, 1.0, -1.0], [2.0, -2.0, 2.0, -2.0]])
+    assert np.max(np.abs(ll.data)) == 0.0 and np.max(np.abs(hl.data)) == 0.0
+    assert np.allclose(lh.data, [[3.0, 3.0]], atol=1e-15)
+    assert np.allclose(hh.data, [[-1.0, -1.0]], atol=1e-15)
 
 
 def test_dwt1d_odd_extent_rejected():
-    with pytest.raises(ShapeError):
-        W.dwt1d(Tensor([1.0, 2.0, 3.0]))
+    for shape in ((2, 3), (3, 2)):
+        with pytest.raises(ShapeError):
+            W.decompose(Tensor(np.zeros(shape)), 1)
 
 
-def test_dwt1d_matches_generalized_conv_pool():
+def test_decompose_one_level_matches_generalized_conv_pool2d():
+    # each band is the separable Haar kernel (height taps x width taps)
+    # correlated with the input and kept at stride 2
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal(12))
-    lo, hi = W.dwt1d(x)
-    assert rel_err(lo.data, W.generalized_conv_pool(x, W.HAAR.lowpass, 2).data) < 1e-15
-    assert rel_err(hi.data, W.generalized_conv_pool(x, W.HAAR.highpass, 2).data) < 1e-15
-
-
-# --- 2-D analysis -----------------------------------------------------------------
+    x = rng.standard_normal((2, 3, 8, 8))
+    lo, hi = W.HAAR_LOWPASS, W.HAAR_HIGHPASS
+    kernels = (np.outer(lo, lo), np.outer(lo, hi), np.outer(hi, lo), np.outer(hi, hi))
+    for band, k in zip(one_level(x), kernels):
+        assert rel_err(band.data, W.generalized_conv_pool2d(Tensor(x), k, 2).data) < 1e-15
 
 
 def test_dwt2d_constant_image():
     c = 0.75
-    ll, lh, hl, hh = W.dwt2d_level(Tensor(np.full((4, 4), c)))
+    ll, lh, hl, hh = one_level(np.full((4, 4), c))
     assert np.allclose(ll.data, 2 * c, atol=1e-15)
     for band in (lh, hl, hh):
         assert np.max(np.abs(band.data)) < 1e-15
@@ -111,7 +111,7 @@ def test_dwt2d_hand_computed_2x2():
     # separable Haar on [[a,b],[c,d]]: width pass then height pass.
     # first letter = height filter, second = width filter.
     a, b, c, d = 2.0, -1.0, 0.5, 3.0
-    ll, lh, hl, hh = W.dwt2d_level(Tensor([[a, b], [c, d]]))
+    ll, lh, hl, hh = one_level([[a, b], [c, d]])
     assert abs(ll.item() - (a + b + c + d) / 2) < 1e-15
     assert abs(lh.item() - ((a - b) + (c - d)) / 2) < 1e-15
     assert abs(hl.item() - ((a + b) - (c + d)) / 2) < 1e-15
@@ -121,23 +121,11 @@ def test_dwt2d_hand_computed_2x2():
 def test_dwt2d_energy_conservation():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 8, 8))
-    bands = W.dwt2d_level(Tensor(x))
-    total = sum(float((b.data**2).sum()) for b in bands)
+    total = sum(float((b.data**2).sum()) for b in one_level(x))
     assert abs(total - float((x**2).sum())) / float((x**2).sum()) < 1e-12
 
 
 # --- pyramid ------------------------------------------------------------------------
-
-
-def test_decompose_single_level_matches_dwt2d():
-    rng = np.random.default_rng(4)
-    x = Tensor(rng.standard_normal((1, 1, 8, 8)))
-    pyr = W.decompose(x, 1)
-    ll, lh, hl, hh = W.dwt2d_level(x)
-    assert np.array_equal(pyr.lowpass.data, ll.data)
-    assert np.array_equal(pyr.levels[0][0].data, lh.data)
-    assert np.array_equal(pyr.levels[0][1].data, hl.data)
-    assert np.array_equal(pyr.levels[0][2].data, hh.data)
 
 
 def test_decompose_extents_224():
@@ -175,6 +163,14 @@ def test_zero_pyramid_reconstructs_zero():
     assert np.max(np.abs(W.reconstruct(pyr).data)) == 0.0
 
 
+def test_reconstruct_rejects_malformed_pyramid():
+    pyr = W.decompose(Tensor(np.zeros((1, 1, 8, 8))), 2)
+    lh, hl, hh = pyr.levels[0]
+    pyr.levels[0] = (lh, Tensor(np.zeros((1, 1, 4, 2))), hh)
+    with pytest.raises(ShapeError, match="malformed pyramid"):
+        W.reconstruct(pyr)
+
+
 def test_impulse_roundtrip():
     x = np.zeros((1, 1, 8, 8))
     x[0, 0, 3, 5] = 1.0
@@ -185,7 +181,7 @@ def test_impulse_roundtrip():
 def test_lowpass_band_is_twice_average_pool():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1, 2, 8, 8))
-    ll = W.dwt2d_level(Tensor(x))[0]
+    ll = one_level(x)[0]
     pooled = L.average_pool(ad.Variable(Tensor(x)), 2).value.data
     assert rel_err(ll.data, 2.0 * pooled) < 1e-12
 
@@ -211,7 +207,7 @@ def test_cnn_reduction_with_averaging_kernels_is_average_pool():
 def test_cnn_reduction_haar_lowpass_gains_two_per_level():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((1, 1, 16, 16))
-    k = W.HAAR.low_kernel_2d()
+    k = np.outer(W.HAAR_LOWPASS, W.HAAR_LOWPASS)
     for levels in (1, 2, 3):
         y = W.cnn_reduction(Tensor(x), [k] * levels)
         pooled = ad.Variable(Tensor(x))
