@@ -8,10 +8,10 @@ finite differences.
 
 Module map:
 
-- `tensor`    dense f32/f64 values, a shape-checked channel concatenation
-              (no elementwise arithmetic), the little-endian codec shared by
-              WTNS1 files and WCNN1 checkpoints
-- `autodiff`  tape-based reverse-mode differentiation and the FD checker
+- `tensor`    dense f32/f64 values (no arithmetic) and the little-endian
+              codec shared by WTNS1 files and WCNN1 checkpoints
+- `autodiff`  tape-based reverse-mode differentiation, the shape-checked
+              channel concatenation and the FD checker
 - `layers`    conv / batch norm / pooling / losses over the tape
 - `wavelet`   the Haar transform and its subband pyramids, the
               convolve-then-downsample primitive and its lowpass-only

@@ -18,7 +18,6 @@ import itertools
 
 import numpy as np
 
-from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 _creation_rank = itertools.count()
@@ -164,8 +163,22 @@ def total(a: Variable) -> Variable:
 
 
 def concat_channels(parts: list[Variable]) -> Variable:
+    """Concatenate NCHW values along the channel axis, in argument order.
+
+    Every part must agree with the first on batch, height, width and dtype.
+    """
     parts = [_as_variable(p) for p in parts]
-    value = T.concat_channels([p.value for p in parts])
+    if not parts:
+        raise ShapeError("concat_channels requires at least one part")
+    first = parts[0].value
+    for t in (p.value for p in parts):
+        if t.ndim != 4:
+            raise ShapeError(f"concat_channels expects NCHW parts, got rank {t.ndim}")
+        if (t.shape[0],) + t.shape[2:] != (first.shape[0],) + first.shape[2:]:
+            raise ShapeError(f"concat_channels spatial/batch mismatch: {first.shape} vs {t.shape}")
+        if t.data.dtype != first.data.dtype:
+            raise ShapeError(f"concat_channels dtype mismatch: {first.dtype} vs {t.dtype}")
+    value = np.concatenate([p.value.data for p in parts], axis=1)
     sizes = [p.value.shape[1] for p in parts]
 
     def backward_fn(g):

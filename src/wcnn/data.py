@@ -82,9 +82,10 @@ def load_pnm(path) -> np.ndarray:
     payload = buf[pos:pos + expected]
     if len(payload) != expected:
         raise PnmError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    dtype = ">u2" if two_byte else np.uint8  # PNM 2-byte samples are big-endian
-    arr = np.frombuffer(payload, dtype=dtype).astype(np.float64) / maxval
-    arr = arr.reshape(height, width, channels)
+    samples = np.frombuffer(payload, ">u2" if two_byte else np.uint8)  # 2-byte is big-endian
+    if samples.max() > maxval:
+        raise PnmError(f"{path}: sample {samples.max()} exceeds maxval {maxval}")
+    arr = (samples.astype(np.float64) / maxval).reshape(height, width, channels)
     return np.ascontiguousarray(arr.transpose(2, 0, 1))
 
 
@@ -141,8 +142,7 @@ class ImageRecord:
 HEADER = ("path", "labels", "group", "split")
 
 
-def load_manifest(path, classes: tuple[str, ...] | None = None,
-                  check_files: bool = True) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or tuple(lines[0].split("\t")) != HEADER:
@@ -163,18 +163,11 @@ def load_manifest(path, classes: tuple[str, ...] | None = None,
             )
         seen[rel] = lineno
         labels = tuple(l for l in labels_field.split(",") if l)
-        if check_files and not (path.parent / rel).is_file():
+        if not (path.parent / rel).is_file():
             raise ManifestError(f"{path}:{lineno}: missing file {rel!r}")
         names.update(labels)
         records.append(ManifestRecord(rel, labels, group, split))
-    if classes is not None:
-        unknown = names - set(classes)
-        if unknown:
-            raise ManifestError(f"{path}: unknown classes {sorted(unknown)}")
-        class_names = tuple(classes)
-    else:
-        class_names = tuple(sorted(names))
-    return DatasetManifest(path.parent, tuple(records), class_names)
+    return DatasetManifest(path.parent, tuple(records), tuple(sorted(names)))
 
 
 def make_splits(manifest: DatasetManifest, policy: str,
@@ -277,10 +270,10 @@ CLASS_SPECS = (
 
 
 def synth_textures(out_dir, classes: int = 6, samples_per_class: int = 40,
-                   size: int = 32, seed: int = 0, folds: int = 4) -> Path:
+                   size: int = 32, seed: int = 0) -> Path:
     """Write a deterministic on-disk texture corpus; returns the manifest path.
 
-    Samples are assigned round-robin to `folds` split ids and groups, so both
+    Samples are assigned round-robin to four split ids and groups, so both
     by-split-column and leave-one-group-in policies apply directly.
     """
     if not 2 <= classes <= len(CLASS_SPECS):
@@ -296,7 +289,7 @@ def synth_textures(out_dir, classes: int = 6, samples_per_class: int = 40,
             img = np.clip(gen(size, rng), 0.0, 1.0)
             rel = f"images/{name}_{si:03d}.pgm"
             write_pnm(out_dir / rel, img[None], maxval=255)
-            fold = si % folds
+            fold = si % 4
             lines.append(f"{rel}\t{name}\ts{fold}\t{fold}")
     manifest_path = out_dir / "manifest.tsv"
     manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -186,13 +186,13 @@ def relu(x: Variable) -> Variable:
     return record("relu", np.maximum(xd, 0), (x,), lambda g: (g * mask,))
 
 
-def batch_norm(x: Variable, p: BatchNormParams, mode: str = "train",
-               update_stats: bool | None = None) -> Variable:
-    """Normalize per channel; batch statistics in train mode, running in eval.
+def batch_norm(x: Variable, p: BatchNormParams, mode: str = "train") -> Variable:
+    """Normalize per channel; the mode only picks the statistics.
 
-    `update_stats` controls the running-statistics EMA side effect and
-    defaults to (mode == "train").  Pass False for pure-function replays such
-    as finite-difference probing.
+    Train mode uses the batch mean and population variance and advances the
+    running statistics by their EMA; eval mode uses the running statistics
+    and leaves them as they are.  Only in train mode do the statistics depend
+    on x, so only there does dx carry the two batch-mean terms.
     """
     if mode not in ("train", "eval"):
         raise ShapeError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
@@ -204,51 +204,35 @@ def batch_norm(x: Variable, p: BatchNormParams, mode: str = "train",
     n, c, h, w = xd.shape
     if gd.shape[0] != c:
         raise ShapeError(f"batch_norm channel mismatch: input {c}, params {gd.shape[0]}")
-    if update_stats is None:
-        update_stats = mode == "train"
 
-    if mode == "train":
-        m = n * h * w
-        if m <= 1:
+    train = mode == "train"
+    if train:
+        if n * h * w <= 1:
             raise ShapeError("batch_norm train mode needs batch*height*width > 1 per channel")
-        mu = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
-        if update_stats:
-            mom = xd.dtype.type(p.momentum)
-            p.running_mean = Tensor((1 - mom) * p.running_mean.data + mom * mu)
-            p.running_var = Tensor((1 - mom) * p.running_var.data + mom * var)
-        inv = 1.0 / np.sqrt(var + xd.dtype.type(p.epsilon))
-        xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-        y = gd[None, :, None, None] * xhat + bd[None, :, None, None]
-
-        def backward_fn(g):
-            dgamma = (g * xhat).sum(axis=(0, 2, 3))
-            dbeta = g.sum(axis=(0, 2, 3))
-            dxhat = g * gd[None, :, None, None]
-            mean_dxhat = dxhat.mean(axis=(0, 2, 3))
-            mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3))
-            dx = inv[None, :, None, None] * (
-                dxhat
-                - mean_dxhat[None, :, None, None]
-                - xhat * mean_dxhat_xhat[None, :, None, None]
-            )
-            return dx, dgamma, dbeta
-
-        return record("batch_norm", y, (x, gamma, beta), backward_fn)
-
-    rm, rv = p.running_mean.data, p.running_var.data
-    inv = 1.0 / np.sqrt(rv + xd.dtype.type(p.epsilon))
-    centered = xd - rm[None, :, None, None]
-    xhat = centered * inv[None, :, None, None]
+        mu, var = xd.mean(axis=(0, 2, 3)), xd.var(axis=(0, 2, 3))
+        mom = xd.dtype.type(p.momentum)
+        p.running_mean = Tensor((1 - mom) * p.running_mean.data + mom * mu)
+        p.running_var = Tensor((1 - mom) * p.running_var.data + mom * var)
+    else:
+        mu, var = p.running_mean.data, p.running_var.data
+    inv = 1.0 / np.sqrt(var + xd.dtype.type(p.epsilon))
+    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
     y = gd[None, :, None, None] * xhat + bd[None, :, None, None]
 
-    def backward_eval(g):
+    def backward_fn(g):
         dgamma = (g * xhat).sum(axis=(0, 2, 3))
         dbeta = g.sum(axis=(0, 2, 3))
-        dx = g * (gd * inv)[None, :, None, None]
+        if not train:  # fixed statistics: dx is g scaled per channel
+            return g * (gd * inv)[None, :, None, None], dgamma, dbeta
+        dxhat = g * gd[None, :, None, None]
+        dx = inv[None, :, None, None] * (
+            dxhat
+            - dxhat.mean(axis=(0, 2, 3))[None, :, None, None]
+            - xhat * (dxhat * xhat).mean(axis=(0, 2, 3))[None, :, None, None]
+        )
         return dx, dgamma, dbeta
 
-    return record("batch_norm", y, (x, gamma, beta), backward_eval)
+    return record("batch_norm", y, (x, gamma, beta), backward_fn)
 
 
 def global_average_pool(x: Variable) -> Variable:

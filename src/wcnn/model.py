@@ -45,7 +45,8 @@ class WaveletCnnConfig:
     its receiving stage (rounded, at least one channel).  `embedding_dim` > 0
     inserts a fully connected layer (with ReLU) between global average
     pooling and the classifier.  `ablated` drops every subband injection and
-    projection, leaving the plain lowpass-only backbone.
+    projection, leaving the plain lowpass-only backbone.  The batch-norm
+    defaults are `BatchNormParams`'s.
     """
 
     levels: int = 5
@@ -58,8 +59,8 @@ class WaveletCnnConfig:
     embedding_dim: int = 0
     proj_fraction: float = 0.25
     ablated: bool = False
-    bn_epsilon: float = 1e-5
-    bn_momentum: float = 0.1
+    bn_epsilon: float = L.BatchNormParams.epsilon
+    bn_momentum: float = L.BatchNormParams.momentum
     precision: str = "f32"
     init_seed: int = 0
 
@@ -209,18 +210,16 @@ def build(config: WaveletCnnConfig) -> Model:
     return model
 
 
-def _cbr(model: Model, h: ad.Variable, name: str, mode: str, update_stats) -> ad.Variable:
+def _cbr(model: Model, h: ad.Variable, name: str, mode: str) -> ad.Variable:
     h = L.conv2d(h, model.convs[name])
-    h = L.batch_norm(h, model.norms[f"{name}.bn"], mode=mode, update_stats=update_stats)
-    return L.relu(h)
+    return L.relu(L.batch_norm(h, model.norms[f"{name}.bn"], mode))
 
 
-def forward(model: Model, batch, mode: str = "eval",
-            update_stats: bool | None = None) -> ad.Variable:
+def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
     """Run the network on an NCHW batch and return the logits Variable.
 
-    Eval mode is deterministic and read-only; train mode uses batch
-    statistics and (unless `update_stats=False`) updates the running ones.
+    Eval mode is deterministic and read-only; train mode normalizes with
+    batch statistics and advances the running ones, which it never reads.
     """
     cfg = model.config
     x = batch if isinstance(batch, ad.Variable) else ad.Variable(batch)
@@ -240,12 +239,12 @@ def forward(model: Model, batch, mode: str = "eval",
     h = x
     for t in range(1, cfg.levels + 1):
         stage = f"stage{t}"
-        h = _cbr(model, h, f"{stage}.down", mode, update_stats)
+        h = _cbr(model, h, f"{stage}.down", mode)
         if stacks is not None:
-            proj = _cbr(model, stacks[t - 1], f"{stage}.proj", mode, update_stats)
+            proj = _cbr(model, stacks[t - 1], f"{stage}.proj", mode)
             h = ad.concat_channels([h, proj])
         for b in range(1, cfg.blocks_per_stage + 1):
-            h = _cbr(model, h, f"{stage}.conv{b}", mode, update_stats)
+            h = _cbr(model, h, f"{stage}.conv{b}", mode)
 
     g = L.global_average_pool(h)
     if cfg.embedding_dim:

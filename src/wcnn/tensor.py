@@ -1,12 +1,11 @@
-"""Dense tensor values, a shape-checked channel concatenation, the raw tensor codec.
+"""Dense tensor values and the raw tensor codec.
 
 Every value flowing through the library is a `Tensor`: a dense N-dimensional
 array (N <= 4) of float32 or float64 scalars, tagged "f32"/"f64".  Images use
 the NCHW layout [batch, channel, height, width].
 
-There is no elementwise arithmetic here: the network computes on the tape
-(`autodiff`, `layers`).  The one structural operation, `concat_channels`,
-rejects shape and dtype mismatches instead of papering over them.
+There is no arithmetic here: the network computes on the tape (`autodiff`,
+`layers`).
 
 Tensors are immutable from the caller's point of view; operations return new
 tensors.  The only sanctioned in-place mutation is the optimizer's parameter
@@ -88,28 +87,6 @@ def _check_extents(shape) -> tuple[int, ...]:
         if d < 0:
             raise ShapeError(f"negative extent in shape {shape}")
     return shape
-
-
-def concat_channels(tensors: list[Tensor]) -> Tensor:
-    """Concatenate NCHW tensors along the channel axis, preserving argument order.
-
-    All inputs must agree on batch, height, and width extents.
-    """
-    if not tensors:
-        raise ShapeError("concat_channels requires at least one tensor")
-    first = tensors[0]
-    if first.ndim != 4:
-        raise ShapeError(f"concat_channels expects NCHW tensors, got rank {first.ndim}")
-    for t in tensors[1:]:
-        if t.ndim != 4 or (t.shape[0],) + t.shape[2:] != (first.shape[0],) + first.shape[2:]:
-            raise ShapeError(
-                f"concat_channels spatial/batch mismatch: {first.shape} vs {t.shape}"
-            )
-        if t.data.dtype != first.data.dtype:
-            raise ShapeError(f"concat_channels dtype mismatch: {first.dtype} vs {t.dtype}")
-    if len(tensors) == 1:
-        return Tensor(first.data.copy())
-    return Tensor(np.concatenate([t.data for t in tensors], axis=1))
 
 
 # --- little-endian tensor codec, shared by WTNS1 files and WCNN1 checkpoints --

@@ -137,6 +137,8 @@ def _synthesis(ll, lh, hl, hh) -> np.ndarray:
 
 
 def check_divisible(shape, levels: int):
+    if levels < 1:
+        raise ShapeError(f"levels must be >= 1, got {levels}")
     h, w = shape[-2], shape[-1]
     factor = 1 << levels
     if h % factor or w % factor:
@@ -151,8 +153,6 @@ def check_divisible(shape, levels: int):
 def decompose(image, levels: int) -> SubbandPyramid:
     """Recursive analysis: split off detail triples, recurse on the low band."""
     image = _as_tensor(image)
-    if levels < 1:
-        raise ShapeError(f"levels must be >= 1, got {levels}")
     check_divisible(image.shape, levels)
     detail: list[tuple[Tensor, Tensor, Tensor]] = []
     low = image.data

@@ -76,6 +76,31 @@ def test_deterministic_gradients():
     assert np.array_equal(gy1, gy2)
 
 
+def test_concat_channels_and_offsets():
+    a = ad.Variable(Tensor(np.arange(4.0).reshape(1, 1, 2, 2)))
+    b = ad.Variable(Tensor(np.arange(8.0).reshape(1, 2, 2, 2) + 10))
+    c = ad.concat_channels([a, b]).value
+    assert c.shape == (1, 3, 2, 2)
+    assert np.array_equal(c.data[:, :1], a.value.data)
+    assert np.array_equal(c.data[:, 1:], b.value.data)
+
+    single = ad.concat_channels([a]).value
+    assert np.array_equal(single.data, a.value.data)
+    assert single.data is not a.value.data
+
+    with pytest.raises(ShapeError, match="spatial/batch mismatch"):
+        ad.concat_channels([a, Tensor(np.zeros((1, 1, 3, 2)))])
+    with pytest.raises(ShapeError, match="spatial/batch mismatch"):
+        ad.concat_channels([a, Tensor(np.zeros((2, 1, 2, 2)))])
+    with pytest.raises(ShapeError, match="dtype mismatch"):
+        ad.concat_channels([a, Tensor(np.zeros((1, 1, 2, 2)), dtype="f32")])
+    with pytest.raises(ShapeError, match="at least one"):
+        ad.concat_channels([])
+    for rank3 in ([Tensor(np.zeros((1, 2, 2)))], [a, Tensor(np.zeros((1, 2, 2)))]):
+        with pytest.raises(ShapeError, match="NCHW"):
+            ad.concat_channels(rank3)
+
+
 def test_concat_channels_backward_splits():
     rng = np.random.default_rng(5)
     a = ad.Variable(Tensor(rng.standard_normal((1, 2, 2, 2))), requires_grad=True)

@@ -159,6 +159,14 @@ def test_decompose_malformed_pnm_header_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_decompose_sample_above_maxval_exits_2(tmp_path, capsys):
+    img = tmp_path / "above.pgm"
+    img.write_bytes(b"P5 2 1 100\n" + bytes([255, 50]))
+    rc = cli.main(["decompose", str(img), "--levels", "1", "--out", str(tmp_path / "bands")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_synth_deterministic(tmp_path, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "a"), "--classes", "2",
                      "--samples", "3", "--size", "16"]) == 0

@@ -57,6 +57,14 @@ def test_pnm_errors(tmp_path):
     truncated.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
     with pytest.raises(D.PnmError):
         D.load_pnm(truncated)
+    above = tmp_path / "above.pgm"  # samples 255 and 50 against maxval 100
+    above.write_bytes(b"P5 2 1 100\n" + bytes([255, 50]))
+    with pytest.raises(D.PnmError, match="exceeds maxval 100"):
+        D.load_pnm(above)
+    above16 = tmp_path / "above16.pgm"
+    above16.write_bytes(b"P5 1 1 1000\n" + (1001).to_bytes(2, "big"))
+    with pytest.raises(D.PnmError, match="exceeds maxval 1000"):
+        D.load_pnm(above16)
     big = tmp_path / "big.pgm"
     big.write_bytes(b"P5\n1 1\n70000\n\x00\x00")
     with pytest.raises(D.PnmError):
@@ -94,9 +102,10 @@ def test_pnm_corruption_loads_or_raises_pnm_error(tiny_pgm, data):
     corrupted = tiny_pgm.with_name("corrupted.pgm")
     corrupted.write_bytes(bytes(buf))
     try:
-        D.load_pnm(corrupted)
+        pixels = D.load_pnm(corrupted)
     except D.PnmError:
-        pass
+        return
+    assert pixels.min() >= 0.0 and pixels.max() <= 1.0
 
 
 # --- manifests --------------------------------------------------------------------
@@ -139,9 +148,6 @@ def test_manifest_errors(tmp_path):
     with pytest.raises(D.ManifestError, match="missing file"):
         D.load_manifest(missing)
 
-    unknown = write_fixture_manifest(tmp_path, ["a.pgm\tmystery\tg\t0"])
-    with pytest.raises(D.ManifestError, match="unknown classes"):
-        D.load_manifest(unknown, classes=("cat", "dog"))
 
     headerless = write_fixture_manifest(tmp_path, ["a.pgm\tx\tg\t0"], header=False)
     with pytest.raises(D.ManifestError, match="first line"):

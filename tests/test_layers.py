@@ -382,10 +382,11 @@ def test_batch_norm_running_stats_ema():
     vr = x.var(axis=(0, 2, 3))
     assert np.allclose(p.running_mean.data, 0.9 * 0.0 + 0.1 * mu, rtol=0, atol=1e-15)
     assert np.allclose(p.running_var.data, 0.9 * 1.0 + 0.1 * vr, rtol=0, atol=1e-15)
-    # update_stats=False leaves them untouched
-    before = p.running_mean.data.copy()
-    L.batch_norm(var(x), p, mode="train", update_stats=False)
-    assert np.array_equal(p.running_mean.data, before)
+    # eval mode reads them and leaves both untouched
+    mean_before, var_before = p.running_mean.data.copy(), p.running_var.data.copy()
+    L.batch_norm(var(x), p, mode="eval")
+    assert np.array_equal(p.running_mean.data, mean_before)
+    assert np.array_equal(p.running_var.data, var_before)
 
 
 def test_batch_norm_degenerate_train_raises():
@@ -404,21 +405,21 @@ def test_batch_norm_finite_differences():
 
     def wrt_x(v):
         p = L.BatchNormParams(var(g0), var(b0))
-        out = L.batch_norm(v, p, mode="train", update_stats=False)
+        out = L.batch_norm(v, p, mode="train")
         return ad.total(ad.mul(out, r))
 
     assert ad.finite_difference_check(wrt_x, Tensor(x0), eps=1e-5) < 1e-6
 
     def wrt_gamma(v):
         p = L.BatchNormParams(v, var(b0))
-        out = L.batch_norm(var(x0), p, mode="train", update_stats=False)
+        out = L.batch_norm(var(x0), p, mode="train")
         return ad.total(ad.mul(out, r))
 
     assert ad.finite_difference_check(wrt_gamma, Tensor(g0), eps=1e-5) < 1e-6
 
     def wrt_beta(v):
         p = L.BatchNormParams(var(g0), v)
-        out = L.batch_norm(var(x0), p, mode="train", update_stats=False)
+        out = L.batch_norm(var(x0), p, mode="train")
         return ad.total(ad.mul(out, r))
 
     assert ad.finite_difference_check(wrt_beta, Tensor(b0), eps=1e-5) < 1e-6

@@ -206,7 +206,7 @@ def test_end_to_end_gradient_subset():
     labels = np.array([0])
 
     def f(v):
-        logits = M.forward(model, v, mode="train", update_stats=False)
+        logits = M.forward(model, v, mode="train")
         return L.softmax_cross_entropy(logits, labels)
 
     rng = np.random.default_rng(4)

@@ -16,21 +16,6 @@ def test_constructor_contracts():
     assert Tensor(np.zeros(3, dtype=np.float32)).dtype == "f32"
 
 
-def test_concat_channels_and_offsets():
-    a = Tensor(np.arange(4.0).reshape(1, 1, 2, 2))
-    b = Tensor(np.arange(8.0).reshape(1, 2, 2, 2) + 10)
-    c = T.concat_channels([a, b])
-    assert c.shape == (1, 3, 2, 2)
-    assert np.array_equal(c.data[:, :1], a.data)
-    assert np.array_equal(c.data[:, 1:], b.data)
-
-    single = T.concat_channels([a])
-    assert np.array_equal(single.data, a.data)
-
-    with pytest.raises(ShapeError):
-        T.concat_channels([a, Tensor(np.zeros((1, 1, 3, 2)))])
-
-
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_wtns_roundtrip(tmp_path, dtype):
     rng = np.random.default_rng(3)

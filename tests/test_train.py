@@ -214,7 +214,7 @@ def test_first_batch_loss_near_log_classes():
     batch_records = records[:4] + records[16:20]
     batch = TR._batch_tensor(
         [TR.global_contrast_normalization(r.pixels) for r in batch_records], "f64")
-    logits = M.forward(model, batch, mode="train", update_stats=False)
+    logits = M.forward(model, batch, mode="train")
     labels = np.array([r.labels[0] for r in batch_records])
     loss = L.softmax_cross_entropy(logits, labels).value.item()
     assert abs(loss - np.log(2)) < 0.1 * np.log(2)

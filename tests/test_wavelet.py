@@ -141,6 +141,15 @@ def test_decompose_divisibility_message():
         W.decompose(Tensor(np.zeros((1, 1, 30, 30))), 3)
 
 
+def test_levels_below_one_rejected_alike():
+    x = np.zeros((1, 1, 8, 8))
+    for levels in (0, -1):
+        for call in (lambda: W.decompose(Tensor(x), levels),
+                     lambda: W.decompose_variables(ad.Variable(Tensor(x)), levels)):
+            with pytest.raises(ShapeError, match=f"levels must be >= 1, got {levels}$"):
+                call()
+
+
 @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
 def test_reconstruct_inverts_decompose(levels):
     rng = np.random.default_rng(5 + levels)
