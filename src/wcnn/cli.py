@@ -54,24 +54,25 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _split_records(cfg: dict[str, str], model_cfg: M.WaveletCnnConfig):
-    manifest_key = get_value(cfg, "data.manifest", "")
-    if not manifest_key:
+def _load_split(manifest_path, num_classes: int, policy: str | None, k: int | None,
+                seed: int, index: int):
+    """The manifest and the (train, test) indices of its split `index` under `policy`.
+
+    The manifest must have the model's class count.  Without a policy every
+    image is a test image.
+    """
+    if not manifest_path:
         raise RC.ConfigError("data.manifest is required")
-    manifest = D.load_manifest(manifest_key)
-    if len(manifest.class_names) != model_cfg.num_classes:
-        raise RC.ConfigError(
-            f"manifest has {len(manifest.class_names)} classes, "
-            f"model.classes = {model_cfg.num_classes}"
-        )
-    policy = get_value(cfg, "data.policy", "by-split-column")
-    splits = D.make_splits(manifest, policy, k=get_value(cfg, "data.k", 0) or None,
-                           seed=get_value(cfg, "seed", 0))
-    index = get_value(cfg, "data.split", 0)
+    manifest = D.load_manifest(manifest_path)
+    if len(manifest.class_names) != num_classes:
+        raise RC.ConfigError(f"manifest has {len(manifest.class_names)} classes, "
+                             f"the model has {num_classes}")
+    if policy is None:
+        return manifest, ([], range(len(manifest.records)))
+    splits = D.make_splits(manifest, policy, k=k, seed=seed)
     if not 0 <= index < len(splits):
-        raise RC.ConfigError(f"data.split {index} out of range; policy yields {len(splits)}")
-    train_idx, test_idx = splits[index]
-    return manifest, D.load_images(manifest, train_idx), D.load_images(manifest, test_idx)
+        raise RC.ConfigError(f"split {index} out of range; policy yields {len(splits)}")
+    return manifest, splits[index]
 
 
 def _embed_run_config(report: TR.TrainReport, cfg: dict[str, str]) -> None:
@@ -85,8 +86,8 @@ def _embed_run_config(report: TR.TrainReport, cfg: dict[str, str]) -> None:
 
 def cmd_decompose(args) -> int:
     levels = args.levels
-    if not 1 <= levels <= 5:
-        raise RC.ConfigError(f"levels must be in 1..5, got {levels}")
+    if not 1 <= levels <= M.MAX_LEVELS:
+        raise RC.ConfigError(f"levels must be in 1..{M.MAX_LEVELS}, got {levels}")
     pixels = D.load_pnm(args.image)
     image = Tensor(pixels[None], dtype=args.precision)
     pyramid = W.decompose(image, levels)
@@ -126,7 +127,12 @@ def _train_once(cfg: dict[str, str], out: Path | None,
                 checkpoint_name: str = "best.wcnn"):
     model_cfg = model_cfg or RC.model_config_from(cfg)
     train_cfg = RC.train_config_from(cfg)
-    _, train_records, test_records = _split_records(cfg, model_cfg)
+    manifest, (train_idx, test_idx) = _load_split(
+        get_value(cfg, "data.manifest", ""), model_cfg.num_classes,
+        get_value(cfg, "data.policy", "by-split-column"), get_value(cfg, "data.k", 0) or None,
+        model_cfg.init_seed, get_value(cfg, "data.split", 0))
+    train_records = D.load_images(manifest, train_idx)
+    test_records = D.load_images(manifest, test_idx)
     model = M.build(model_cfg)
     if out is not None:
         train_cfg.checkpoint_path = str(out / checkpoint_name)
@@ -149,20 +155,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = M.load_model(args.checkpoint)
-    manifest = D.load_manifest(args.manifest)
-    if len(manifest.class_names) != model.config.num_classes:
-        raise RC.ConfigError(
-            f"manifest has {len(manifest.class_names)} classes, checkpoint expects "
-            f"{model.config.num_classes}"
-        )
-    if args.policy:
-        splits = D.make_splits(manifest, args.policy, k=args.k, seed=args.seed or 0)
-        if not 0 <= args.split < len(splits):
-            raise RC.ConfigError(f"--split {args.split} out of range ({len(splits)} splits)")
-        records = D.load_images(manifest, splits[args.split][1])
-    else:
-        records = D.load_images(manifest)
-    result = TR.evaluate(model, records)
+    # by default the run's own seed, so a k-fold split is the fold it held out
+    seed = model.config.init_seed if args.seed is None else args.seed
+    manifest, (_, test_idx) = _load_split(args.manifest, model.config.num_classes, args.policy,
+                                          args.k, seed, args.split)
+    result = TR.evaluate(model, D.load_images(manifest, test_idx))
     ckpt_hash = RC.config_hash(dict(to_items(model.config)))
     text = f"# checkpoint_config_hash = {ckpt_hash}\n"
     if model.config.head == "multilabel":

@@ -85,6 +85,9 @@ class BatchNormParams:
             self.running_mean = Tensor(np.zeros(c), dtype=dt)
         if self.running_var is None:
             self.running_var = Tensor(np.ones(c), dtype=dt)
+        for stat in (self.running_mean, self.running_var):
+            if stat.shape != (c,) or stat.dtype != dt:
+                raise ShapeError(f"batch norm running statistic {stat!r}, expected {dt}[{c}]")
         if self.epsilon <= 0:
             raise ShapeError("batch norm epsilon must be positive")
         if not 0.0 < self.momentum < 1.0:

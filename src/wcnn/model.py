@@ -5,11 +5,14 @@ Stage t opens with a 3x3 stride-2 convolution that brings the feature maps to
 extent input/2^t — exactly the extent of the level-t detail subbands.  Those
 subbands (LH, HL, HH of every input channel, concatenated) pass through a 1x1
 projection convolution and are concatenated channel-wise into the stage, then
-a run of 3x3 stride-1 convolutions (each conv followed by batch norm and
-ReLU) processes the widened features.  Because each stage's output feeds all
-later stages, every level's spectral detail reaches the end of the network.
-The head is global average pooling, an optional embedding layer, and a fully
-connected classifier.
+a run of 3x3 stride-1 convolutions processes the widened features.  Because
+each stage's output feeds all later stages, every level's spectral detail
+reaches the end of the network.  The head is global average pooling, an
+optional embedding layer, and a fully connected classifier.
+
+Every convolution (down, proj, conv<b>) is one block: conv with padding k // 2,
+batch norm, ReLU.  `_add_block` declares it into the one registry
+`Model.blocks`, which `forward`, `Model.buffers` and `load_model` all walk.
 
 The analysis filters are fixed and contribute zero trainable parameters;
 `param_count` walks only the registered parameter variables, and the tests
@@ -26,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as L
 from . import wavelet as W
-from .schema import ConfigError, field_keys, from_items, to_items
+from .schema import ConfigError, field_keys, from_items, parse_config_text, to_items
 from .seeding import INIT, stream_rng
 from .tensor import DTYPES, ShapeError, Tensor, decode, encode, parse_shape_fields, shape_fields
 
@@ -73,10 +76,7 @@ class WaveletCnnConfig:
     def validate(self) -> None:
         if not 2 <= self.levels <= MAX_LEVELS:
             raise ShapeError(f"levels must be in [2, {MAX_LEVELS}], got {self.levels}")
-        if self.input_size % (1 << self.levels):
-            raise ShapeError(
-                f"input size {self.input_size} not divisible by 2^{self.levels}"
-            )
+        W.check_divisible((self.input_size, self.input_size), self.levels)
         if self.input_channels not in (1, 3):
             raise ShapeError(f"input channels must be 1 or 3, got {self.input_channels}")
         sched = self.resolved_channels()
@@ -103,8 +103,7 @@ class WaveletCnnConfig:
 class Model:
     config: WaveletCnnConfig
     params: dict[str, ad.Variable] = field(default_factory=dict)
-    convs: dict[str, L.Conv2dParams] = field(default_factory=dict)
-    norms: dict[str, L.BatchNormParams] = field(default_factory=dict)
+    blocks: dict[str, tuple[L.Conv2dParams, L.BatchNormParams]] = field(default_factory=dict)
     injection_extents: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -113,90 +112,67 @@ class Model:
 
     def buffers(self) -> dict[str, Tensor]:
         out = {}
-        for name, bn in self.norms.items():
-            out[f"{name}.running_mean"] = bn.running_mean
-            out[f"{name}.running_var"] = bn.running_var
+        for name, (_, bn) in self.blocks.items():
+            out[f"{name}.bn.running_mean"] = bn.running_mean
+            out[f"{name}.bn.running_var"] = bn.running_var
         return out
 
 
-def _he_weight(rng, shape, dtype):
+def _param(model: Model, name: str, value) -> ad.Variable:
+    v = ad.Variable(Tensor(value, dtype=model.dtype), requires_grad=True, name=name)
+    model.params[name] = v
+    return v
+
+
+def _he_uniform(model: Model, rng, shape, fan_in: int, scale: float = 1.0):
     # He init, uniform variant: U(-b, b) with b = sqrt(6 / fan_in) has the
-    # ReLU-calibrated variance 2/fan_in.  Drawn in the target dtype; the f32
-    # stream differs from cast f64 draws, but determinism per
-    # (seed, precision) is what matters.
-    fan_in = int(np.prod(shape[1:]))
-    bound = np.sqrt(6.0 / fan_in)
-    draw = rng.random(shape, dtype=DTYPES[dtype])
-    return Tensor((2 * draw - 1) * DTYPES[dtype](bound))
+    # ReLU-calibrated variance 2/fan_in; `scale` damps it.  Drawn in the
+    # target dtype; the f32 stream differs from cast f64 draws, but
+    # determinism per (seed, precision) is what matters.
+    dt = DTYPES[model.dtype]
+    return (2 * rng.random(shape, dtype=dt) - 1) * dt(scale * np.sqrt(6.0 / fan_in))
 
 
-def _add_conv(model: Model, rng, name: str, in_ch: int, out_ch: int, k: int,
-              stride: int, padding: int) -> None:
-    dt = model.dtype
-    w = ad.Variable(_he_weight(rng, (out_ch, in_ch, k, k), dt), requires_grad=True,
-                    name=f"{name}.weight")
-    b = ad.Variable(Tensor(np.zeros(out_ch), dtype=dt), requires_grad=True,
-                    name=f"{name}.bias")
-    model.params[f"{name}.weight"] = w
-    model.params[f"{name}.bias"] = b
-    model.convs[name] = L.Conv2dParams(w, b, stride=stride, padding=padding)
-
-
-def _add_norm(model: Model, name: str, ch: int) -> None:
-    cfg, dt = model.config, model.dtype
-    gamma = ad.Variable(Tensor(np.ones(ch), dtype=dt), requires_grad=True,
-                        name=f"{name}.gamma")
-    beta = ad.Variable(Tensor(np.zeros(ch), dtype=dt), requires_grad=True,
-                       name=f"{name}.beta")
-    model.params[f"{name}.gamma"] = gamma
-    model.params[f"{name}.beta"] = beta
-    model.norms[name] = L.BatchNormParams(
-        gamma, beta, epsilon=cfg.bn_epsilon, momentum=cfg.bn_momentum
+def _add_block(model: Model, rng, name: str, in_ch: int, out_ch: int, k: int,
+               stride: int = 1) -> None:
+    """One conv (padding k // 2) followed by its batch norm `<name>.bn`."""
+    w = _param(model, f"{name}.weight",
+               _he_uniform(model, rng, (out_ch, in_ch, k, k), in_ch * k * k))
+    b = _param(model, f"{name}.bias", np.zeros(out_ch))
+    gamma = _param(model, f"{name}.bn.gamma", np.ones(out_ch))
+    beta = _param(model, f"{name}.bn.beta", np.zeros(out_ch))
+    cfg = model.config
+    model.blocks[name] = (
+        L.Conv2dParams(w, b, stride=stride, padding=k // 2),
+        L.BatchNormParams(gamma, beta, epsilon=cfg.bn_epsilon, momentum=cfg.bn_momentum),
     )
 
 
-def _add_fc(model: Model, rng, name: str, d_in: int, d_out: int,
-            scale: float = 1.0) -> None:
-    dt = model.dtype
-    bound = scale * np.sqrt(6.0 / d_in)
-    draw = rng.random((d_in, d_out), dtype=DTYPES[dt])
-    w = ad.Variable(Tensor((2 * draw - 1) * DTYPES[dt](bound)),
-                    requires_grad=True, name=f"{name}.weight")
-    b = ad.Variable(Tensor(np.zeros(d_out), dtype=dt), requires_grad=True,
-                    name=f"{name}.bias")
-    model.params[f"{name}.weight"] = w
-    model.params[f"{name}.bias"] = b
+def _add_fc(model: Model, rng, name: str, d_in: int, d_out: int, scale: float = 1.0) -> None:
+    _param(model, f"{name}.weight", _he_uniform(model, rng, (d_in, d_out), d_in, scale))
+    _param(model, f"{name}.bias", np.zeros(d_out))
 
 
 def build(config: WaveletCnnConfig) -> Model:
-    """Realize the layer graph; all concatenation extents are checked here."""
+    """Realize the layer graph: stage t's detail subbands arrive at extent input/2^t."""
     config.validate()
     model = Model(config=config)
     rng = stream_rng(config.init_seed, INIT)
     sched = config.resolved_channels()
 
-    extent = config.input_size
     prev_ch = config.input_channels
     for t in range(1, config.levels + 1):
         out_ch = sched[t - 1]
-        extent //= 2
         stage = f"stage{t}"
-        _add_conv(model, rng, f"{stage}.down", prev_ch, out_ch, 3, stride=2, padding=1)
-        _add_norm(model, f"{stage}.down.bn", out_ch)
+        _add_block(model, rng, f"{stage}.down", prev_ch, out_ch, 3, stride=2)
         width = out_ch
         if not config.ablated:
-            # level-t detail subbands arrive at this extent by construction
-            model.injection_extents[t] = extent
-            if config.input_size // (1 << t) != extent:
-                raise ShapeError("internal: injection extent drifted from subband extent")
+            model.injection_extents[t] = config.input_size >> t
             proj_ch = config.proj_width(out_ch)
-            _add_conv(model, rng, f"{stage}.proj", 3 * config.input_channels, proj_ch,
-                      1, stride=1, padding=0)
-            _add_norm(model, f"{stage}.proj.bn", proj_ch)
+            _add_block(model, rng, f"{stage}.proj", 3 * config.input_channels, proj_ch, 1)
             width = out_ch + proj_ch
         for b in range(1, config.blocks_per_stage + 1):
-            _add_conv(model, rng, f"{stage}.conv{b}", width, out_ch, 3, stride=1, padding=1)
-            _add_norm(model, f"{stage}.conv{b}.bn", out_ch)
+            _add_block(model, rng, f"{stage}.conv{b}", width, out_ch, 3)
             width = out_ch
         prev_ch = out_ch
 
@@ -211,8 +187,8 @@ def build(config: WaveletCnnConfig) -> Model:
 
 
 def _cbr(model: Model, h: ad.Variable, name: str, mode: str) -> ad.Variable:
-    h = L.conv2d(h, model.convs[name])
-    return L.relu(L.batch_norm(h, model.norms[f"{name}.bn"], mode))
+    conv, bn = model.blocks[name]
+    return L.relu(L.batch_norm(L.conv2d(h, conv), bn, mode))
 
 
 def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
@@ -337,26 +313,22 @@ def load_model(path, precision: str | None = None) -> Model:
             raise CheckpointError(f"{path}: not a {_MAGIC} checkpoint")
         if head[1] != str(_VERSION):
             raise CheckpointError(f"{path}: unsupported version {head[1]}")
-        items = {}
-        for _ in range(expect("config")):
-            key, sep, value = line().partition(" = ")
-            if not sep:
-                raise CheckpointError(f"{path}: malformed config line {key!r}")
-            items[key] = value
+        cfg_text = "\n".join(line() for _ in range(expect("config")))
         manifest = [line().split() for _ in range(expect("manifest"))]
         nbytes = expect("payload")
         blob = fh.read()
     if len(blob) != nbytes:
         raise CheckpointError(f"{path}: payload is {len(blob)} bytes, expected {nbytes}")
 
-    # checkpoints written while the wavelet was a config field carry `wavelet = haar`
-    wavelet = items.pop("wavelet", "haar")
-    if wavelet != "haar":
-        raise CheckpointError(f"{path}: stored wavelet {wavelet!r}; only Haar is supported")
-    keys = field_keys(WaveletCnnConfig, "")
-    if set(items) != set(keys.values()):
-        raise CheckpointError(f"{path}: config block keys are not the config fields")
     try:
+        items = parse_config_text(cfg_text, "config block")
+        # checkpoints written while the wavelet was a config field carry `wavelet = haar`
+        wavelet = items.pop("wavelet", "haar")
+        if wavelet != "haar":
+            raise CheckpointError(f"{path}: stored wavelet {wavelet!r}; only Haar is supported")
+        keys = field_keys(WaveletCnnConfig, "")
+        if set(items) != set(keys.values()):
+            raise CheckpointError(f"{path}: config block keys are not the config fields")
         config = from_items(WaveletCnnConfig, items, keys)
         if precision is not None:
             config = replace(config, precision=precision)
@@ -381,7 +353,7 @@ def load_model(path, precision: str | None = None) -> Model:
 
     for name, v in model.params.items():
         v.value = restore(name, v.value)
-    for name, bn in model.norms.items():
-        bn.running_mean = restore(f"{name}.running_mean", bn.running_mean)
-        bn.running_var = restore(f"{name}.running_var", bn.running_var)
+    for name, (_, bn) in model.blocks.items():
+        bn.running_mean = restore(f"{name}.bn.running_mean", bn.running_mean)
+        bn.running_var = restore(f"{name}.bn.running_var", bn.running_var)
     return model

@@ -1,6 +1,7 @@
 """Flat `key = value` run configuration with dotted namespaces.
 
-Files use one `key = value` pair per line, '#' comments, blank lines allowed.
+Files use one `key = value` pair per line, '#' comments, blank lines allowed;
+`schema.parse_config_text` reads them, as it reads the checkpoint config block.
 Command-line overrides (`--set key=value`) are applied on top.  The canonical
 serialization (sorted keys, normalized spacing) is hashed into every run
 artifact so reports are traceable to their exact configuration.
@@ -18,26 +19,8 @@ import hashlib
 from pathlib import Path
 
 from .model import WaveletCnnConfig
-from .schema import ConfigError, field_keys, from_items
+from .schema import ConfigError, field_keys, from_items, parse_config_text
 from .train import TrainConfig
-
-
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key:
-            raise ConfigError(f"{source}:{lineno}: empty key")
-        if key in cfg:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        cfg[key] = value
-    return cfg
 
 
 def load_config(path) -> dict[str, str]:

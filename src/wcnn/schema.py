@@ -1,11 +1,11 @@
-"""Typed dataclass configs from flat `key = value` string items.
+"""Typed dataclass configs from flat `key = value` text.
 
-One schema serves the run configuration and the WCNN1 checkpoint config
-block.  A config dataclass is its own schema: each field's key derives from
-its name, and each value is parsed by the type of the field's default (bool,
-tuple of ints, int, float, str).  An absent or empty value keeps the default,
-so every default is written once, in the dataclass.  A value that does not
-parse raises `ConfigError`.
+One reader (`parse_config_text`) and one schema serve both the run
+configuration and the WCNN1 checkpoint config block.  A config dataclass is
+its own schema: each field's key derives from its name, and each value is
+parsed by the type of the field's default (bool, tuple of ints, int, float,
+str).  An absent or empty value keeps the default, so every default is written
+once, in the dataclass.  A value that does not parse raises `ConfigError`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,25 @@ _EXPECTED = {bool: "a boolean", tuple: "comma-separated integers", int: "an inte
 
 class ConfigError(ValueError):
     pass
+
+
+def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
+    """`key = value` lines to a dict; '#' starts a comment, blank lines are skipped."""
+    cfg: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
+            raise ConfigError(f"{source}:{lineno}: empty key")
+        if key in cfg:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        cfg[key] = value
+    return cfg
 
 
 def get_value(items: dict[str, str], key: str, default):

@@ -3,7 +3,8 @@
 The unifying primitive is convolve-then-downsample: correlate with a kernel,
 then keep every p-th sample starting at index 0.  The Haar pair (a lowpass
 and a highpass kernel) turns that primitive into one analysis level;
-recursing on the lowpass output builds the subband pyramid.
+recursing on the lowpass output builds the subband pyramid.  `decompose`
+(tensors) and `decompose_variables` (tape Variables) run that one recursion.
 
 The transform is the orthonormal Haar pair and nothing else: lowpass taps
 (s, s), highpass taps (s, -s), s = 1/sqrt(2).  They act on the
@@ -62,10 +63,6 @@ class SubbandPyramid:
         return float(sum((b.data**2).sum() for _, _, b in self.bands()))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # --- the generalized convolve-then-downsample primitive ----------------------
 
 
@@ -76,7 +73,7 @@ def generalized_conv_pool(x, kernel, p: int) -> Tensor:
     average pooling; a composite kernel w*p reproduces convolution followed
     by pooling.
     """
-    x = _as_tensor(x)
+    x = Tensor(x)
     if x.ndim != 1:
         raise ShapeError(f"generalized_conv_pool expects a vector, got rank {x.ndim}")
     if p < 1:
@@ -91,7 +88,7 @@ def generalized_conv_pool(x, kernel, p: int) -> Tensor:
 
 def generalized_conv_pool2d(x, kernel2d, p: int) -> Tensor:
     """2-D correlate-then-downsample on the trailing two axes, per channel."""
-    x = _as_tensor(x)
+    x = Tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"generalized_conv_pool2d expects >= 2 axes, got rank {x.ndim}")
     if p < 1:
@@ -150,14 +147,20 @@ def check_divisible(shape, levels: int):
         )
 
 
-def decompose(image, levels: int) -> SubbandPyramid:
-    """Recursive analysis: split off detail triples, recurse on the low band."""
-    image = _as_tensor(image)
-    check_divisible(image.shape, levels)
-    detail: list[tuple[Tensor, Tensor, Tensor]] = []
-    low = image.data
+def _analyses(x: np.ndarray, levels: int):
+    """Check the extent, then yield (LL, LH, HL, HH) per level, each analysing the last LL."""
+    check_divisible(x.shape, levels)
+    low = x
     for _ in range(levels):
         low, lh, hl, hh = _analysis(low)
+        yield low, lh, hl, hh
+
+
+def decompose(image, levels: int) -> SubbandPyramid:
+    """Recursive analysis: split off detail triples, recurse on the low band."""
+    image = Tensor(image)
+    detail: list[tuple[Tensor, Tensor, Tensor]] = []
+    for low, lh, hl, hh in _analyses(image.data, levels):
         detail.append((Tensor(lh), Tensor(hl), Tensor(hh)))
     return SubbandPyramid(detail, Tensor(low), image.shape)
 
@@ -186,8 +189,7 @@ def cnn_reduction(x, kernels, p: int = 2) -> Tensor:
     subbands are simply never produced.  `kernels` is one 2-D kernel per
     step; an empty list is the identity.
     """
-    x = _as_tensor(x)
-    out = x
+    out = Tensor(x)
     for k in kernels:
         out = generalized_conv_pool2d(out, k, p)
     return Tensor(out.data.copy()) if not kernels else out
@@ -207,13 +209,10 @@ def decompose_variables(x: ad.Variable, levels: int) -> list[ad.Variable]:
     """
     if x.value.ndim != 4:
         raise ShapeError(f"decompose_variables expects NCHW input, got rank {x.value.ndim}")
-    check_divisible(x.value.shape, levels)
     c = x.value.shape[1]
 
     stacks: list[ad.Variable] = []
-    low = x.value.data
-    for t in range(1, levels + 1):
-        low, lh, hl, hh = _analysis(low)
+    for t, (_, lh, hl, hh) in enumerate(_analyses(x.value.data, levels), start=1):
         stack = np.concatenate([lh, hl, hh], axis=1)
 
         def backward_fn(g, t=t):

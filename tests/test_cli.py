@@ -261,6 +261,27 @@ def test_eval_checkpoint(tmp_path, corpus, capsys):
     assert (tmp_path / "ev" / "metrics.tsv").read_text() == text
 
 
+def test_eval_defaults_to_the_runs_k_fold_split(tmp_path, corpus, capsys, monkeypatch):
+    # without --seed, eval must shuffle the folds as training did, with the run's seed
+    cfg = write_cfg(tmp_path, corpus, seed=3, **{"data.policy": "k-fold", "data.k": 4})
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    evaluated, real_evaluate = [], TR.evaluate
+
+    def evaluate(model, records):
+        evaluated.extend(r.path for r in records)
+        return real_evaluate(model, records)
+
+    monkeypatch.setattr(TR, "evaluate", evaluate)
+    rc = cli.main(["eval", str(out / "best.wcnn"), "--manifest", str(corpus / "manifest.tsv"),
+                   "--policy", "k-fold", "--k", "4", "--split", "0", "--out", str(tmp_path / "ev")])
+    assert rc == 0
+    manifest = D.load_manifest(corpus / "manifest.tsv")
+    held_out = D.make_splits(manifest, "k-fold", k=4, seed=3)[0][1]
+    assert held_out != D.make_splits(manifest, "k-fold", k=4, seed=0)[0][1]
+    assert evaluated == [manifest.records[i].path for i in held_out]
+
+
 def test_eval_class_mismatch_exits_2(tmp_path, corpus, capsys):
     cfg = write_cfg(tmp_path, corpus)
     out = tmp_path / "run"

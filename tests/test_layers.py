@@ -176,7 +176,7 @@ def test_conv2d_dead_input_gradient_is_skipped():
 def test_conv2d_output_is_contiguous_nchw():
     # every kernel/stride/padding combination the model builds
     model = M.build(M.WaveletCnnConfig(levels=2, input_size=32, channels=(4, 6), num_classes=3))
-    combos = {(p.weight.value.shape[2], p.stride, p.padding) for p in model.convs.values()}
+    combos = {(p.weight.value.shape[2], p.stride, p.padding) for p, _ in model.blocks.values()}
     assert combos == {(3, 2, 1), (1, 1, 0), (3, 1, 1)}
     rng = np.random.default_rng(17)
     for (k, s, pad), (h, w) in itertools.product(combos, [(8, 8), (7, 5)]):
@@ -392,6 +392,16 @@ def test_batch_norm_running_stats_ema():
 def test_batch_norm_degenerate_train_raises():
     with pytest.raises(ShapeError):
         L.batch_norm(var(np.ones((1, 2, 1, 1))), bn_params(2), mode="train")
+
+
+@pytest.mark.parametrize("stats", [
+    {"running_mean": Tensor(np.zeros(2))},  # one entry short of the 3 channels
+    {"running_var": Tensor(np.ones((3, 1)))},
+    {"running_mean": Tensor(np.zeros(3), dtype="f32")},  # gamma is f64
+])
+def test_batch_norm_running_stats_must_match_gamma(stats):
+    with pytest.raises(ShapeError, match="running statistic"):
+        bn_params(3, **stats)
 
 
 def test_batch_norm_finite_differences():

@@ -148,9 +148,9 @@ def test_subband_stack_channels_match_builder_expectation():
                              precision="f64")
     model = M.build(cfg)
     for t in range(1, 6):
-        proj = model.convs[f"stage{t}.proj"]
+        proj, _ = model.blocks[f"stage{t}.proj"]
         assert proj.weight.value.shape[1] == 9  # consumes the level-t stack
-        block1 = model.convs[f"stage{t}.conv1"]
+        block1, _ = model.blocks[f"stage{t}.conv1"]
         expected_width = cfg.resolved_channels()[t - 1] + cfg.proj_width(
             cfg.resolved_channels()[t - 1])
         assert block1.weight.value.shape[1] == expected_width
