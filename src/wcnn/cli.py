@@ -184,6 +184,8 @@ def cmd_param_count(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.coords_per_param < 1:
+        raise RC.ConfigError(f"--coords-per-param must be >= 1, got {args.coords_per_param}")
     cfg = _merged_config(args)
     model_cfg = None
     if args.config or args.set:
@@ -220,11 +222,17 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_levels_sweep(args) -> int:
+    try:
+        levels = [int(v) for v in args.levels.split(",") if v]
+    except ValueError:
+        levels = []
+    if not levels:
+        raise RC.ConfigError(f"--levels needs a comma-separated list of integers, "
+                             f"e.g. 2,3,4; got {args.levels!r}")
+    if args.seeds < 1:
+        raise RC.ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = _merged_config(args)
     out = _out_dir(args)
-    levels = [int(v) for v in args.levels.split(",") if v]
-    if not levels:
-        raise RC.ConfigError("--levels needs a comma-separated list, e.g. 2,3,4")
     base_cfg = RC.model_config_from(cfg)
     base_seed = base_cfg.init_seed
     schedule = base_cfg.channels or M.DEFAULT_CHANNELS

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .seeding import SYNTH, stream_rng
+from .tensor import ShapeError
 
 
 class PnmError(ValueError):
@@ -277,7 +278,10 @@ def synth_textures(out_dir, classes: int = 6, samples_per_class: int = 40,
     by-split-column and leave-one-group-in policies apply directly.
     """
     if not 2 <= classes <= len(CLASS_SPECS):
-        raise ValueError(f"classes must be in [2, {len(CLASS_SPECS)}]")
+        raise ShapeError(f"classes must be in [2, {len(CLASS_SPECS)}], got {classes}")
+    if samples_per_class < 1 or size < 1:
+        raise ShapeError(f"samples per class and size must be >= 1, "
+                         f"got {samples_per_class} and {size}")
     out_dir = Path(out_dir)
     img_dir = out_dir / "images"
     os.makedirs(img_dir, exist_ok=True)

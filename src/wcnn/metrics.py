@@ -1,9 +1,11 @@
 """Evaluation metrics: accuracy, multi-label precision/recall/F1, split aggregation.
 
-Multi-label results come in two flavors: per-class metrics (C-P, C-R, C-F1)
-average precision and recall over classes, overall metrics (O-P, O-R, O-F1)
-pool true/false positive counts over all predictions.  F1 is the harmonic
-mean of the corresponding precision and recall, 0 when both vanish.
+Multi-label results are scored from two boolean [images, classes] matrices,
+predicted and true label membership.  They come in two flavors: per-class
+metrics (C-P, C-R, C-F1) average precision and recall over classes, overall
+metrics (O-P, O-R, O-F1) pool true/false positive counts over all
+predictions.  F1 is the harmonic mean of the corresponding precision and
+recall, 0 when both vanish.
 
 Convention (printed with every emission): the per-class average skips classes
 that appear in neither the ground truth nor the predictions, where precision
@@ -12,8 +14,6 @@ and recall are undefined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 BUNDLE_KEYS = ("C-P", "C-R", "C-F1", "O-P", "O-R", "O-F1")
@@ -21,18 +21,6 @@ BUNDLE_KEYS = ("C-P", "C-R", "C-F1", "O-P", "O-R", "O-F1")
 CLASS_AVERAGE_NOTE = (
     "per-class averages skip classes absent from both truth and predictions"
 )
-
-
-@dataclass(frozen=True)
-class MultiLabelOutcome:
-    """Predicted and ground-truth label sets for one image."""
-
-    predicted: frozenset[int]
-    truth: frozenset[int]
-
-    def __init__(self, predicted, truth):
-        object.__setattr__(self, "predicted", frozenset(int(x) for x in predicted))
-        object.__setattr__(self, "truth", frozenset(int(x) for x in truth))
 
 
 def accuracy(predictions, labels) -> float:
@@ -50,26 +38,16 @@ def _f1(p: float, r: float) -> float:
     return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
 
 
-def multilabel_bundle(outcomes: list[MultiLabelOutcome], num_classes: int) -> dict[str, float]:
-    """Per-class and overall precision/recall/F1, in percent."""
-    if num_classes < 1:
-        raise ValueError("num_classes must be >= 1")
-    tp = np.zeros(num_classes, dtype=np.int64)
-    fp = np.zeros(num_classes, dtype=np.int64)
-    fn = np.zeros(num_classes, dtype=np.int64)
-    for o in outcomes:
-        for c in o.predicted:
-            if not 0 <= c < num_classes:
-                raise ValueError(f"label {c} out of range [0, {num_classes})")
-            if c in o.truth:
-                tp[c] += 1
-            else:
-                fp[c] += 1
-        for c in o.truth:
-            if not 0 <= c < num_classes:
-                raise ValueError(f"label {c} out of range [0, {num_classes})")
-            if c not in o.predicted:
-                fn[c] += 1
+def multilabel_bundle(predicted, truth) -> dict[str, float]:
+    """Per-class and overall precision/recall/F1, in percent, from two boolean
+    [images, classes] label matrices."""
+    predicted, truth = np.asarray(predicted, dtype=bool), np.asarray(truth, dtype=bool)
+    if predicted.ndim != 2 or predicted.shape != truth.shape:
+        raise ValueError(f"label matrices must share one [images, classes] shape, "
+                         f"got {predicted.shape} and {truth.shape}")
+    tp = (predicted & truth).sum(axis=0)
+    fp = (predicted & ~truth).sum(axis=0)
+    fn = (~predicted & truth).sum(axis=0)
 
     seen = (tp + fp + fn) > 0
     if seen.any():

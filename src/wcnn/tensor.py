@@ -79,16 +79,6 @@ class Tensor:
         return f"Tensor({self.dtype}[{dims}])"
 
 
-def _check_extents(shape) -> tuple[int, ...]:
-    shape = tuple(int(d) for d in shape)
-    if len(shape) > MAX_NDIM:
-        raise ShapeError(f"tensor rank {len(shape)} exceeds maximum {MAX_NDIM}")
-    for d in shape:
-        if d < 0:
-            raise ShapeError(f"negative extent in shape {shape}")
-    return shape
-
-
 # --- little-endian tensor codec, shared by WTNS1 files and WCNN1 checkpoints --
 #
 # A tensor is described by the ASCII fields `<dtype> <ndim> <d0> <d1> ...` and
@@ -111,7 +101,9 @@ def parse_shape_fields(fields: list[str]) -> tuple[str, tuple[int, ...]]:
         raise ShapeError(f"rank and extents must be non-negative integers, got {text!r}")
     if len(fields) != 2 + int(fields[1]):
         raise ShapeError(f"{len(fields) - 2} extents listed for rank {fields[1]}")
-    return fields[0], _check_extents(fields[2:])
+    if len(fields) - 2 > MAX_NDIM:
+        raise ShapeError(f"tensor rank {len(fields) - 2} exceeds maximum {MAX_NDIM}")
+    return fields[0], tuple(int(d) for d in fields[2:])
 
 
 def encode(t: Tensor) -> bytes:

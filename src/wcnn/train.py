@@ -348,10 +348,12 @@ def train(model: M.Model, train_records: list[ImageRecord],
 
 def evaluate(model: M.Model, records: list[ImageRecord], batch_size: int = 32) -> dict:
     """Eval-mode metrics: accuracy for softmax heads, plus the multi-label
-    bundle (threshold 0.5) for multilabel heads."""
+    bundle (threshold 0.5) for multilabel heads.  The truth is encoded, and
+    checked against the head, by `_targets`, as in training."""
     if not records:
         raise ShapeError("evaluation set is empty")
     mcfg = model.config
+    truth = _targets(records, mcfg.head, mcfg.num_classes)
     cfg = TrainConfig(augment=False)
     outputs = []
     for at in range(0, len(records), batch_size):
@@ -362,16 +364,10 @@ def evaluate(model: M.Model, records: list[ImageRecord], batch_size: int = 32) -
     logits = np.concatenate(outputs, axis=0)
 
     if mcfg.head == "softmax":
-        labels = np.array([r.labels[0] for r in records])
-        return {"accuracy": X.accuracy(logits.argmax(axis=1), labels)}
+        return {"accuracy": X.accuracy(logits.argmax(axis=1), truth)}
 
-    outcomes = []
-    exact = 0
-    for row, r in zip(logits, records):
-        predicted = frozenset(int(c) for c in np.nonzero(row > 0)[0])  # sigmoid > 0.5
-        truth = frozenset(r.labels)
-        outcomes.append(X.MultiLabelOutcome(predicted, truth))
-        exact += predicted == truth
-    bundle = X.multilabel_bundle(outcomes, mcfg.num_classes)
-    bundle["accuracy"] = 100.0 * exact / len(records)
+    predicted, truth = logits > 0, truth > 0  # sigmoid > 0.5
+    bundle = X.multilabel_bundle(predicted, truth)
+    exact = (predicted == truth).all(axis=1)
+    bundle["accuracy"] = 100.0 * int(exact.sum()) / len(records)
     return bundle

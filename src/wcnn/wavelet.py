@@ -1,7 +1,9 @@
 """Haar multiresolution analysis and the convolve-then-downsample primitive.
 
 The unifying primitive is convolve-then-downsample: correlate with a kernel,
-then keep every p-th sample starting at index 0.  The Haar pair (a lowpass
+then keep every p-th sample starting at index 0.  One function,
+`generalized_conv_pool`, applies it on the trailing one or two axes, as many
+as the kernel has; leading axes are channels.  The Haar pair (a lowpass
 and a highpass kernel) turns that primitive into one analysis level;
 recursing on the lowpass output builds the subband pyramid.  `decompose`
 (tensors) and `decompose_variables` (tape Variables) run that one recursion.
@@ -67,43 +69,28 @@ class SubbandPyramid:
 
 
 def generalized_conv_pool(x, kernel, p: int) -> Tensor:
-    """1-D correlate-then-downsample: y[i] = sum_j k[j] x[p*i + j].
+    """Correlate-then-downsample on the trailing `kernel.ndim` axes (1 or 2):
+    y[i] = sum_j k[j] x[p*i + j] along each of them, per leading index.
 
     p=1 is plain (valid) convolution; an averaging kernel of width p gives
     average pooling; a composite kernel w*p reproduces convolution followed
     by pooling.
     """
     x = Tensor(x)
-    if x.ndim != 1:
-        raise ShapeError(f"generalized_conv_pool expects a vector, got rank {x.ndim}")
-    if p < 1:
-        raise ShapeError(f"downsampling factor must be >= 1, got {p}")
     k = np.asarray(kernel, dtype=x.data.dtype)
-    n, o = x.size, k.size
-    if n < o:
-        raise ShapeError(f"input extent {n} smaller than kernel width {o}")
-    win = np.lib.stride_tricks.sliding_window_view(x.data, o)
-    return Tensor((win @ k)[::p].copy())
-
-
-def generalized_conv_pool2d(x, kernel2d, p: int) -> Tensor:
-    """2-D correlate-then-downsample on the trailing two axes, per channel."""
-    x = Tensor(x)
-    if x.ndim < 2:
-        raise ShapeError(f"generalized_conv_pool2d expects >= 2 axes, got rank {x.ndim}")
+    if k.ndim not in (1, 2):
+        raise ShapeError(f"kernel must be 1-D or 2-D, got rank {k.ndim}")
+    if x.ndim < k.ndim:
+        raise ShapeError(f"a {k.ndim}-D kernel needs >= {k.ndim} input axes, got rank {x.ndim}")
     if p < 1:
         raise ShapeError(f"downsampling factor must be >= 1, got {p}")
-    k = np.asarray(kernel2d, dtype=x.data.dtype)
-    if k.ndim != 2:
-        raise ShapeError("kernel must be 2-D")
-    kh, kw = k.shape
-    h, w = x.shape[-2], x.shape[-1]
-    if h < kh or w < kw:
-        raise ShapeError(f"input extent {h}x{w} smaller than kernel {kh}x{kw}")
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(-2, -1))
-    y = np.einsum("...ij,ij->...", win, k)
-    slicer = (Ellipsis, slice(None, None, p), slice(None, None, p))
-    return Tensor(np.ascontiguousarray(y[slicer]))
+    extent = x.shape[-k.ndim:]
+    if any(n < o for n, o in zip(extent, k.shape)):
+        raise ShapeError(f"input extent {extent} smaller than kernel {k.shape}")
+    axes = tuple(range(-k.ndim, 0))
+    win = np.lib.stride_tricks.sliding_window_view(x.data, k.shape, axis=axes)
+    y = win @ k if k.ndim == 1 else np.einsum("...ij,ij->...", win, k)
+    return Tensor(np.ascontiguousarray(y[(Ellipsis, *[slice(None, None, p)] * k.ndim)]))
 
 
 # --- Haar analysis / synthesis -------------------------------------------------
@@ -191,7 +178,7 @@ def cnn_reduction(x, kernels, p: int = 2) -> Tensor:
     """
     out = Tensor(x)
     for k in kernels:
-        out = generalized_conv_pool2d(out, k, p)
+        out = generalized_conv_pool(out, k, p)
     return Tensor(out.data.copy()) if not kernels else out
 
 

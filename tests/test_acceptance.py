@@ -19,10 +19,9 @@ from wcnn import metrics as X
 from wcnn import model as M
 from wcnn import train as TR
 from wcnn import wavelet as W
-from wcnn.metrics import MultiLabelOutcome
 from wcnn.tensor import Tensor, load_wtns, save_wtns
 
-from test_metrics import brute_force_bundle, random_outcomes
+from test_metrics import Outcome, brute_force_bundle, matrices, random_outcomes
 from test_model import census_walker
 
 
@@ -229,12 +228,12 @@ def test_acceptance_7_multilabel_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(707)
     outcomes = random_outcomes(rng, 1000, 7)
-    got = X.multilabel_bundle(outcomes, 7)
+    got = X.multilabel_bundle(*matrices(outcomes, 7))
     want = brute_force_bundle(outcomes, 7)
     for key in X.BUNDLE_KEYS:
         assert got[key] == pytest.approx(want[key], abs=1e-12), key
 
-    hand = X.multilabel_bundle([MultiLabelOutcome({0}, {0, 1})], 2)
+    hand = X.multilabel_bundle(*matrices([Outcome({0}, {0, 1})], 2))
     assert round(hand["O-P"], 2) == 100.0
     assert round(hand["O-R"], 2) == 50.0
     assert round(hand["O-F1"], 2) == 66.67

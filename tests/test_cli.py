@@ -7,7 +7,7 @@ from wcnn import model as M
 from wcnn import runconfig as RC
 from wcnn import train as TR
 from wcnn.schema import field_keys, from_items, to_items
-from wcnn.tensor import load_wtns
+from wcnn.tensor import ShapeError, load_wtns
 
 
 @pytest.fixture()
@@ -292,6 +292,26 @@ def test_eval_class_mismatch_exits_2(tmp_path, corpus, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("labels", ["", "{0},{1}"], ids=["unlabeled", "two-labels"])
+def test_eval_label_count_must_fit_softmax_head(tmp_path, corpus, capsys, labels):
+    # training rejects such an image under a softmax head; eval must reject it the same way
+    lines = (corpus / "manifest.tsv").read_text().splitlines()
+    names = sorted({line.split("\t")[1] for line in lines[1:]})
+    path, _, *rest = lines[1].split("\t")
+    lines[1] = "\t".join([path, labels.format(*names), *rest])
+    manifest_path = corpus / "odd.tsv"
+    manifest_path.write_text("\n".join(lines) + "\n")
+    model = M.build(RC.model_config_from(RC.load_config(write_cfg(tmp_path, corpus))))
+    M.save_model(model, tmp_path / "m.wcnn")
+    rc = cli.main(["eval", str(tmp_path / "m.wcnn"), "--manifest", str(manifest_path),
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    manifest = D.load_manifest(manifest_path)
+    with pytest.raises(ShapeError, match="exactly one label"):
+        TR.evaluate(model, D.load_images(manifest, range(len(manifest.records))))
+
+
 @pytest.mark.parametrize("before, after", [(b"levels = 2", b"levels = \xff"),
                                            (b"levels = 2", b"levels = x"),
                                            (b"manifest ", b"manifesT ")])
@@ -340,6 +360,17 @@ def test_gradcheck_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("check\tmax_rel_error")
     assert "WORST\t" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--classes", "9"], ["synth", "--classes", "1"], ["synth", "--size", "0"],
+    ["synth", "--samples", "0"], ["synth", "--samples", "-1"],
+    ["levels-sweep", "--levels", "2,x"], ["levels-sweep", "--seeds", "0"],
+    ["gradcheck", "--coords-per-param", "0"], ["gradcheck", "--coords-per-param", "-1"],
+], ids=lambda argv: "{}{}={}".format(*argv))
+def test_bad_argument_exits_2(tmp_path, capsys, argv):
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ablate_cli(tmp_path, corpus, capsys):

@@ -308,7 +308,7 @@ def test_average_pool_equals_generalized_conv_pool():
     x = rng.standard_normal((8, 8))
     pooled = L.average_pool(var(x.reshape(1, 1, 8, 8)), 2).value.data[0, 0]
     kernel = np.full((2, 2), 0.25)
-    alt = wavelet.generalized_conv_pool2d(Tensor(x), kernel, 2).data
+    alt = wavelet.generalized_conv_pool(Tensor(x), kernel, 2).data
     assert np.max(np.abs(pooled - alt)) < 1e-12
 
 

@@ -1,8 +1,26 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from wcnn import metrics as X
-from wcnn.metrics import MultiLabelOutcome
+
+
+class Outcome(NamedTuple):
+    """Predicted and true label sets of one image."""
+
+    predicted: set
+    truth: set
+
+
+def matrices(outcomes, num_classes):
+    """The boolean [images, classes] (predicted, truth) matrices of the outcomes."""
+    predicted = np.zeros((len(outcomes), num_classes), dtype=bool)
+    truth = np.zeros((len(outcomes), num_classes), dtype=bool)
+    for i, o in enumerate(outcomes):
+        predicted[i, list(o.predicted)] = True
+        truth[i, list(o.truth)] = True
+    return predicted, truth
 
 
 def brute_force_bundle(outcomes, num_classes):
@@ -47,30 +65,33 @@ def test_accuracy():
 
 
 def test_bundle_perfect():
-    outcomes = [MultiLabelOutcome({0, 2}, {0, 2}), MultiLabelOutcome({1}, {1})]
-    bundle = X.multilabel_bundle(outcomes, 3)
+    outcomes = [Outcome({0, 2}, {0, 2}), Outcome({1}, {1})]
+    bundle = X.multilabel_bundle(*matrices(outcomes, 3))
     assert all(v == 100.0 for v in bundle.values())
 
 
 def test_bundle_hand_example():
     # one image, predicted {0}, truth {0, 1}: TP=1 FP=0 FN=1
-    bundle = X.multilabel_bundle([MultiLabelOutcome({0}, {0, 1})], 2)
+    bundle = X.multilabel_bundle(*matrices([Outcome({0}, {0, 1})], 2))
     assert round(bundle["O-P"], 2) == 100.0
     assert round(bundle["O-R"], 2) == 50.0
     assert round(bundle["O-F1"], 2) == 66.67
 
 
 def test_bundle_empty_predictions():
-    outcomes = [MultiLabelOutcome(set(), {0}), MultiLabelOutcome(set(), {1})]
-    bundle = X.multilabel_bundle(outcomes, 2)
+    outcomes = [Outcome(set(), {0}), Outcome(set(), {1})]
+    bundle = X.multilabel_bundle(*matrices(outcomes, 2))
     assert bundle["O-P"] == 0.0
     assert bundle["O-R"] == 0.0
     assert bundle["O-F1"] == 0.0
 
 
-def test_bundle_out_of_range_label():
+def test_bundle_shape_mismatch():
+    predicted, truth = matrices([Outcome({1}, {0})], 2)
     with pytest.raises(ValueError):
-        X.multilabel_bundle([MultiLabelOutcome({5}, {0})], 2)
+        X.multilabel_bundle(predicted, truth[:, :1])
+    with pytest.raises(ValueError):
+        X.multilabel_bundle(predicted[0], truth[0])
 
 
 def random_outcomes(rng, n, num_classes):
@@ -78,7 +99,7 @@ def random_outcomes(rng, n, num_classes):
     for _ in range(n):
         pred = {int(c) for c in rng.integers(0, num_classes, size=rng.integers(0, 4))}
         true = {int(c) for c in rng.integers(0, num_classes, size=rng.integers(0, 4))}
-        out.append(MultiLabelOutcome(pred, true))
+        out.append(Outcome(pred, true))
     return out
 
 
@@ -87,7 +108,7 @@ def test_bundle_matches_brute_force():
     for trial in range(50):
         num_classes = int(rng.integers(1, 8))
         outcomes = random_outcomes(rng, int(rng.integers(1, 30)), num_classes)
-        got = X.multilabel_bundle(outcomes, num_classes)
+        got = X.multilabel_bundle(*matrices(outcomes, num_classes))
         want = brute_force_bundle(outcomes, num_classes)
         for key in X.BUNDLE_KEYS:
             assert got[key] == pytest.approx(want[key], abs=1e-9), (trial, key)
@@ -96,19 +117,19 @@ def test_bundle_matches_brute_force():
 def test_bundle_permutation_invariant():
     rng = np.random.default_rng(1)
     outcomes = random_outcomes(rng, 20, 5)
-    a = X.multilabel_bundle(outcomes, 5)
-    b = X.multilabel_bundle(outcomes[::-1], 5)
+    a = X.multilabel_bundle(*matrices(outcomes, 5))
+    b = X.multilabel_bundle(*matrices(outcomes[::-1], 5))
     assert a == b
 
 
 def test_class_metrics_equal_overall_when_counts_identical():
     # both classes: TP=1, FP=1, FN=1
     outcomes = [
-        MultiLabelOutcome({0, 1}, {0, 1}),   # TP for both
-        MultiLabelOutcome({0, 1}, set()),    # FP for both
-        MultiLabelOutcome(set(), {0, 1}),    # FN for both
+        Outcome({0, 1}, {0, 1}),   # TP for both
+        Outcome({0, 1}, set()),    # FP for both
+        Outcome(set(), {0, 1}),    # FN for both
     ]
-    bundle = X.multilabel_bundle(outcomes, 2)
+    bundle = X.multilabel_bundle(*matrices(outcomes, 2))
     assert bundle["C-P"] == bundle["O-P"]
     assert bundle["C-R"] == bundle["O-R"]
     assert bundle["C-F1"] == bundle["O-F1"]
@@ -117,14 +138,14 @@ def test_class_metrics_equal_overall_when_counts_identical():
 def test_overall_f1_is_harmonic_mean():
     rng = np.random.default_rng(2)
     outcomes = random_outcomes(rng, 40, 6)
-    bundle = X.multilabel_bundle(outcomes, 6)
+    bundle = X.multilabel_bundle(*matrices(outcomes, 6))
     p, r = bundle["O-P"], bundle["O-R"]
     expect = 0.0 if p + r == 0 else 2 * p * r / (p + r)
     assert bundle["O-F1"] == expect
 
 
 def test_bundle_tsv_format():
-    text = X.bundle_to_tsv(X.multilabel_bundle([MultiLabelOutcome({0}, {0, 1})], 2))
+    text = X.bundle_to_tsv(X.multilabel_bundle(*matrices([Outcome({0}, {0, 1})], 2)))
     lines = text.strip().splitlines()
     assert lines[1] == "C-P\tC-R\tC-F1\tO-P\tO-R\tO-F1"
     assert lines[2].split("\t")[3:] == ["100.00", "50.00", "66.67"]

@@ -88,7 +88,7 @@ def test_dwt1d_odd_extent_rejected():
             W.decompose(Tensor(np.zeros(shape)), 1)
 
 
-def test_decompose_one_level_matches_generalized_conv_pool2d():
+def test_decompose_one_level_matches_generalized_conv_pool():
     # each band is the separable Haar kernel (height taps x width taps)
     # correlated with the input and kept at stride 2
     rng = np.random.default_rng(2)
@@ -96,7 +96,7 @@ def test_decompose_one_level_matches_generalized_conv_pool2d():
     lo, hi = W.HAAR_LOWPASS, W.HAAR_HIGHPASS
     kernels = (np.outer(lo, lo), np.outer(lo, hi), np.outer(hi, lo), np.outer(hi, hi))
     for band, k in zip(one_level(x), kernels):
-        assert rel_err(band.data, W.generalized_conv_pool2d(Tensor(x), k, 2).data) < 1e-15
+        assert rel_err(band.data, W.generalized_conv_pool(Tensor(x), k, 2).data) < 1e-15
 
 
 def test_dwt2d_constant_image():
