@@ -4,7 +4,9 @@ Commands: decompose, synth, train, eval, param-count, gradcheck, ablate,
 levels-sweep.  Exit codes are a stable contract: 0 success, 2 usage or
 configuration error, 3 numerical failure.  Every run artifact embeds the
 canonical configuration and its hash; all randomness flows from the single
-`seed` key.
+`seed` key.  Only the commands that write files take `--out`.  `ablate` and
+`levels-sweep` train each variant from the run configuration with keys
+overridden (`model.ablated`; `seed`, `model.levels`, `model.channels`).
 """
 
 from __future__ import annotations
@@ -29,14 +31,6 @@ from .tensor import ShapeError, Tensor, save_wtns
 USAGE_ERRORS = (RC.ConfigError, ShapeError, D.ManifestError, D.PnmError,
                 M.CheckpointError, FileNotFoundError)
 NUMERIC_ERRORS = (TR.NonFiniteLossError, TR.NonFiniteGradientError)
-
-
-def _config_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a configuration key (repeatable)")
-    parser.add_argument("--seed", type=int, help="override the seed key")
-    parser.add_argument("--out", default=".", help="output directory")
 
 
 def _merged_config(args) -> dict[str, str]:
@@ -116,16 +110,14 @@ def cmd_decompose(args) -> int:
 
 def cmd_synth(args) -> int:
     manifest = D.synth_textures(args.out, classes=args.classes,
-                                samples_per_class=args.samples, size=args.size,
-                                seed=args.seed if args.seed is not None else 0)
+                                samples_per_class=args.samples, size=args.size, seed=args.seed)
     print(manifest)
     return 0
 
 
-def _train_once(cfg: dict[str, str], out: Path | None,
-                model_cfg: M.WaveletCnnConfig | None = None,
-                checkpoint_name: str = "best.wcnn"):
-    model_cfg = model_cfg or RC.model_config_from(cfg)
+def _train_once(cfg: dict[str, str], checkpoint: Path | None):
+    """Train the model `cfg` describes on its split; save the best to `checkpoint` if given."""
+    model_cfg = RC.model_config_from(cfg)
     train_cfg = RC.train_config_from(cfg)
     manifest, (train_idx, test_idx) = _load_split(
         get_value(cfg, "data.manifest", ""), model_cfg.num_classes,
@@ -134,8 +126,8 @@ def _train_once(cfg: dict[str, str], out: Path | None,
     train_records = D.load_images(manifest, train_idx)
     test_records = D.load_images(manifest, test_idx)
     model = M.build(model_cfg)
-    if out is not None:
-        train_cfg.checkpoint_path = str(out / checkpoint_name)
+    if checkpoint is not None:
+        train_cfg.checkpoint_path = str(checkpoint)
     report = TR.train(model, train_records, test_records, train_cfg)
     _embed_run_config(report, cfg)
     return model, report
@@ -144,12 +136,13 @@ def _train_once(cfg: dict[str, str], out: Path | None,
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
     out = _out_dir(args)
-    _, report = _train_once(cfg, out)
+    checkpoint = out / "best.wcnn"
+    _, report = _train_once(cfg, checkpoint)
     (out / "report.tsv").write_text(report.to_text())
     print(f"best_epoch\t{report.best_epoch}")
     print(f"best_test_acc\t{report.best_test_acc:.2f}")
     print(f"report\t{out / 'report.tsv'}")
-    print(f"checkpoint\t{out / 'best.wcnn'}")
+    print(f"checkpoint\t{checkpoint}")
     return 0
 
 
@@ -187,11 +180,9 @@ def cmd_gradcheck(args) -> int:
     if args.coords_per_param < 1:
         raise RC.ConfigError(f"--coords-per-param must be >= 1, got {args.coords_per_param}")
     cfg = _merged_config(args)
-    model_cfg = None
-    if args.config or args.set:
-        model_cfg = replace(RC.model_config_from(cfg), precision="f64")
-    stride = 1 if args.full else 4
-    rows = G.layer_checks() + G.model_checks(model_cfg, input_stride=stride,
+    base = RC.model_config_from(cfg) if args.config or args.set else G.default_check_config()
+    model_cfg = replace(base, precision="f64", init_seed=get_value(cfg, "seed", base.init_seed))
+    rows = G.layer_checks() + G.model_checks(model_cfg, input_stride=1 if args.full else 4,
                                              coords_per_param=args.coords_per_param)
     print("check\tmax_rel_error")
     worst = 0.0
@@ -208,11 +199,10 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _merged_config(args)
     out = _out_dir(args)
-    model_cfg = RC.model_config_from(cfg)
     rows = [f"# config_hash = {RC.config_hash(cfg)}", "variant\tparams\tbest_test_acc"]
-    for variant, mc in (("full", model_cfg), ("ablated", replace(model_cfg, ablated=True))):
-        model, report = _train_once(cfg, out, model_cfg=mc,
-                                    checkpoint_name=f"best_{variant}.wcnn")
+    for variant, ablated in (("full", "false"), ("ablated", "true")):
+        model, report = _train_once({**cfg, "model.ablated": ablated},
+                                    out / f"best_{variant}.wcnn")
         total, _ = M.param_count(model)
         rows.append(f"{variant}\t{total}\t{report.best_test_acc:.2f}")
     text = "\n".join(rows) + "\n"
@@ -245,11 +235,9 @@ def cmd_levels_sweep(args) -> int:
     for lv in levels:
         accs = []
         for s in range(args.seeds):  # identical seed list for every level
-            run_cfg = dict(cfg)
-            run_cfg["seed"] = str(base_seed + s)
-            model_cfg = replace(base_cfg, levels=lv, channels=tuple(schedule[:lv]),
-                                init_seed=base_seed + s)
-            _, report = _train_once(run_cfg, None, model_cfg=model_cfg)
+            run_cfg = {**cfg, "seed": str(base_seed + s), "model.levels": str(lv),
+                       "model.channels": ",".join(map(str, schedule[:lv]))}
+            _, report = _train_once(run_cfg, None)
             accs.append(report.best_test_acc)
             detail.append(f"# level {lv} seed {base_seed + s}: {report.best_test_acc:.2f}")
         mean, sd = X.split_aggregate(accs)
@@ -270,11 +258,18 @@ def cmd_levels_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wcnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # option groups shared by several commands; `--out` only where a command writes files
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="flat key = value configuration file")
+    config.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a configuration key (repeatable)")
+    config.add_argument("--seed", type=int, help="override the seed key")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory")
 
-    p = sub.add_parser("decompose", help="write the subband pyramid of an image")
+    p = sub.add_parser("decompose", parents=[out], help="write the subband pyramid of an image")
     p.add_argument("image", help="binary PGM/PPM input")
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--out", default=".")
     p.add_argument("--pgm", action="store_true", help="also write rescaled PGM previews")
     p.add_argument("--verify", action="store_true", help="report the reconstruction error")
     p.add_argument("--precision", choices=("f32", "f64"), default="f32")
@@ -288,37 +283,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("train", help="train on a manifest dataset")
-    _config_options(p)
+    p = sub.add_parser("train", parents=[config, out], help="train on a manifest dataset")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest")
+    p = sub.add_parser("eval", parents=[out], help="evaluate a checkpoint on a manifest")
     p.add_argument("checkpoint")
     p.add_argument("--manifest", required=True)
     p.add_argument("--policy", choices=("by-split-column", "leave-one-group-in", "k-fold"))
     p.add_argument("--split", type=int, default=0)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", default=".")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("param-count", help="per-layer parameter table")
-    _config_options(p)
+    p = sub.add_parser("param-count", parents=[config], help="per-layer parameter table")
     p.set_defaults(fn=cmd_param_count)
 
-    p = sub.add_parser("gradcheck", help="finite-difference verification suite")
-    _config_options(p)
+    p = sub.add_parser("gradcheck", parents=[config], help="finite-difference verification suite")
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--full", action="store_true", help="sweep every input coordinate")
     p.add_argument("--coords-per-param", type=int, default=6)
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="train the full and detail-free variants side by side")
-    _config_options(p)
+    p = sub.add_parser("ablate", parents=[config, out],
+                       help="train the full and detail-free variants side by side")
     p.set_defaults(fn=cmd_ablate)
 
-    p = sub.add_parser("levels-sweep", help="accuracy table over decomposition depths")
-    _config_options(p)
+    p = sub.add_parser("levels-sweep", parents=[config, out],
+                       help="accuracy table over decomposition depths")
     p.add_argument("--levels", default="2,3,4")
     p.add_argument("--seeds", type=int, default=3)
     p.set_defaults(fn=cmd_levels_sweep)

@@ -270,8 +270,8 @@ CLASS_SPECS = (
 )
 
 
-def synth_textures(out_dir, classes: int = 6, samples_per_class: int = 40,
-                   size: int = 32, seed: int = 0) -> Path:
+def synth_textures(out_dir, classes: int, samples_per_class: int, size: int,
+                   seed: int) -> Path:
     """Write a deterministic on-disk texture corpus; returns the manifest path.
 
     Samples are assigned round-robin to four split ids and groups, so both
@@ -292,7 +292,7 @@ def synth_textures(out_dir, classes: int = 6, samples_per_class: int = 40,
             rng = stream_rng(seed, SYNTH, ci, si)
             img = np.clip(gen(size, rng), 0.0, 1.0)
             rel = f"images/{name}_{si:03d}.pgm"
-            write_pnm(out_dir / rel, img[None], maxval=255)
+            write_pnm(out_dir / rel, img[None])
             fold = si % 4
             lines.append(f"{rel}\t{name}\ts{fold}\t{fold}")
     manifest_path = out_dir / "manifest.tsv"

@@ -5,7 +5,8 @@ central differences at 64-bit.  The model check differentiates the training
 loss with respect to the input image (every coordinate) and with respect to a
 sampled subset of coordinates of every parameter tensor.  Train-mode batch
 norm advances running statistics it never reads, so every probe is the same
-pure function of its input.
+pure function of its input.  Every check takes central differences with the
+step `EPS`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from . import model as M
 from . import wavelet as W
 from .tensor import Tensor
 
+EPS = 1e-5
+
 
 def _v(arr, requires_grad=False):
     return ad.Variable(Tensor(np.asarray(arr, dtype=np.float64)), requires_grad=requires_grad)
@@ -27,7 +30,7 @@ def _weigh(out, r):
     return ad.total(ad.mul(out, _v(r)))
 
 
-def layer_checks(eps: float = 1e-5) -> list[tuple[str, float]]:
+def layer_checks() -> list[tuple[str, float]]:
     """Per-operation finite-difference errors on fixed seeded fixtures."""
     rng = np.random.default_rng(2024)
     x = rng.standard_normal((2, 3, 8, 8))
@@ -110,7 +113,7 @@ def layer_checks(eps: float = 1e-5) -> list[tuple[str, float]]:
         ("wavelet_decompose/x", decompose_loss, rng.standard_normal((1, 1, 8, 8))),
     ]
     return [
-        (name, ad.finite_difference_check(f, Tensor(probe), eps=eps))
+        (name, ad.finite_difference_check(f, Tensor(probe), eps=EPS))
         for name, f, probe in checks
     ]
 
@@ -121,10 +124,11 @@ def default_check_config() -> M.WaveletCnnConfig:
                               precision="f64", init_seed=7)
 
 
-def model_checks(config: M.WaveletCnnConfig | None = None, eps: float = 1e-5,
-                 input_stride: int = 1, coords_per_param: int = 8) -> list[tuple[str, float]]:
-    """End-to-end loss gradients: input coordinates (strided sweep) and a
-    seeded coordinate sample of every parameter tensor.
+def model_checks(config: M.WaveletCnnConfig | None = None, *, input_stride: int,
+                 coords_per_param: int) -> list[tuple[str, float]]:
+    """End-to-end loss gradients: every `input_stride`-th input coordinate and
+    a seeded sample of up to `coords_per_param` coordinates of every parameter
+    tensor.  `config` defaults to `default_check_config()`.
 
     The probed scalar is the classification loss plus a fixed random linear
     functional of the logits; the extra term flows through the identical
@@ -158,11 +162,11 @@ def model_checks(config: M.WaveletCnnConfig | None = None, eps: float = 1e-5,
 
     rows = [("model/input", ad.central_difference_error(
         probe, x0.reshape(-1), leaf.grad.data.reshape(-1), range(0, x0.size, input_stride),
-        eps, floor=1e-4))]
+        EPS, floor=1e-4))]
     for name, p in model.params.items():
         n = p.value.size
         picks = sorted(set(int(c) for c in rng.integers(0, n, size=min(coords_per_param, n))))
         rows.append((f"model/{name}", ad.central_difference_error(
-            probe, p.value.data.reshape(-1), p.grad.data.reshape(-1), picks, eps, floor=1e-4)))
+            probe, p.value.data.reshape(-1), p.grad.data.reshape(-1), picks, EPS, floor=1e-4)))
         p.grad = None
     return rows

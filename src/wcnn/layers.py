@@ -189,7 +189,7 @@ def relu(x: Variable) -> Variable:
     return record("relu", np.maximum(xd, 0), (x,), lambda g: (g * mask,))
 
 
-def batch_norm(x: Variable, p: BatchNormParams, mode: str = "train") -> Variable:
+def batch_norm(x: Variable, p: BatchNormParams, mode: str) -> Variable:
     """Normalize per channel; the mode only picks the statistics.
 
     Train mode uses the batch mean and population variance and advances the

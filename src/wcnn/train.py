@@ -169,7 +169,7 @@ def hflip(image: np.ndarray) -> np.ndarray:
 
 
 def augment(image: np.ndarray, rng: np.random.Generator, resize_to: int,
-            crop_to: int, flip: bool = True) -> np.ndarray:
+            crop_to: int, flip: bool) -> np.ndarray:
     """Resize, uniformly random crop, and coin-flip horizontal mirror.
 
     Draw order is fixed (row offset, column offset, flip) so streams are part
@@ -217,12 +217,9 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def _prepare(record: ImageRecord, cfg: TrainConfig, input_size: int,
-             rng: np.random.Generator | None) -> np.ndarray:
-    img = record.pixels
-    if cfg.augment and rng is not None:
-        img = augment(img, rng, cfg.resolved_resize(input_size), input_size, cfg.flip)
-    elif img.shape[1] != input_size or img.shape[2] != input_size:
+def _prepare(img: np.ndarray, input_size: int) -> np.ndarray:
+    """Resize to `input_size` if the image is another size, then normalize its contrast."""
+    if img.shape[1] != input_size or img.shape[2] != input_size:
         img = bilinear_resize(img, input_size, input_size)
     return global_contrast_normalization(img)
 
@@ -268,6 +265,7 @@ def train(model: M.Model, train_records: list[ImageRecord],
     mcfg = model.config
     input_size = mcfg.input_size
     head, classes = mcfg.head, mcfg.num_classes
+    resize_to = cfg.resolved_resize(input_size)
 
     state = AdamState(**{name: getattr(cfg, field) for name, field in _ADAM_FIELDS.items()})
     header = {
@@ -277,11 +275,12 @@ def train(model: M.Model, train_records: list[ImageRecord],
         "augment": str(cfg.augment), "batch_size": str(cfg.batch_size),
         "epochs": str(cfg.epochs), "eval_every": str(cfg.eval_every),
         "precision": mcfg.precision, "seed": str(cfg.seed),
-        "resize_to": str(cfg.resolved_resize(input_size)),
+        "resize_to": str(resize_to),
         "train_images": str(len(train_records)),
         "eval_images": str(len(eval_records)),
     }
     report = TrainReport(header=header)
+    targets = _targets(train_records, head, classes)
 
     best_acc = -1.0
     epoch_losses: list[float] = []
@@ -290,23 +289,25 @@ def train(model: M.Model, train_records: list[ImageRecord],
         order = stream_rng(cfg.seed, SHUFFLE, epoch).permutation(len(train_records))
         losses, correct, seen = [], 0, 0
         for batch_idx in iter_batches(order, cfg.batch_size):
-            records = [train_records[i] for i in batch_idx]
-            images = [
-                _prepare(r, cfg, input_size, stream_rng(cfg.seed, AUGMENT, epoch, int(i)))
-                for i, r in zip(batch_idx, records)
-            ]
+            images = []
+            for i in batch_idx:
+                img = train_records[i].pixels
+                if cfg.augment:
+                    rng = stream_rng(cfg.seed, AUGMENT, epoch, int(i))
+                    img = augment(img, rng, resize_to, input_size, cfg.flip)
+                images.append(_prepare(img, input_size))
             batch = _batch_tensor(images, mcfg.precision)
             logits = M.forward(model, batch, mode="train")
-            targets = _targets(records, head, classes)
+            batch_targets = targets[batch_idx]
             if head == "softmax":
-                loss = L.softmax_cross_entropy(logits, targets)
+                loss = L.softmax_cross_entropy(logits, batch_targets)
             else:
-                loss = L.sigmoid_bce_multilabel(logits, targets)
+                loss = L.sigmoid_bce_multilabel(logits, batch_targets)
             loss_value = loss.value.item()
             if not np.isfinite(loss_value):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss_value} at epoch {epoch}, "
-                    f"batch starting with {records[0].path!r}"
+                    f"batch starting with {train_records[batch_idx[0]].path!r}"
                 )
             ad.backward(loss)
             adam_step(model.params, state)
@@ -314,8 +315,8 @@ def train(model: M.Model, train_records: list[ImageRecord],
                 p.grad = None
             losses.append(loss_value)
             if head == "softmax":
-                correct += int((logits.value.data.argmax(axis=1) == targets).sum())
-                seen += len(records)
+                correct += int((logits.value.data.argmax(axis=1) == batch_targets).sum())
+                seen += len(batch_idx)
 
         train_loss = float(np.mean(losses)) if losses else float("nan")
         train_acc = 100.0 * correct / seen if seen else float("nan")
@@ -354,11 +355,10 @@ def evaluate(model: M.Model, records: list[ImageRecord], batch_size: int = 32) -
         raise ShapeError("evaluation set is empty")
     mcfg = model.config
     truth = _targets(records, mcfg.head, mcfg.num_classes)
-    cfg = TrainConfig(augment=False)
     outputs = []
     for at in range(0, len(records), batch_size):
         chunk = records[at:at + batch_size]
-        images = [_prepare(r, cfg, mcfg.input_size, None) for r in chunk]
+        images = [_prepare(r.pixels, mcfg.input_size) for r in chunk]
         logits = M.forward(model, _batch_tensor(images, mcfg.precision), mode="eval")
         outputs.append(logits.value.data)
     logits = np.concatenate(outputs, axis=0)

@@ -169,8 +169,8 @@ def reconstruct(pyramid: SubbandPyramid) -> Tensor:
     return Tensor(low)
 
 
-def cnn_reduction(x, kernels, p: int = 2) -> Tensor:
-    """The lowpass-only chain: repeatedly correlate-and-downsample per channel.
+def cnn_reduction(x, kernels) -> Tensor:
+    """The lowpass-only chain: repeatedly correlate and downsample by 2, per channel.
 
     This is what a plain strided-convolution stack computes — the detail
     subbands are simply never produced.  `kernels` is one 2-D kernel per
@@ -178,7 +178,7 @@ def cnn_reduction(x, kernels, p: int = 2) -> Tensor:
     """
     out = Tensor(x)
     for k in kernels:
-        out = generalized_conv_pool(out, k, p)
+        out = generalized_conv_pool(out, k, 2)
     return Tensor(out.data.copy()) if not kernels else out
 
 

@@ -1,3 +1,7 @@
+import argparse
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -355,11 +359,56 @@ def test_checkpoint_with_other_wavelet_exits_2(tmp_path, corpus, capsys):
 
 
 def test_gradcheck_cli(tmp_path, capsys):
-    rc = cli.main(["gradcheck", "--tolerance", "1e-5", "--coords-per-param", "2"])
-    assert rc == 0
-    out = capsys.readouterr().out
+    def run(*extra):
+        assert cli.main(["gradcheck", "--tolerance", "1e-5", "--coords-per-param", "2",
+                         *extra]) == 0
+        return capsys.readouterr().out
+
+    out = run()
     assert out.startswith("check\tmax_rel_error")
     assert "WORST\t" in out
+    # --seed sets the checked model's init seed; 7 is the default check config's
+    assert run("--seed", "7") == out
+    assert run("--seed", "5") != out
+
+
+def _args_reads() -> dict[str, set[str]]:
+    """For each function of the cli module, the `args.<dest>` it reads, itself or
+    through a function of the module that it passes `args` to."""
+    tree = ast.parse(inspect.getsource(cli))
+    reads, passes = {}, {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            nodes = list(ast.walk(fn))
+            reads[fn.name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                              and isinstance(n.value, ast.Name) and n.value.id == "args"}
+            passes[fn.name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                               and isinstance(n.func, ast.Name)
+                               and any(isinstance(a, ast.Name) and a.id == "args"
+                                       for a in n.args)}
+    closure = {}
+    for name in reads:
+        seen, stack = set(), [name]
+        while stack:
+            f = stack.pop()
+            if f in reads and f not in seen:
+                seen.add(f)
+                stack.extend(passes[f])
+        closure[name] = set().union(*(reads[f] for f in seen))
+    return closure
+
+
+def test_every_option_is_read_by_its_command():
+    reads = _args_reads()
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unread = [(name, a.dest) for name, p in commands.items() for a in p._actions
+              if not isinstance(a, argparse._HelpAction)
+              and a.dest not in reads[p.get_default("fn").__name__]]
+    assert unread == []
+    for name in ("param-count", "gradcheck"):  # they write no file
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([name, "--out", "x"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,19 +418,22 @@ def test_gradcheck_cli(tmp_path, capsys):
     ["gradcheck", "--coords-per-param", "0"], ["gradcheck", "--coords-per-param", "-1"],
 ], ids=lambda argv: "{}{}={}".format(*argv))
 def test_bad_argument_exits_2(tmp_path, capsys, argv):
-    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    out = [] if argv[0] == "gradcheck" else ["--out", str(tmp_path / "out")]
+    assert cli.main([*argv, *out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ablate_cli(tmp_path, corpus, capsys):
-    cfg = write_cfg(tmp_path, corpus)
-    rc = cli.main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "abl")])
-    assert rc == 0
-    lines = [l for l in capsys.readouterr().out.strip().splitlines()
-             if not l.startswith("#")]
-    assert lines[0] == "variant\tparams\tbest_test_acc"
-    variants = {l.split("\t")[0]: int(l.split("\t")[1]) for l in lines[1:]}
-    assert variants["ablated"] < variants["full"]
+    # the config's own model.ablated does not change which variant each row trains
+    for ablated in ("false", "true"):
+        cfg = write_cfg(tmp_path, corpus, **{"model.ablated": ablated})
+        rc = cli.main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "abl")])
+        assert rc == 0
+        lines = [l for l in capsys.readouterr().out.strip().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0] == "variant\tparams\tbest_test_acc"
+        variants = {l.split("\t")[0]: int(l.split("\t")[1]) for l in lines[1:]}
+        assert variants["ablated"] < variants["full"]
 
 
 def test_levels_sweep_cli(tmp_path, corpus, capsys):

@@ -141,7 +141,8 @@ def test_augment_crop_offsets_cover_range():
 
 def test_augment_rejects_oversized_crop():
     with pytest.raises(ShapeError):
-        TR.augment(np.zeros((1, 8, 8)), np.random.default_rng(0), resize_to=8, crop_to=9)
+        TR.augment(np.zeros((1, 8, 8)), np.random.default_rng(0), resize_to=8, crop_to=9,
+                   flip=True)
 
 
 # --- datasets for the loop tests ------------------------------------------------
@@ -262,6 +263,18 @@ def test_non_finite_loss_diagnostic():
     model.params["head.fc.weight"].value.data[:] = np.nan
     with pytest.raises(TR.NonFiniteLossError, match="epoch 0"):
         TR.train(model, records[::2], records[1::2], quick_cfg(epochs=1))
+
+
+def test_bad_label_fails_before_the_first_step(monkeypatch):
+    # the targets are encoded once, so a bad label anywhere stops training before any step
+    records = separable_records()[::2]
+    last = records[-1]
+    records[-1] = ImageRecord(last.pixels, (0, 1), last.path)
+    steps = []
+    monkeypatch.setattr(TR, "adam_step", lambda params, state: steps.append(state.step))
+    with pytest.raises(ShapeError, match="exactly one label"):
+        TR.train(tiny_model(), records, [], quick_cfg(epochs=1, batch_size=2))
+    assert steps == []
 
 
 def test_evaluate_constant_predictor_hits_chance():

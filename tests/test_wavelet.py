@@ -230,7 +230,7 @@ def test_cnn_reduction_equals_strided_conv_chain():
     x = rng.standard_normal((1, 1, 16, 16))
     k1 = rng.standard_normal((3, 3))
     k2 = rng.standard_normal((3, 3))
-    y = W.cnn_reduction(Tensor(x), [k1, k2], 2)
+    y = W.cnn_reduction(Tensor(x), [k1, k2])
     h = ad.Variable(Tensor(x))
     for k in (k1, k2):
         p = L.Conv2dParams(ad.Variable(Tensor(k.reshape(1, 1, 3, 3))),
