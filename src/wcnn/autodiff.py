@@ -5,11 +5,12 @@ remembers its parents and a backward closure, and carries a global creation
 rank; the tape is this creation-ordered node sequence.  `backward()` replays
 the closures in exact reverse creation order, so gradient accumulation on
 fan-out is plain addition in recording order and 64-bit runs are
-bit-reproducible.
+bit-reproducible.  A gradient array may be shared by several nodes (`add`
+hands one to both parents), so none is ever written in place.
 
 Each forward pass supports exactly one backward pass: the closures (which
 hold the saved activations) are dropped once consumed, and reusing a spent
-subgraph raises.
+subgraph raises.  Every gradient check runs through `gradient_errors`.
 """
 
 from __future__ import annotations
@@ -118,10 +119,8 @@ def backward(loss: Variable) -> list[Variable]:
                     f"parent shape {parent.value.shape}"
                 )
             buf = buffers.get(id(parent))
-            if buf is None:
-                buffers[id(parent)] = g.astype(parent.value.data.dtype, copy=True)
-            else:
-                buf += g
+            g = g if buf is None else buf + g
+            buffers[id(parent)] = g.astype(parent.value.data.dtype, copy=False)
     return touched
 
 
@@ -194,53 +193,50 @@ def concat_channels(parts: list[Variable]) -> Variable:
 # --- finite-difference verification ----------------------------------------
 
 
-def finite_difference_check(f, x, eps: float = 1e-5, coords=None) -> float:
-    """Compare analytic and central-difference gradients of a scalar function.
+def gradient_errors(loss, leaves: dict[str, Variable], coords, eps: float,
+                    floor: float) -> dict[str, float]:
+    """Worst central-difference error of each leaf's analytic gradient, by leaf name.
 
-    `f` maps a leaf Variable to a scalar Variable and must be deterministic.
-    Returns the worst relative error over the checked coordinates:
-
-        |numeric - analytic| / max(|analytic| + |numeric|, 1e-12)
-
-    `coords` restricts the sweep to the given flat indices (all by default).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    leaf = Variable(x, requires_grad=True, name="fd-probe")
-    out = f(leaf)
-    if out.value.size != 1:
-        raise ShapeError(f"finite_difference_check needs a scalar function, got {out.value.shape}")
-    backward(out)
-    analytic = np.zeros(x.size) if leaf.grad is None else leaf.grad.data.reshape(-1)
-    probe = Tensor(x.data.copy())  # perturbed in place; the caller's tensor stays as it was
-    return central_difference_error(
-        lambda: f(Variable(probe)).value.item(), probe.data.reshape(-1), analytic,
-        range(x.size) if coords is None else coords, eps, floor=1e-12)
-
-
-def central_difference_error(f, flat: np.ndarray, analytic: np.ndarray, coords, eps: float,
-                             floor: float) -> float:
-    """Worst error of central differences of `f()` against `analytic` over `coords`.
-
-    `flat` is a flat view of the array `f` reads.  Each probed coordinate is
-    set to keep + eps and keep - eps, then restored; a non-finite `f()` raises.
-    The error of a coordinate is
+    `loss()` builds a scalar from the requires-grad `leaves` and must be
+    deterministic.  One backward gives every analytic gradient; then each
+    coordinate in `coords[name]` (every coordinate by default) is set to
+    keep + eps and keep - eps in place and restored.  A non-finite loss
+    raises.  The error of a coordinate is
 
         |numeric - analytic| / max(|analytic| + |numeric|, floor)
 
     so `floor` decides below which gradient magnitude the error turns absolute.
     """
-    worst = 0.0
-    for i in coords:
-        keep = flat[i]
-        flat[i] = keep + eps
-        fp = f()
-        flat[i] = keep - eps
-        fm = f()
-        flat[i] = keep
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite output while probing coordinate {i}")
-        numeric = (fp - fm) / (2 * eps)
-        worst = max(worst, abs(numeric - analytic[i]) / max(abs(analytic[i]) + abs(numeric), floor))
-    return worst
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    out = loss()
+    if out.value.size != 1:
+        raise ShapeError(f"gradient check needs a scalar loss, got shape {out.value.shape}")
+    backward(out)
+    errors = {}
+    for name, leaf in leaves.items():
+        flat = leaf.value.data.reshape(-1)
+        analytic = np.zeros(flat.size) if leaf.grad is None else leaf.grad.data.reshape(-1)
+        worst = 0.0
+        for i in (coords or {}).get(name, range(flat.size)):
+            keep = flat[i]
+            flat[i] = keep + eps
+            fp = loss().value.item()
+            flat[i] = keep - eps
+            fm = loss().value.item()
+            flat[i] = keep
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise ValueError(f"non-finite output while probing {name}[{i}]")
+            numeric = (fp - fm) / (2 * eps)
+            worst = max(worst, abs(numeric - analytic[i])
+                        / max(abs(analytic[i]) + abs(numeric), floor))
+        errors[name] = worst
+    return errors
+
+
+def finite_difference_check(f, x, eps: float = 1e-5, coords=None) -> float:
+    """`gradient_errors` of the scalar function `f` of one leaf, a copy of `x`,
+    over the flat indices `coords` (all by default), with the error floor 1e-12."""
+    leaf = Variable(Tensor(Tensor(x).data.copy()), requires_grad=True, name="fd-probe")
+    return gradient_errors(lambda: f(leaf), {"x": leaf}, None if coords is None else {"x": coords},
+                           eps, floor=1e-12)["x"]

@@ -62,6 +62,9 @@ def _load_split(manifest_path, num_classes: int, policy: str | None, k: int | No
         raise RC.ConfigError(f"manifest has {len(manifest.class_names)} classes, "
                              f"the model has {num_classes}")
     if policy is None:
+        if index or k is not None:
+            raise RC.ConfigError("--split and --k select among the splits of a --policy; "
+                                 "without one every image is a test image")
         return manifest, ([], range(len(manifest.records)))
     splits = D.make_splits(manifest, policy, k=k, seed=seed)
     if not 0 <= index < len(splits):
@@ -117,8 +120,9 @@ def cmd_synth(args) -> int:
 
 def _train_once(cfg: dict[str, str], checkpoint: Path | None):
     """Train the model `cfg` describes on its split; save the best to `checkpoint` if given."""
-    model_cfg = RC.model_config_from(cfg)
-    train_cfg = RC.train_config_from(cfg)
+    model_cfg, train_cfg = RC.model_config_from(cfg), RC.train_config_from(cfg)
+    model_cfg.validate()  # both configs fail before any image loads
+    train_cfg.validate()
     manifest, (train_idx, test_idx) = _load_split(
         get_value(cfg, "data.manifest", ""), model_cfg.num_classes,
         get_value(cfg, "data.policy", "by-split-column"), get_value(cfg, "data.k", 0) or None,
@@ -180,7 +184,9 @@ def cmd_gradcheck(args) -> int:
     if args.coords_per_param < 1:
         raise RC.ConfigError(f"--coords-per-param must be >= 1, got {args.coords_per_param}")
     cfg = _merged_config(args)
-    base = RC.model_config_from(cfg) if args.config or args.set else G.default_check_config()
+    # the built-in check model unless the config describes one: a 224-px model takes hours
+    describes_model = any(key.startswith("model.") for key in cfg)
+    base = RC.model_config_from(cfg) if describes_model else G.default_check_config()
     model_cfg = replace(base, precision="f64", init_seed=get_value(cfg, "seed", base.init_seed))
     rows = G.layer_checks() + G.model_checks(model_cfg, input_stride=1 if args.full else 4,
                                              coords_per_param=args.coords_per_param)
@@ -222,24 +228,25 @@ def cmd_levels_sweep(args) -> int:
     if args.seeds < 1:
         raise RC.ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = _merged_config(args)
-    out = _out_dir(args)
     base_cfg = RC.model_config_from(cfg)
     base_seed = base_cfg.init_seed
     schedule = base_cfg.channels or M.DEFAULT_CHANNELS
-    if len(schedule) < max(levels):
-        raise RC.ConfigError(
-            f"model.channels has {len(schedule)} entries; sweep needs {max(levels)}"
-        )
+    runs = [[{**cfg, "seed": str(base_seed + s), "model.levels": str(lv),
+              "model.channels": ",".join(map(str, schedule[:lv]))}
+             for s in range(args.seeds)]  # identical seed list for every level
+            for lv in levels]
+    for level_runs in runs:  # every run is checked before the first one trains
+        for run_cfg in level_runs:
+            RC.model_config_from(run_cfg).validate()
+    out = _out_dir(args)
     detail = [f"# config_hash = {RC.config_hash(cfg)}"]
     cells = []
-    for lv in levels:
+    for lv, level_runs in zip(levels, runs):
         accs = []
-        for s in range(args.seeds):  # identical seed list for every level
-            run_cfg = {**cfg, "seed": str(base_seed + s), "model.levels": str(lv),
-                       "model.channels": ",".join(map(str, schedule[:lv]))}
+        for run_cfg in level_runs:
             _, report = _train_once(run_cfg, None)
             accs.append(report.best_test_acc)
-            detail.append(f"# level {lv} seed {base_seed + s}: {report.best_test_acc:.2f}")
+            detail.append(f"# level {lv} seed {run_cfg['seed']}: {report.best_test_acc:.2f}")
         mean, sd = X.split_aggregate(accs)
         cells.append(X.format_mean_sd(mean, sd))
     lines = detail + [

@@ -178,8 +178,11 @@ def make_splits(manifest: DatasetManifest, policy: str,
     by-split-column: each distinct split id in turn is the test fold.
     leave-one-group-in: each group in turn is the (small) training set, the
     rest is for testing.
-    k-fold: seeded shuffle into k folds, each the test set once.
+    k-fold: seeded shuffle into k folds, each the test set once; only this
+    policy takes `k`.
     """
+    if k is not None and policy != "k-fold":
+        raise ManifestError(f"k applies to the k-fold policy only, not to {policy!r}")
     n = len(manifest.records)
     idx = list(range(n))
     if policy == "by-split-column":

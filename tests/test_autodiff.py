@@ -113,6 +113,45 @@ def test_concat_channels_backward_splits():
     assert np.array_equal(b.grad.data, w.data[:, 2:])
 
 
+def test_shared_gradient_array_is_never_written_in_place():
+    # `add` hands one gradient array to both parents; `a` then takes a second
+    # contribution, which must not reach the array `b` holds
+    a = ad.Variable(Tensor([1.0, 2.0]), requires_grad=True)
+    b = ad.Variable(Tensor([3.0, 4.0]), requires_grad=True)
+    ad.backward(ad.total(ad.add(ad.add(a, b), a)))
+    assert np.array_equal(a.grad.data, [2.0, 2.0])
+    assert np.array_equal(b.grad.data, [1.0, 1.0])
+    # the same on a scalar node that fans out
+    t = ad.total(a)
+    ad.backward(ad.add(t, t))
+    assert np.array_equal(a.grad.data, [2.0, 2.0])
+
+
+def test_gradient_errors_one_backward_for_every_leaf(monkeypatch):
+    rng = np.random.default_rng(3)
+    leaves = {name: ad.Variable(Tensor(rng.standard_normal(3)), requires_grad=True)
+              for name in ("a", "b")}
+    before = {name: v.value.data.copy() for name, v in leaves.items()}
+    calls = {"loss": 0, "backward": 0}
+    real_backward = ad.backward
+
+    def backward(loss):
+        calls["backward"] += 1
+        return real_backward(loss)
+
+    def loss():
+        calls["loss"] += 1
+        return ad.total(ad.mul(ad.mul(leaves["a"], leaves["a"]), leaves["b"]))
+
+    monkeypatch.setattr(ad, "backward", backward)
+    errors = ad.gradient_errors(loss, leaves, {"b": [0, 2]}, 1e-5, floor=1e-12)
+    assert list(errors) == ["a", "b"]
+    assert max(errors.values()) < 1e-8
+    assert calls == {"loss": 1 + 2 * (3 + 2), "backward": 1}
+    for name, v in leaves.items():  # every probed coordinate is restored
+        assert np.array_equal(v.value.data, before[name])
+
+
 def test_finite_difference_check_identity_sum():
     # binary-exact step: the central difference of a linear map is exact
     err = ad.finite_difference_check(ad.total, Tensor([1.0, 2.0, 3.0]), eps=0.25)

@@ -1,12 +1,14 @@
 import argparse
 import ast
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wcnn import cli
 from wcnn import data as D
+from wcnn import gradcheck as G
 from wcnn import model as M
 from wcnn import runconfig as RC
 from wcnn import train as TR
@@ -286,6 +288,25 @@ def test_eval_defaults_to_the_runs_k_fold_split(tmp_path, corpus, capsys, monkey
     assert evaluated == [manifest.records[i].path for i in held_out]
 
 
+@pytest.mark.parametrize("argv", [["--split", "3"], ["--k", "4"],
+                                  ["--policy", "by-split-column", "--k", "4"]],
+                         ids=["split-without-policy", "k-without-policy", "k-by-split-column"])
+def test_eval_rejects_split_options_that_cannot_apply(tmp_path, corpus, capsys, argv):
+    model = M.build(RC.model_config_from(RC.load_config(write_cfg(tmp_path, corpus))))
+    M.save_model(model, tmp_path / "m.wcnn")
+    rc = cli.main(["eval", str(tmp_path / "m.wcnn"), "--manifest", str(corpus / "manifest.tsv"),
+                   *argv, "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_train_rejects_k_outside_k_fold(tmp_path, corpus, capsys):
+    cfg = write_cfg(tmp_path, corpus, **{"data.k": 4})
+    rc = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "k applies to the k-fold policy only" in capsys.readouterr().err
+
+
 def test_eval_class_mismatch_exits_2(tmp_path, corpus, capsys):
     cfg = write_cfg(tmp_path, corpus)
     out = tmp_path / "run"
@@ -372,6 +393,22 @@ def test_gradcheck_cli(tmp_path, capsys):
     assert run("--seed", "5") != out
 
 
+def test_gradcheck_checks_the_model_its_keys_name(monkeypatch, capsys):
+    checked = []
+    monkeypatch.setattr(G, "layer_checks", lambda: [])
+    monkeypatch.setattr(G, "model_checks", lambda cfg, **_: checked.append(cfg) or [])
+    small, large = G.default_check_config(), M.WaveletCnnConfig(precision="f64")
+    for argv, want in [
+        ([], small),
+        (["--set", "train.epochs=3"], small),  # a key the check does not read
+        (["--seed", "5"], replace(small, init_seed=5)),
+        (["--set", "seed=5", "--set", "train.lr=0.1"], replace(small, init_seed=5)),
+        (["--set", "model.classes=4"], replace(large, num_classes=4)),
+    ]:
+        assert cli.main(["gradcheck", *argv]) == 0
+        assert checked.pop() == want, argv
+
+
 def _args_reads() -> dict[str, set[str]]:
     """For each function of the cli module, the `args.<dest>` it reads, itself or
     through a function of the module that it passes `args` to."""
@@ -434,6 +471,32 @@ def test_ablate_cli(tmp_path, corpus, capsys):
         assert lines[0] == "variant\tparams\tbest_test_acc"
         variants = {l.split("\t")[0]: int(l.split("\t")[1]) for l in lines[1:]}
         assert variants["ablated"] < variants["full"]
+
+
+@pytest.mark.parametrize("levels, message", [("2,3,1", "levels must be in [2, 5], got 1"),
+                                             ("2,6", "levels must be in [2, 5], got 6")])
+def test_levels_sweep_checks_every_run_before_training(tmp_path, corpus, capsys, monkeypatch,
+                                                       levels, message):
+    def train(*_):
+        raise AssertionError("a run trained before every run was checked")
+
+    monkeypatch.setattr(TR, "train", train)
+    cfg = write_cfg(tmp_path, corpus, **{"model.channels": "6,8,10,12,14"})
+    rc = cli.main(["levels-sweep", "--config", str(cfg), "--levels", levels,
+                   "--seeds", "2", "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_train_checks_its_configs_before_loading_images(tmp_path, corpus, capsys, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(D, "load_images", lambda *a: loaded.append(a) or [])
+    for key, value in [("model.levels", 7), ("train.epochs", 0)]:
+        cfg = write_cfg(tmp_path, corpus, **{key: value})
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert loaded == []
 
 
 def test_levels_sweep_cli(tmp_path, corpus, capsys):

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +283,61 @@ def test_conv2d_gradcheck_over_image_ranges(monkeypatch):
     assert len(rows) == 9
     for name, err in rows:
         assert err < 1e-5, f"{name}: {err:.2e}"
+
+
+LAYER_ROWS = [
+    "conv2d/x", "conv2d/weight", "conv2d/bias",
+    "conv2d-stride2/x", "conv2d-stride2/weight", "conv2d-stride2/bias",
+    "conv2d-stride2-odd/x", "conv2d-1x1/x", "conv2d-1x1/weight",
+    "average_pool/x", "relu/x",
+    "batch_norm-train/x", "batch_norm-train/gamma", "batch_norm-train/beta",
+    "batch_norm-eval/x", "global_average_pool/x",
+    "fully_connected/x", "fully_connected/weight", "fully_connected/bias",
+    "softmax_cross_entropy/logits", "sigmoid_bce/logits", "wavelet_decompose/x",
+    "concat_channels/a", "concat_channels/b", "scale/a",
+]
+
+
+def _recorded_op_names() -> set[str]:
+    """Every op name passed to `record(...)` in the library; an f-string name
+    such as `subbands_level{t}` is kept as its constant prefix plus `*`."""
+    names = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "wcnn").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "record":
+                continue
+            op = node.args[0]
+            names.add(op.value if isinstance(op, ast.Constant) else op.values[0].value + "*")
+    return names
+
+
+def test_every_tape_op_has_a_check_row(monkeypatch):
+    # `layers` imports `record` by name, so it is wrapped there too
+    recorded, real_record = set(), ad.record
+
+    def record(op, *rest):
+        recorded.add(op)
+        return real_record(op, *rest)
+
+    monkeypatch.setattr(ad, "record", record)
+    monkeypatch.setattr(L, "record", record)
+    G.layer_checks()
+    names = _recorded_op_names()
+    assert {"add", "conv2d", "concat_channels", "subbands_level*"} <= names
+    missing = [n for n in sorted(names) if not (
+        any(r.startswith(n[:-1]) for r in recorded) if n.endswith("*") else n in recorded)]
+    assert missing == []
+
+
+def test_layer_check_rows_one_backward_per_check(monkeypatch):
+    backwards, real_backward = [], ad.backward
+    monkeypatch.setattr(ad, "backward", lambda loss: backwards.append(loss) or real_backward(loss))
+    rows = G.layer_checks()
+    assert [name for name, _ in rows] == LAYER_ROWS
+    assert len(backwards) == len({name.split("/")[0] for name in LAYER_ROWS}) == 15
+    for name, err in rows:
+        assert err < 1e-6, f"{name}: {err:.2e}"
 
 
 # --- pooling ------------------------------------------------------------------
