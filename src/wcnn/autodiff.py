@@ -6,7 +6,10 @@ rank; the tape is this creation-ordered node sequence.  `backward()` replays
 the closures in exact reverse creation order, so gradient accumulation on
 fan-out is plain addition in recording order and 64-bit runs are
 bit-reproducible.  A gradient array may be shared by several nodes (`add`
-hands one to both parents), so none is ever written in place.
+hands one to both parents), so none is ever written in place.  Nor is a tape
+value between its forward and its backward: closures read their inputs
+(`conv2d` rebuilds its columns from its input).  A node's output gradient is
+dropped as soon as its closure has used it.
 
 Each forward pass supports exactly one backward pass: the closures (which
 hold the saved activations) are dropped once consumed, and reusing a spent
@@ -95,7 +98,7 @@ def backward(loss: Variable) -> list[Variable]:
     }
     touched: list[Variable] = []
     for node in order:
-        out_grad = buffers.get(id(node))
+        out_grad = buffers.pop(id(node), None)
         if out_grad is None:
             continue
         if node.requires_grad:

@@ -130,7 +130,8 @@ def _train_once(cfg: dict[str, str], checkpoint: Path | None):
     train_records = D.load_images(manifest, train_idx)
     test_records = D.load_images(manifest, test_idx)
     model = M.build(model_cfg)
-    if checkpoint is not None:
+    if checkpoint is not None:  # every check has passed, so the run may leave files
+        checkpoint.parent.mkdir(parents=True, exist_ok=True)
         train_cfg.checkpoint_path = str(checkpoint)
     report = TR.train(model, train_records, test_records, train_cfg)
     _embed_run_config(report, cfg)
@@ -139,7 +140,7 @@ def _train_once(cfg: dict[str, str], checkpoint: Path | None):
 
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     checkpoint = out / "best.wcnn"
     _, report = _train_once(cfg, checkpoint)
     (out / "report.tsv").write_text(report.to_text())
@@ -204,7 +205,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _merged_config(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     rows = [f"# config_hash = {RC.config_hash(cfg)}", "variant\tparams\tbest_test_acc"]
     for variant, ablated in (("full", "false"), ("ablated", "true")):
         model, report = _train_once({**cfg, "model.ablated": ablated},

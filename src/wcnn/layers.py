@@ -10,6 +10,10 @@ and the parameter records enforce that.
 `[n, c*k*k, ho*wo]`: the forward GEMM writes C-contiguous NCHW output and the
 input-gradient columns come out as contiguous per-tap blocks.  The columns of
 a 1x1 stride-1 kernel are a view of the (padded) input, so it is one GEMM.
+The columns are not kept: the forward builds them per image range for its
+GEMM and drops them, and the backward rebuilds them from the input, which
+the tape holds anyway, to form dW.  The rebuild is a strided copy; keeping
+them would hold about half of a 224-px training step's memory.
 A conv of `_SPLIT_FLOP` forward FLOPs or more runs one image range per CPU on a
 thread pool; every image's arithmetic is unchanged, so bits match at any CPU count.
 """
@@ -101,7 +105,10 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
 
     Output extent per axis is floor((in + 2*pad - k)/stride) + 1; with k=3,
     pad=1, stride=1 the spatial shape is preserved, with stride=2 it halves
-    (rounding up).
+    (rounding up).  The backward closure keeps x, not its columns: it rebuilds
+    each image range's columns from x for dW and drops them before the
+    input-gradient columns are allocated, so x must not change in place
+    before the backward.
     """
     xd = x.value.data
     if xd.ndim != 4:
@@ -120,32 +127,41 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"conv2d empty output for input {h}x{width}, k={kh}, pad={pad}")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3)
     ckk = c * kh * kw
-    direct = kh == 1 and s == 1  # the columns are the input, viewed (or copied) as is
-    cols = win.reshape(n, ckk, ho * wo) if direct else np.empty((n, ckk, ho * wo), xd.dtype)
+    direct = kh == 1 and s == 1  # the columns are the (padded) input, viewed as is
+
+    def columns(lo, hi):
+        """The unrolled columns [hi - lo, c*k*k, ho*wo] of images lo..hi-1."""
+        xs = xd[lo:hi]
+        if pad:
+            xs = np.zeros((hi - lo, c, h + 2 * pad, width + 2 * pad), xd.dtype)
+            xs[:, :, pad:pad + h, pad:pad + width] = xd[lo:hi]
+        win = sliding_window_view(xs, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+        win = win.transpose(0, 1, 4, 5, 2, 3)
+        if direct:
+            return win.reshape(hi - lo, ckk, ho * wo)
+        cols = np.empty((hi - lo, ckk, ho * wo), xd.dtype)
+        np.copyto(cols.reshape(win.shape), win)
+        return cols
+
     wmat = wd.reshape(o, ckk)
     y = np.empty((n, o, ho * wo), xd.dtype)
     flop = 2.0 * n * o * ckk * ho * wo
 
     def forward_range(lo, hi):
-        if not direct:
-            np.copyto(cols[lo:hi].reshape(win[lo:hi].shape), win[lo:hi])
-        np.matmul(wmat, cols[lo:hi], out=y[lo:hi])
+        np.matmul(wmat, columns(lo, hi), out=y[lo:hi])
         y[lo:hi] += bd[:, None]
 
     _over_images(n, flop, forward_range)
 
     def backward_fn(g):
-        nonlocal cols
         gm = g.reshape(n, o, ho * wo)
         db = g.sum(axis=(0, 2, 3))
         dws = np.empty((n, o, ckk), g.dtype)
         _over_images(n, flop, lambda lo, hi: np.matmul(
-            gm[lo:hi], cols[lo:hi].transpose(0, 2, 1), out=dws[lo:hi]))
+            gm[lo:hi], columns(lo, hi).transpose(0, 2, 1), out=dws[lo:hi]))
         dw = sum(dws).reshape(o, c, kh, kw)  # image by image, in order, as a serial loop adds
-        cols = dws = None  # spent; free them before the input-gradient columns are allocated
+        dws = None  # spent, like each range's columns; free it before the input-gradient columns
         if not x._live:
             return None, dw, db
         dcols = np.empty((n, c, kh, kw, ho, wo), g.dtype)

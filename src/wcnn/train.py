@@ -317,6 +317,7 @@ def train(model: M.Model, train_records: list[ImageRecord],
             if head == "softmax":
                 correct += int((logits.value.data.argmax(axis=1) == batch_targets).sum())
                 seen += len(batch_idx)
+            del logits, loss  # the graph's activations, freed before the next forward
 
         train_loss = float(np.mean(losses)) if losses else float("nan")
         train_acc = 100.0 * correct / seen if seen else float("nan")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,25 @@ def test_shared_gradient_array_is_never_written_in_place():
     t = ad.total(a)
     ad.backward(ad.add(t, t))
     assert np.array_equal(a.grad.data, [2.0, 2.0])
+
+
+def test_backward_drops_each_gradient_once_spent():
+    # along a chain only the gradient in hand and the one it produces are
+    # alive; keeping every spent one would hold one array per node
+    x = ad.Variable(Tensor(np.ones(1 << 17)), requires_grad=True)  # 1 MB
+    y = x
+    for _ in range(30):
+        y = ad.scale(y, 0.5)
+    loss = ad.total(y)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(x.grad.data == 0.5 ** 30)
+    assert peak - before < 4 * x.value.data.nbytes
 
 
 def test_gradient_errors_one_backward_for_every_leaf(monkeypatch):

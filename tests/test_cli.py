@@ -473,6 +473,18 @@ def test_ablate_cli(tmp_path, corpus, capsys):
         assert variants["ablated"] < variants["full"]
 
 
+@pytest.mark.parametrize("override", ["model.levels=7", "model.classes=5", "data.k=4"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_rejected_run_leaves_no_out_dir(tmp_path, corpus, capsys, command, override):
+    # a config check, the manifest's class count and a split option all fail
+    # before the run has anything to write
+    cfg = write_cfg(tmp_path, corpus)
+    out = tmp_path / "x"
+    assert cli.main([command, "--config", str(cfg), "--set", override, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("levels, message", [("2,3,1", "levels must be in [2, 5], got 1"),
                                              ("2,6", "levels must be in [2, 5], got 6")])
 def test_levels_sweep_checks_every_run_before_training(tmp_path, corpus, capsys, monkeypatch,

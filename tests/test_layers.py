@@ -205,22 +205,36 @@ def test_conv2d_1x1_is_a_plain_gemm_without_unrolling():
 
 
 def test_conv2d_backward_frees_columns_before_input_gradient():
-    # the unrolled columns are spent once dW is formed; holding them while the
-    # equally large input-gradient columns exist would double the peak
+    # the backward rebuilds the unrolled columns and drops them once dW is
+    # formed; holding them while the equally large input-gradient columns
+    # exist would double the peak, so two column-sized buffers never coexist
     x = var(np.ones((2, 16, 32, 32)), requires_grad=True)
     p = conv_params(np.ones((4, 16, 3, 3)), padding=1)
     cols_nbytes = 2 * 16 * 9 * 32 * 32 * 8
     tracemalloc.start()
     try:
-        y = L.conv2d(x, p)
-        g = np.ones(y.value.shape)
         before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        y._backward_fn(g)
+        y = L.conv2d(x, p)
+        y._backward_fn(np.ones(y.value.shape))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before < cols_nbytes // 2
+    assert peak - before < 1.5 * cols_nbytes
+
+
+def test_conv2d_forward_retains_no_columns():
+    # between forward and backward the tape holds y and the input, not the columns
+    x = var(np.ones((2, 16, 32, 32)), requires_grad=True)
+    p = conv_params(np.ones((4, 16, 3, 3)), padding=1)
+    cols_nbytes = 2 * 16 * 9 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = L.conv2d(x, p)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held - y.value.data.nbytes < 0.25 * cols_nbytes
 
 
 def _conv2d_serial(xd, wd, bd, s, pad, g):
