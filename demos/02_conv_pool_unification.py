@@ -39,6 +39,6 @@ chain = cnn_reduction(img, [np.outer(HAAR_LOWPASS, HAAR_LOWPASS)] * 3)
 pooled = Variable(img)
 for _ in range(3):
     pooled = average_pool(pooled, 2)
-gap = chain.data / pooled.value.data
+gap = chain.data / pooled.value
 print("\nlowpass chain / avg-pool chain (3 levels):",
       f"constant {gap.mean():.6f} (expected {2.0**3})")

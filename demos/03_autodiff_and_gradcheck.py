@@ -16,8 +16,8 @@ from wcnn.gradcheck import layer_checks
 x = Variable(Tensor([1.0, -4.0, 0.25]), requires_grad=True)
 loss = add(total(mul(x, x)), total(scale(x, 3.0)))
 backward(loss)
-print("x        :", x.value.data)
-print("gradient :", x.grad.data, "(expected 2x+3 =", 2 * x.value.data + 3, ")")
+print("x        :", x.value)
+print("gradient :", x.grad, "(expected 2x+3 =", 2 * x.value + 3, ")")
 
 # the same machinery, checked numerically
 err = finite_difference_check(

@@ -8,8 +8,8 @@ finite differences.
 
 Module map:
 
-- `tensor`    dense f32/f64 values (no arithmetic) and the little-endian
-              codec shared by WTNS1 files and WCNN1 checkpoints
+- `tensor`    the f32/f64 array contract, the transform's `Tensor` and the
+              little-endian codec shared by WTNS1 files and WCNN1 checkpoints
 - `autodiff`  tape-based reverse-mode differentiation, the shape-checked
               channel concatenation and the FD checker
 - `layers`    conv / batch norm / pooling / losses over the tape

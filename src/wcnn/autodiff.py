@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over tensor values.
+"""Reverse-mode automatic differentiation over array values.
 
 Forward evaluation is eager.  Every operation records a `Variable` node that
 remembers its parents and a backward closure, and carries a global creation
@@ -22,24 +22,24 @@ import itertools
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, as_array, tag
 
 _creation_rank = itertools.count()
 
 
 class Variable:
-    """A tensor value in the computation record.
+    """An f32/f64 array value (`tensor.as_array`) in the computation record.
 
-    `requires_grad` marks leaves whose gradient should be materialized; it is
-    populated as a `Tensor` of the same shape by `backward()`.
+    `requires_grad` marks leaves whose gradient should be materialized;
+    `backward()` sets `grad` to an array of the value's shape and dtype.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_backward_fn",
                  "_rank", "_live")
 
     def __init__(self, value, requires_grad: bool = False, name: str = ""):
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.grad: Tensor | None = None
+        self.value = as_array(value)
+        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._parents: tuple[Variable, ...] = ()
@@ -48,8 +48,8 @@ class Variable:
         self._live = self.requires_grad
 
     def __repr__(self) -> str:
-        tag = self.name or "var"
-        return f"Variable({tag}: {self.value!r}, requires_grad={self.requires_grad})"
+        return (f"Variable({self.name or 'var'}: {tag(self.value)}{list(self.value.shape)}, "
+                f"requires_grad={self.requires_grad})")
 
 
 def record(op: str, value, parents: tuple[Variable, ...], backward_fn) -> Variable:
@@ -94,7 +94,7 @@ def backward(loss: Variable) -> list[Variable]:
     order = sorted(visited.values(), key=lambda n: n._rank, reverse=True)
 
     buffers: dict[int, np.ndarray] = {
-        id(loss): np.ones(loss.value.shape, dtype=loss.value.data.dtype)
+        id(loss): np.ones(loss.value.shape, dtype=loss.value.dtype)
     }
     touched: list[Variable] = []
     for node in order:
@@ -102,7 +102,7 @@ def backward(loss: Variable) -> list[Variable]:
         if out_grad is None:
             continue
         if node.requires_grad:
-            node.grad = Tensor(out_grad)
+            node.grad = out_grad
             touched.append(node)
         if not node._parents:
             continue
@@ -123,7 +123,7 @@ def backward(loss: Variable) -> list[Variable]:
                 )
             buf = buffers.get(id(parent))
             g = g if buf is None else buf + g
-            buffers[id(parent)] = g.astype(parent.value.data.dtype, copy=False)
+            buffers[id(parent)] = g.astype(parent.value.dtype, copy=False)
     return touched
 
 
@@ -138,7 +138,7 @@ def add(a: Variable, b: Variable) -> Variable:
     a, b = _as_variable(a), _as_variable(b)
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-    value = a.value.data + b.value.data
+    value = a.value + b.value
     return record("add", value, (a, b), lambda g: (g, g))
 
 
@@ -146,21 +146,21 @@ def mul(a: Variable, b: Variable) -> Variable:
     a, b = _as_variable(a), _as_variable(b)
     if a.value.shape != b.value.shape:
         raise ShapeError(f"mul shape mismatch: {a.value.shape} vs {b.value.shape}")
-    ad, bd = a.value.data, b.value.data
+    ad, bd = a.value, b.value
     return record("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(a: Variable, s: float) -> Variable:
     a = _as_variable(a)
-    s = a.value.data.dtype.type(s)
-    return record("scale", a.value.data * s, (a,), lambda g: (g * s,))
+    s = a.value.dtype.type(s)
+    return record("scale", a.value * s, (a,), lambda g: (g * s,))
 
 
 def total(a: Variable) -> Variable:
     """Sum all elements into a scalar."""
     a = _as_variable(a)
-    shape, dt = a.value.shape, a.value.data.dtype
-    value = np.asarray(a.value.data.sum(), dtype=dt)
+    shape, dt = a.value.shape, a.value.dtype
+    value = np.asarray(a.value.sum(), dtype=dt)
     return record("total", value, (a,), lambda g: (np.full(shape, g.reshape(-1)[0], dtype=dt),))
 
 
@@ -178,9 +178,9 @@ def concat_channels(parts: list[Variable]) -> Variable:
             raise ShapeError(f"concat_channels expects NCHW parts, got rank {t.ndim}")
         if (t.shape[0],) + t.shape[2:] != (first.shape[0],) + first.shape[2:]:
             raise ShapeError(f"concat_channels spatial/batch mismatch: {first.shape} vs {t.shape}")
-        if t.data.dtype != first.data.dtype:
-            raise ShapeError(f"concat_channels dtype mismatch: {first.dtype} vs {t.dtype}")
-    value = np.concatenate([p.value.data for p in parts], axis=1)
+        if t.dtype != first.dtype:
+            raise ShapeError(f"concat_channels dtype mismatch: {tag(first)} vs {tag(t)}")
+    value = np.concatenate([p.value for p in parts], axis=1)
     sizes = [p.value.shape[1] for p in parts]
 
     def backward_fn(g):
@@ -218,8 +218,8 @@ def gradient_errors(loss, leaves: dict[str, Variable], coords, eps: float,
     backward(out)
     errors = {}
     for name, leaf in leaves.items():
-        flat = leaf.value.data.reshape(-1)
-        analytic = np.zeros(flat.size) if leaf.grad is None else leaf.grad.data.reshape(-1)
+        flat = leaf.value.reshape(-1)
+        analytic = np.zeros(flat.size) if leaf.grad is None else leaf.grad.reshape(-1)
         worst = 0.0
         for i in (coords or {}).get(name, range(flat.size)):
             keep = flat[i]
@@ -240,6 +240,6 @@ def gradient_errors(loss, leaves: dict[str, Variable], coords, eps: float,
 def finite_difference_check(f, x, eps: float = 1e-5, coords=None) -> float:
     """`gradient_errors` of the scalar function `f` of one leaf, a copy of `x`,
     over the flat indices `coords` (all by default), with the error floor 1e-12."""
-    leaf = Variable(Tensor(Tensor(x).data.copy()), requires_grad=True, name="fd-probe")
+    leaf = Variable(as_array(x).copy(), requires_grad=True, name="fd-probe")
     return gradient_errors(lambda: f(leaf), {"x": leaf}, None if coords is None else {"x": coords},
                            eps, floor=1e-12)["x"]

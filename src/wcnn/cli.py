@@ -26,7 +26,7 @@ from . import train as TR
 from . import wavelet as W
 from . import runconfig as RC
 from .schema import get_value, to_items
-from .tensor import ShapeError, Tensor, save_wtns
+from .tensor import ShapeError, Tensor, as_array, save_wtns
 
 USAGE_ERRORS = (RC.ConfigError, ShapeError, D.ManifestError, D.PnmError,
                 M.CheckpointError, FileNotFoundError)
@@ -86,7 +86,7 @@ def cmd_decompose(args) -> int:
     if not 1 <= levels <= M.MAX_LEVELS:
         raise RC.ConfigError(f"levels must be in 1..{M.MAX_LEVELS}, got {levels}")
     pixels = D.load_pnm(args.image)
-    image = Tensor(pixels[None], dtype=args.precision)
+    image = as_array(pixels[None], args.precision)
     pyramid = W.decompose(image, levels)
     out = _out_dir(args)
     stem = Path(args.image).stem
@@ -105,8 +105,8 @@ def cmd_decompose(args) -> int:
         print(name)
     if args.verify:
         back = W.reconstruct(pyramid)
-        denom = max(float(np.abs(image.data).max()), 1e-30)
-        err = float(np.abs(back.data - image.data).max()) / denom
+        denom = max(float(np.abs(image).max()), 1e-30)
+        err = float(np.abs(back.data - image).max()) / denom
         print(f"max_reconstruction_error\t{err:.3e}")
     return 0
 
@@ -184,6 +184,8 @@ def cmd_param_count(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.coords_per_param < 1:
         raise RC.ConfigError(f"--coords-per-param must be >= 1, got {args.coords_per_param}")
+    if not 0 < args.tolerance < float("inf"):
+        raise RC.ConfigError(f"--tolerance must be finite and positive, got {args.tolerance}")
     cfg = _merged_config(args)
     # the built-in check model unless the config describes one: a 224-px model takes hours
     describes_model = any(key.startswith("model.") for key in cfg)

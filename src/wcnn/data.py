@@ -179,7 +179,7 @@ def make_splits(manifest: DatasetManifest, policy: str,
     leave-one-group-in: each group in turn is the (small) training set, the
     rest is for testing.
     k-fold: seeded shuffle into k folds, each the test set once; only this
-    policy takes `k`.
+    policy takes `k`, and it needs the `seed`.
     """
     if k is not None and policy != "k-fold":
         raise ManifestError(f"k applies to the k-fold policy only, not to {policy!r}")
@@ -206,6 +206,8 @@ def make_splits(manifest: DatasetManifest, policy: str,
     if policy == "k-fold":
         if not k or k < 2 or k > n:
             raise ManifestError(f"k-fold policy needs 2 <= k <= {n}, got {k}")
+        if seed is None:
+            raise ManifestError("k-fold policy needs a seed to draw its folds")
         rng = np.random.default_rng(seed)
         order = rng.permutation(n)
         folds = [sorted(order[f::k].tolist()) for f in range(k)]

@@ -16,13 +16,12 @@ from . import autodiff as ad
 from . import layers as L
 from . import model as M
 from . import wavelet as W
-from .tensor import Tensor
 
 EPS = 1e-5
 
 
 def _v(arr, requires_grad=False):
-    return ad.Variable(Tensor(np.array(arr, dtype=np.float64)), requires_grad=requires_grad)
+    return ad.Variable(np.array(arr, dtype=np.float64), requires_grad=requires_grad)
 
 
 def _weigh(out, r):
@@ -125,8 +124,8 @@ def model_checks(config: M.WaveletCnnConfig | None = None, *, input_stride: int,
     rng = np.random.default_rng(99)
     x0 = rng.standard_normal((1, config.input_channels, config.input_size, config.input_size))
     labels = np.array([1])
-    r_logits = ad.Variable(Tensor(rng.standard_normal((1, config.num_classes))))
-    leaves = {"input": ad.Variable(Tensor(x0), requires_grad=True), **model.params}
+    r_logits = ad.Variable(rng.standard_normal((1, config.num_classes)))
+    leaves = {"input": ad.Variable(x0, requires_grad=True), **model.params}
     coords = {"input": range(0, x0.size, input_stride)}
     for name, p in model.params.items():
         picks = rng.integers(0, p.value.size, size=min(coords_per_param, p.value.size))

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Variable, record
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, tag
 
 _SPLIT_FLOP = 5e7  # two ranges lost to hand-off below about 2e7, won 1.4-2.2x above 5e7
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -75,8 +75,8 @@ class BatchNormParams:
 
     gamma: Variable
     beta: Variable
-    running_mean: Tensor = None
-    running_var: Tensor = None
+    running_mean: np.ndarray = None
+    running_var: np.ndarray = None
     epsilon: float = 1e-5
     momentum: float = 0.1
 
@@ -86,17 +86,17 @@ class BatchNormParams:
         if self.beta.value.shape != (c,):
             raise ShapeError("batch norm gamma/beta shape mismatch")
         if self.running_mean is None:
-            self.running_mean = Tensor(np.zeros(c), dtype=dt)
+            self.running_mean = np.zeros(c, dt)
         if self.running_var is None:
-            self.running_var = Tensor(np.ones(c), dtype=dt)
+            self.running_var = np.ones(c, dt)
         for stat in (self.running_mean, self.running_var):
             if stat.shape != (c,) or stat.dtype != dt:
-                raise ShapeError(f"batch norm running statistic {stat!r}, expected {dt}[{c}]")
+                raise ShapeError(f"batch norm running statistics must be {dt}[{c}]")
         if self.epsilon <= 0:
             raise ShapeError("batch norm epsilon must be positive")
         if not 0.0 < self.momentum < 1.0:
             raise ShapeError("batch norm momentum must lie in (0, 1)")
-        if np.any(self.running_var.data < 0):
+        if np.any(self.running_var < 0):
             raise ShapeError("batch norm running variance must be non-negative")
 
 
@@ -110,17 +110,17 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
     input-gradient columns are allocated, so x must not change in place
     before the backward.
     """
-    xd = x.value.data
+    xd = x.value
     if xd.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input, got rank {xd.ndim}")
     w, b = p.weight, p.bias
-    wd, bd = w.value.data, b.value.data
+    wd, bd = w.value, b.value
     n, c, h, width = xd.shape
     o, cw, kh, kw = wd.shape
     if c != cw:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {cw}")
     if wd.dtype != xd.dtype:
-        raise ShapeError(f"conv2d dtype mismatch: input {x.value.dtype}, weight {w.value.dtype}")
+        raise ShapeError(f"conv2d dtype mismatch: input {tag(xd)}, weight {tag(wd)}")
     s, pad = p.stride, p.padding
     ho = (h + 2 * pad - kh) // s + 1
     wo = (width + 2 * pad - kw) // s + 1
@@ -182,7 +182,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
 
 def average_pool(x: Variable, p: int) -> Variable:
     """Mean over non-overlapping p x p blocks; spatial extents must divide by p."""
-    xd = x.value.data
+    xd = x.value
     if xd.ndim != 4:
         raise ShapeError(f"average_pool expects NCHW input, got rank {xd.ndim}")
     if p < 1:
@@ -200,7 +200,7 @@ def average_pool(x: Variable, p: int) -> Variable:
 
 
 def relu(x: Variable) -> Variable:
-    xd = x.value.data
+    xd = x.value
     mask = xd > 0
     return record("relu", np.maximum(xd, 0), (x,), lambda g: (g * mask,))
 
@@ -215,11 +215,11 @@ def batch_norm(x: Variable, p: BatchNormParams, mode: str) -> Variable:
     """
     if mode not in ("train", "eval"):
         raise ShapeError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    xd = x.value.data
+    xd = x.value
     if xd.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got rank {xd.ndim}")
     gamma, beta = p.gamma, p.beta
-    gd, bd = gamma.value.data, beta.value.data
+    gd, bd = gamma.value, beta.value
     n, c, h, w = xd.shape
     if gd.shape[0] != c:
         raise ShapeError(f"batch_norm channel mismatch: input {c}, params {gd.shape[0]}")
@@ -230,10 +230,10 @@ def batch_norm(x: Variable, p: BatchNormParams, mode: str) -> Variable:
             raise ShapeError("batch_norm train mode needs batch*height*width > 1 per channel")
         mu, var = xd.mean(axis=(0, 2, 3)), xd.var(axis=(0, 2, 3))
         mom = xd.dtype.type(p.momentum)
-        p.running_mean = Tensor((1 - mom) * p.running_mean.data + mom * mu)
-        p.running_var = Tensor((1 - mom) * p.running_var.data + mom * var)
+        p.running_mean = (1 - mom) * p.running_mean + mom * mu
+        p.running_var = (1 - mom) * p.running_var + mom * var
     else:
-        mu, var = p.running_mean.data, p.running_var.data
+        mu, var = p.running_mean, p.running_var
     inv = 1.0 / np.sqrt(var + xd.dtype.type(p.epsilon))
     xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
     y = gd[None, :, None, None] * xhat + bd[None, :, None, None]
@@ -256,7 +256,7 @@ def batch_norm(x: Variable, p: BatchNormParams, mode: str) -> Variable:
 
 def global_average_pool(x: Variable) -> Variable:
     """Spatial mean per channel: [N, C, H, W] -> [N, C]."""
-    xd = x.value.data
+    xd = x.value
     if xd.ndim != 4:
         raise ShapeError(f"global_average_pool expects NCHW input, got rank {xd.ndim}")
     n, c, h, w = xd.shape
@@ -270,7 +270,7 @@ def global_average_pool(x: Variable) -> Variable:
 
 def fully_connected(x: Variable, weight: Variable, bias: Variable) -> Variable:
     """Affine map [batch, d] @ [d, classes] + [classes]."""
-    xd, wd, bd = x.value.data, weight.value.data, bias.value.data
+    xd, wd, bd = x.value, weight.value, bias.value
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
         raise ShapeError(f"fully_connected shape mismatch: x {xd.shape}, weight {wd.shape}")
     if bd.shape != (wd.shape[1],):
@@ -289,7 +289,7 @@ def softmax_cross_entropy(logits: Variable, labels) -> Variable:
     Computed with max-subtraction stabilization; `labels` is an integer array
     of class indices in [0, classes).
     """
-    z = logits.value.data
+    z = logits.value
     if z.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy expects [batch, classes], got {z.shape}")
     labels = np.asarray(labels)
@@ -317,7 +317,7 @@ def sigmoid_bce_multilabel(logits: Variable, targets) -> Variable:
 
     `targets` is a {0,1} array of shape [batch, classes].
     """
-    z = logits.value.data
+    z = logits.value
     targets = np.asarray(targets, dtype=z.dtype)
     if targets.shape != z.shape:
         raise ShapeError(f"targets shape {targets.shape} != logits shape {z.shape}")

@@ -31,7 +31,8 @@ from . import layers as L
 from . import wavelet as W
 from .schema import ConfigError, field_keys, from_items, parse_config_text, to_items
 from .seeding import INIT, stream_rng
-from .tensor import DTYPES, ShapeError, Tensor, decode, encode, parse_shape_fields, shape_fields
+from .tensor import (DTYPES, ShapeError, as_array, decode, encode, parse_shape_fields,
+                     shape_fields, tag)
 
 DEFAULT_CHANNELS = (64, 128, 256, 512, 512)
 MAX_LEVELS = 5
@@ -97,6 +98,10 @@ class WaveletCnnConfig:
             raise ShapeError("proj_fraction must lie in (0, 1]")
         if self.precision not in DTYPES:
             raise ShapeError(f"precision must be one of {sorted(DTYPES)}")
+        if self.embedding_dim < 0:
+            raise ShapeError(f"embedding_dim must be >= 0, got {self.embedding_dim}")
+        if self.init_seed < 0:
+            raise ShapeError(f"seed must be >= 0, got {self.init_seed}")
 
 
 @dataclass
@@ -110,7 +115,7 @@ class Model:
     def dtype(self) -> str:
         return self.config.precision
 
-    def buffers(self) -> dict[str, Tensor]:
+    def buffers(self) -> dict[str, np.ndarray]:
         out = {}
         for name, (_, bn) in self.blocks.items():
             out[f"{name}.bn.running_mean"] = bn.running_mean
@@ -119,7 +124,7 @@ class Model:
 
 
 def _param(model: Model, name: str, value) -> ad.Variable:
-    v = ad.Variable(Tensor(value, dtype=model.dtype), requires_grad=True, name=name)
+    v = ad.Variable(as_array(value, model.dtype), requires_grad=True, name=name)
     model.params[name] = v
     return v
 
@@ -203,8 +208,8 @@ def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
     expected = (cfg.input_channels, cfg.input_size, cfg.input_size)
     if len(shape) != 4 or shape[1:] != expected:
         raise ShapeError(f"batch shape {shape} does not match config {('N',) + expected}")
-    if x.value.dtype != cfg.precision:
-        raise ShapeError(f"batch dtype {x.value.dtype} != model precision {cfg.precision}")
+    if tag(x.value) != cfg.precision:
+        raise ShapeError(f"batch dtype {tag(x.value)} != model precision {cfg.precision}")
     if mode not in ("train", "eval"):
         raise ShapeError(f"mode must be 'train' or 'eval', got {mode!r}")
 
@@ -267,7 +272,7 @@ class CheckpointError(ValueError):
 
 
 def save_model(model: Model, path) -> None:
-    entries: list[tuple[str, str, Tensor]] = []
+    entries: list[tuple[str, str, np.ndarray]] = []
     for name, v in model.params.items():
         entries.append((name, "param", v.value))
     for name, t in model.buffers().items():
@@ -343,13 +348,13 @@ def load_model(path, precision: str | None = None) -> Model:
     except (ConfigError, ShapeError) as e:
         raise CheckpointError(f"{path}: {e}") from None
 
-    def restore(name: str, like: Tensor) -> Tensor:
+    def restore(name: str, like: np.ndarray) -> np.ndarray:
         if name not in stored:
             raise CheckpointError(f"{path}: missing {name}")
         arr = stored[name]
         if arr.shape != like.shape:
             raise CheckpointError(f"{path}: {name} has shape {arr.shape}, expected {like.shape}")
-        return Tensor(arr.astype(DTYPES[config.precision], copy=False))
+        return arr.astype(DTYPES[config.precision], copy=False)
 
     for name, v in model.params.items():
         v.value = restore(name, v.value)

@@ -5,17 +5,19 @@ configuration and the WCNN1 checkpoint config block.  A config dataclass is
 its own schema: each field's key derives from its name, and each value is
 parsed by the type of the field's default (bool, tuple of ints, int, float,
 str).  An absent or empty value keeps the default, so every default is written
-once, in the dataclass.  A value that does not parse raises `ConfigError`.
+once, in the dataclass.  A value that does not parse, or a float that is NaN
+or infinite, raises `ConfigError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 _EXPECTED = {bool: "a boolean", tuple: "comma-separated integers", int: "an integer",
-             float: "a number"}
+             float: "a finite number"}
 
 
 class ConfigError(ValueError):
@@ -51,7 +53,10 @@ def get_value(items: dict[str, str], key: str, default):
             return _BOOLS[raw.lower()]
         if isinstance(default, tuple):
             return tuple(int(v) for v in raw.split(",") if v.strip())
-        return type(default)(raw)
+        value = type(default)(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     except (KeyError, ValueError):
         raise ConfigError(f"{key}: expected {_EXPECTED[type(default)]}, got {raw!r}") from None
 

@@ -1,15 +1,13 @@
-"""Dense tensor values and the raw tensor codec.
+"""The value contract, the transform's `Tensor` type and the raw tensor codec.
 
-Every value flowing through the library is a `Tensor`: a dense N-dimensional
-array (N <= 4) of float32 or float64 scalars, tagged "f32"/"f64".  Images use
-the NCHW layout [batch, channel, height, width].
-
-There is no arithmetic here: the network computes on the tape (`autodiff`,
-`layers`).
-
-Tensors are immutable from the caller's point of view; operations return new
-tensors.  The only sanctioned in-place mutation is the optimizer's parameter
-update, which owns its arrays.
+A value is a dense numpy array of rank at most 4 holding float32 or float64
+scalars, tagged "f32"/"f64" in text (`tag`); images are NCHW [batch,
+channel, height, width].  `as_array` checks that contract in one place: for
+the tape's values, the model's parameters and batches, and `Tensor`, which
+wraps one array as the value type of the transform and WTNS1 API.  There is
+no arithmetic here: the network computes on the tape (`autodiff`, `layers`).
+Values are not written in place, except by the optimizer's parameter update,
+which owns its arrays.
 
 One little-endian codec (`shape_fields`/`parse_shape_fields`,
 `encode`/`decode`) is the payload encoding of both WTNS1 tensor files and
@@ -32,47 +30,45 @@ class ShapeError(ValueError):
     """Raised on shape, dtype, or index contract violations."""
 
 
+def as_array(data, dtype: str | None = None) -> np.ndarray:
+    """`data` (array-like or `Tensor`) as an f32/f64 array of rank at most 4.
+
+    With a `dtype` tag the array is cast to it; without one an f32/f64 array
+    passes as is and anything else becomes f64.
+    """
+    if isinstance(data, Tensor):
+        data = data.data
+    if dtype is not None:
+        if dtype not in DTYPES:
+            raise ShapeError(f"unknown dtype tag {dtype!r}; expected one of {sorted(DTYPES)}")
+        arr = np.asarray(data, dtype=DTYPES[dtype])
+    else:
+        arr = np.asarray(data)
+        if arr.dtype not in _TAG_OF:
+            arr = arr.astype(np.float64)
+    if arr.ndim > MAX_NDIM:
+        raise ShapeError(f"tensor rank {arr.ndim} exceeds maximum {MAX_NDIM}")
+    return arr
+
+
+def tag(arr: np.ndarray) -> str:
+    """The "f32"/"f64" tag of an f32/f64 array."""
+    return _TAG_OF[arr.dtype]
+
+
 class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data, dtype: str | None = None):
-        if isinstance(data, Tensor):
-            data = data.data
-        if dtype is not None:
-            if dtype not in DTYPES:
-                raise ShapeError(f"unknown dtype tag {dtype!r}; expected one of {sorted(DTYPES)}")
-            arr = np.asarray(data, dtype=DTYPES[dtype])
-        else:
-            arr = np.asarray(data)
-            if arr.dtype not in _TAG_OF:
-                arr = arr.astype(np.float64)
-        if arr.ndim > MAX_NDIM:
-            raise ShapeError(f"tensor rank {arr.ndim} exceeds maximum {MAX_NDIM}")
-        self.data = arr
+        self.data = as_array(data, dtype)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self) -> str:
-        return _TAG_OF[self.data.dtype]
-
-    def item(self) -> float:
-        if self.size != 1:
-            raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
-    def tolist(self):
-        return self.data.tolist()
+        return tag(self.data)
 
     def __repr__(self) -> str:
         dims = ",".join(str(d) for d in self.shape)
@@ -87,9 +83,9 @@ class Tensor:
 _LE = {"f32": "<f4", "f64": "<f8"}
 
 
-def shape_fields(t: Tensor) -> str:
-    """The `<dtype> <ndim> <d0> <d1> ...` fields describing `t`."""
-    return " ".join([t.dtype, str(t.ndim), *map(str, t.shape)])
+def shape_fields(arr: np.ndarray) -> str:
+    """The `<dtype> <ndim> <d0> <d1> ...` fields describing `arr`."""
+    return " ".join([tag(arr), str(arr.ndim), *map(str, arr.shape)])
 
 
 def parse_shape_fields(fields: list[str]) -> tuple[str, tuple[int, ...]]:
@@ -106,8 +102,8 @@ def parse_shape_fields(fields: list[str]) -> tuple[str, tuple[int, ...]]:
     return fields[0], tuple(int(d) for d in fields[2:])
 
 
-def encode(t: Tensor) -> bytes:
-    return t.data.astype(_LE[t.dtype]).tobytes()
+def encode(arr: np.ndarray) -> bytes:
+    return arr.astype(_LE[tag(arr)]).tobytes()
 
 
 def decode(buf: bytes, dtype: str, shape: tuple[int, ...], offset: int) -> np.ndarray:
@@ -129,8 +125,8 @@ _WTNS_MAGIC = "WTNS1"
 
 def save_wtns(path, t: Tensor) -> None:
     with open(path, "wb") as fh:
-        fh.write(f"{_WTNS_MAGIC} {shape_fields(t)}\n".encode("ascii"))
-        fh.write(encode(t))
+        fh.write(f"{_WTNS_MAGIC} {shape_fields(t.data)}\n".encode("ascii"))
+        fh.write(encode(t.data))
 
 
 def load_wtns(path) -> Tensor:

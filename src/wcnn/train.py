@@ -25,7 +25,7 @@ from . import metrics as X
 from . import model as M
 from .data import ImageRecord
 from .seeding import AUGMENT, SHUFFLE, stream_rng
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, as_array
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -69,6 +69,12 @@ class TrainConfig:
             raise ShapeError("eval_every must be >= 1")
         if self.lr_decay_every < 0 or not 0 < self.lr_decay_factor <= 1:
             raise ShapeError("lr decay needs every >= 0 and factor in (0, 1]")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ShapeError("Adam beta1 and beta2 must lie in [0, 1)")
+        if self.adam_epsilon <= 0:
+            raise ShapeError("Adam epsilon must be positive")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_resize(self, input_size: int) -> int:
         return self.resize_to if self.resize_to else input_size * 256 // 224
@@ -105,7 +111,7 @@ def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
     """
     grads: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        g = np.zeros_like(p.value.data) if p.grad is None else p.grad.data
+        g = np.zeros_like(p.value) if p.grad is None else p.grad
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(name)
         grads[name] = g
@@ -117,11 +123,11 @@ def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
     correct2 = 1.0 - b2**t
     for name, p in params.items():
         g = grads[name]
-        dt = p.value.data.dtype
+        dt = p.value.dtype
         m = state.m.get(name)
         if m is None:
-            m = state.m[name] = np.zeros_like(p.value.data)
-            state.v[name] = np.zeros_like(p.value.data)
+            m = state.m[name] = np.zeros_like(p.value)
+            state.v[name] = np.zeros_like(p.value)
         v = state.v[name]
         m *= b1
         m += (1 - b1) * g
@@ -129,7 +135,7 @@ def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
         v += (1 - b2) * g * g
         m_hat = m / correct1
         v_hat = v / correct2
-        p.value.data -= dt.type(state.lr) * m_hat / (np.sqrt(v_hat) + dt.type(state.epsilon))
+        p.value -= dt.type(state.lr) * m_hat / (np.sqrt(v_hat) + dt.type(state.epsilon))
 
 
 # --- preprocessing -------------------------------------------------------------
@@ -224,10 +230,6 @@ def _prepare(img: np.ndarray, input_size: int) -> np.ndarray:
     return global_contrast_normalization(img)
 
 
-def _batch_tensor(images: list[np.ndarray], dtype: str) -> Tensor:
-    return Tensor(np.stack(images), dtype=dtype)
-
-
 def _targets(records: list[ImageRecord], head: str, num_classes: int):
     if head == "softmax":
         for r in records:
@@ -296,7 +298,7 @@ def train(model: M.Model, train_records: list[ImageRecord],
                     rng = stream_rng(cfg.seed, AUGMENT, epoch, int(i))
                     img = augment(img, rng, resize_to, input_size, cfg.flip)
                 images.append(_prepare(img, input_size))
-            batch = _batch_tensor(images, mcfg.precision)
+            batch = as_array(np.stack(images), mcfg.precision)
             logits = M.forward(model, batch, mode="train")
             batch_targets = targets[batch_idx]
             if head == "softmax":
@@ -315,7 +317,7 @@ def train(model: M.Model, train_records: list[ImageRecord],
                 p.grad = None
             losses.append(loss_value)
             if head == "softmax":
-                correct += int((logits.value.data.argmax(axis=1) == batch_targets).sum())
+                correct += int((logits.value.argmax(axis=1) == batch_targets).sum())
                 seen += len(batch_idx)
             del logits, loss  # the graph's activations, freed before the next forward
 
@@ -360,8 +362,8 @@ def evaluate(model: M.Model, records: list[ImageRecord], batch_size: int = 32) -
     for at in range(0, len(records), batch_size):
         chunk = records[at:at + batch_size]
         images = [_prepare(r.pixels, mcfg.input_size) for r in chunk]
-        logits = M.forward(model, _batch_tensor(images, mcfg.precision), mode="eval")
-        outputs.append(logits.value.data)
+        logits = M.forward(model, as_array(np.stack(images), mcfg.precision), mode="eval")
+        outputs.append(logits.value)
     logits = np.concatenate(outputs, axis=0)
 
     if mcfg.head == "softmax":

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, as_array
 
 _S = 1.0 / float(np.sqrt(2.0))
 
@@ -76,8 +76,8 @@ def generalized_conv_pool(x, kernel, p: int) -> Tensor:
     average pooling; a composite kernel w*p reproduces convolution followed
     by pooling.
     """
-    x = Tensor(x)
-    k = np.asarray(kernel, dtype=x.data.dtype)
+    x = as_array(x)
+    k = np.asarray(kernel, dtype=x.dtype)
     if k.ndim not in (1, 2):
         raise ShapeError(f"kernel must be 1-D or 2-D, got rank {k.ndim}")
     if x.ndim < k.ndim:
@@ -88,7 +88,7 @@ def generalized_conv_pool(x, kernel, p: int) -> Tensor:
     if any(n < o for n, o in zip(extent, k.shape)):
         raise ShapeError(f"input extent {extent} smaller than kernel {k.shape}")
     axes = tuple(range(-k.ndim, 0))
-    win = np.lib.stride_tricks.sliding_window_view(x.data, k.shape, axis=axes)
+    win = np.lib.stride_tricks.sliding_window_view(x, k.shape, axis=axes)
     y = win @ k if k.ndim == 1 else np.einsum("...ij,ij->...", win, k)
     return Tensor(np.ascontiguousarray(y[(Ellipsis, *[slice(None, None, p)] * k.ndim)]))
 
@@ -145,9 +145,9 @@ def _analyses(x: np.ndarray, levels: int):
 
 def decompose(image, levels: int) -> SubbandPyramid:
     """Recursive analysis: split off detail triples, recurse on the low band."""
-    image = Tensor(image)
+    image = as_array(image)
     detail: list[tuple[Tensor, Tensor, Tensor]] = []
-    for low, lh, hl, hh in _analyses(image.data, levels):
+    for low, lh, hl, hh in _analyses(image, levels):
         detail.append((Tensor(lh), Tensor(hl), Tensor(hh)))
     return SubbandPyramid(detail, Tensor(low), image.shape)
 
@@ -199,7 +199,7 @@ def decompose_variables(x: ad.Variable, levels: int) -> list[ad.Variable]:
     c = x.value.shape[1]
 
     stacks: list[ad.Variable] = []
-    for t, (_, lh, hl, hh) in enumerate(_analyses(x.value.data, levels), start=1):
+    for t, (_, lh, hl, hh) in enumerate(_analyses(x.value, levels), start=1):
         stack = np.concatenate([lh, hl, hh], axis=1)
 
         def backward_fn(g, t=t):

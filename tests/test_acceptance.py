@@ -81,7 +81,7 @@ def test_acceptance_2_conv_pool_equivalence():
             pooled = ad.Variable(Tensor(x))
             for _ in range(levels):
                 pooled = L.average_pool(pooled, 2)
-            worst_chain = max(worst_chain, rel(chain.data, 2.0**levels * pooled.value.data))
+            worst_chain = max(worst_chain, rel(chain.data, 2.0**levels * pooled.value))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
     assert worst_chain < 1e-10
@@ -294,9 +294,9 @@ def test_acceptance_9_format_roundtrips(tmp_path):
     M.save_model(model, tmp_path / "m.wcnn")
     loaded = M.load_model(tmp_path / "m.wcnn")
     for name in model.params:
-        assert np.array_equal(loaded.params[name].value.data, model.params[name].value.data)
+        assert np.array_equal(loaded.params[name].value, model.params[name].value)
     for name, buf in model.buffers().items():
-        assert np.array_equal(loaded.buffers()[name].data, buf.data)
+        assert np.array_equal(loaded.buffers()[name], buf)
 
     for channels, maxval in ((1, 255), (3, 255), (1, 65535), (3, 65535)):
         quantized = rng.integers(0, maxval + 1, size=(channels, 5, 4)) / maxval

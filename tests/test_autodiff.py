@@ -12,14 +12,14 @@ def test_sum_gradient_is_ones():
     loss = ad.total(x)
     leaves = ad.backward(loss)
     assert leaves == [x]
-    assert np.array_equal(x.grad.data, np.ones((2, 2)))
+    assert np.array_equal(x.grad, np.ones((2, 2)))
 
 
 def test_elementwise_square_gradient():
     x = ad.Variable(Tensor([1.0, 2.0]), requires_grad=True)
     loss = ad.total(ad.mul(x, x))
     ad.backward(loss)
-    assert np.array_equal(x.grad.data, np.array([2.0, 4.0]))
+    assert np.array_equal(x.grad, np.array([2.0, 4.0]))
 
 
 def test_fanout_gradients_sum():
@@ -27,7 +27,7 @@ def test_fanout_gradients_sum():
     x = ad.Variable(Tensor([1.0, -4.0, 0.25]), requires_grad=True)
     loss = ad.add(ad.total(ad.mul(x, x)), ad.total(ad.scale(x, 3.0)))
     ad.backward(loss)
-    assert np.allclose(x.grad.data, 2 * x.value.data + 3, rtol=0, atol=0)
+    assert np.allclose(x.grad, 2 * x.value + 3, rtol=0, atol=0)
 
 
 def test_backward_requires_scalar_loss():
@@ -58,7 +58,7 @@ def test_no_flow_into_frozen_leaves():
     loss = ad.total(ad.mul(x, frozen))
     ad.backward(loss)
     assert frozen.grad is None
-    assert np.array_equal(x.grad.data, frozen.value.data)
+    assert np.array_equal(x.grad, frozen.value)
 
 
 def _random_graph_grad(seed):
@@ -68,7 +68,7 @@ def _random_graph_grad(seed):
     z = ad.add(ad.mul(x, y), ad.scale(x, -0.5))
     loss = ad.add(ad.total(ad.mul(z, z)), ad.total(y))
     ad.backward(loss)
-    return x.grad.data.copy(), y.grad.data.copy()
+    return x.grad.copy(), y.grad.copy()
 
 
 def test_deterministic_gradients():
@@ -83,12 +83,12 @@ def test_concat_channels_and_offsets():
     b = ad.Variable(Tensor(np.arange(8.0).reshape(1, 2, 2, 2) + 10))
     c = ad.concat_channels([a, b]).value
     assert c.shape == (1, 3, 2, 2)
-    assert np.array_equal(c.data[:, :1], a.value.data)
-    assert np.array_equal(c.data[:, 1:], b.value.data)
+    assert np.array_equal(c[:, :1], a.value)
+    assert np.array_equal(c[:, 1:], b.value)
 
     single = ad.concat_channels([a]).value
-    assert np.array_equal(single.data, a.value.data)
-    assert single.data is not a.value.data
+    assert np.array_equal(single, a.value)
+    assert single is not a.value
 
     with pytest.raises(ShapeError, match="spatial/batch mismatch"):
         ad.concat_channels([a, Tensor(np.zeros((1, 1, 3, 2)))])
@@ -111,8 +111,8 @@ def test_concat_channels_backward_splits():
     w = Tensor(rng.standard_normal((1, 5, 2, 2)))
     loss = ad.total(ad.mul(cat, ad.Variable(w)))
     ad.backward(loss)
-    assert np.array_equal(a.grad.data, w.data[:, :2])
-    assert np.array_equal(b.grad.data, w.data[:, 2:])
+    assert np.array_equal(a.grad, w.data[:, :2])
+    assert np.array_equal(b.grad, w.data[:, 2:])
 
 
 def test_shared_gradient_array_is_never_written_in_place():
@@ -121,12 +121,12 @@ def test_shared_gradient_array_is_never_written_in_place():
     a = ad.Variable(Tensor([1.0, 2.0]), requires_grad=True)
     b = ad.Variable(Tensor([3.0, 4.0]), requires_grad=True)
     ad.backward(ad.total(ad.add(ad.add(a, b), a)))
-    assert np.array_equal(a.grad.data, [2.0, 2.0])
-    assert np.array_equal(b.grad.data, [1.0, 1.0])
+    assert np.array_equal(a.grad, [2.0, 2.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
     # the same on a scalar node that fans out
     t = ad.total(a)
     ad.backward(ad.add(t, t))
-    assert np.array_equal(a.grad.data, [2.0, 2.0])
+    assert np.array_equal(a.grad, [2.0, 2.0])
 
 
 def test_backward_drops_each_gradient_once_spent():
@@ -144,15 +144,15 @@ def test_backward_drops_each_gradient_once_spent():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.all(x.grad.data == 0.5 ** 30)
-    assert peak - before < 4 * x.value.data.nbytes
+    assert np.all(x.grad == 0.5 ** 30)
+    assert peak - before < 4 * x.value.nbytes
 
 
 def test_gradient_errors_one_backward_for_every_leaf(monkeypatch):
     rng = np.random.default_rng(3)
     leaves = {name: ad.Variable(Tensor(rng.standard_normal(3)), requires_grad=True)
               for name in ("a", "b")}
-    before = {name: v.value.data.copy() for name, v in leaves.items()}
+    before = {name: v.value.copy() for name, v in leaves.items()}
     calls = {"loss": 0, "backward": 0}
     real_backward = ad.backward
 
@@ -170,7 +170,7 @@ def test_gradient_errors_one_backward_for_every_leaf(monkeypatch):
     assert max(errors.values()) < 1e-8
     assert calls == {"loss": 1 + 2 * (3 + 2), "backward": 1}
     for name, v in leaves.items():  # every probed coordinate is restored
-        assert np.array_equal(v.value.data, before[name])
+        assert np.array_equal(v.value, before[name])
 
 
 def test_finite_difference_check_identity_sum():
@@ -189,7 +189,7 @@ def test_finite_difference_check_quadratic():
 def test_finite_difference_check_flags_missing_grad_term():
     # A deliberately wrong backward closure must be caught by the checker.
     def broken_square(v):
-        val = v.value.data**2
+        val = v.value**2
         return ad.record("broken", val.sum(), (v,), lambda g: (np.ones_like(val),))
 
     x = Tensor([1.0, 2.0, 3.0])
@@ -203,7 +203,7 @@ def test_finite_difference_check_leaves_the_input_unchanged():
     before = x.data.copy()
 
     def defined_only_at_x(v):
-        val = v.value.data
+        val = v.value
         if not np.array_equal(val, before):
             raise FloatingPointError("probe moved")
         return ad.record("probe", np.asarray(val.sum()), (v,), lambda g: (np.ones_like(val) * g,))

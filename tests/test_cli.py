@@ -368,7 +368,7 @@ def test_checkpoint_with_haar_wavelet_line_loads(tmp_path, corpus):
     assert loaded.config == model.config
     assert loaded.params.keys() == model.params.keys()
     for name, v in model.params.items():
-        assert np.array_equal(loaded.params[name].value.data, v.value.data)
+        assert np.array_equal(loaded.params[name].value, v.value)
 
 
 def test_checkpoint_with_other_wavelet_exits_2(tmp_path, corpus, capsys):
@@ -453,6 +453,8 @@ def test_every_option_is_read_by_its_command():
     ["synth", "--samples", "0"], ["synth", "--samples", "-1"],
     ["levels-sweep", "--levels", "2,x"], ["levels-sweep", "--seeds", "0"],
     ["gradcheck", "--coords-per-param", "0"], ["gradcheck", "--coords-per-param", "-1"],
+    ["gradcheck", "--tolerance", "nan"], ["gradcheck", "--tolerance", "inf"],
+    ["gradcheck", "--tolerance", "0"],
 ], ids=lambda argv: "{}{}={}".format(*argv))
 def test_bad_argument_exits_2(tmp_path, capsys, argv):
     out = [] if argv[0] == "gradcheck" else ["--out", str(tmp_path / "out")]
@@ -473,11 +475,15 @@ def test_ablate_cli(tmp_path, corpus, capsys):
         assert variants["ablated"] < variants["full"]
 
 
-@pytest.mark.parametrize("override", ["model.levels=7", "model.classes=5", "data.k=4"])
+@pytest.mark.parametrize("override", [
+    "model.levels=7", "model.classes=5", "data.k=4", "train.lr=nan", "model.bn_epsilon=inf",
+    "train.beta1=1.5", "train.beta2=1", "train.epsilon=0", "model.embedding_dim=-1", "seed=-1",
+])
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_rejected_run_leaves_no_out_dir(tmp_path, corpus, capsys, command, override):
-    # a config check, the manifest's class count and a split option all fail
-    # before the run has anything to write
+    # a config check (a non-finite value, a value out of its range), the
+    # manifest's class count and a split option all fail before the run has
+    # anything to write
     cfg = write_cfg(tmp_path, corpus)
     out = tmp_path / "x"
     assert cli.main([command, "--config", str(cfg), "--set", override, "--out", str(out)]) == 2

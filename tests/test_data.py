@@ -201,6 +201,8 @@ def test_kfold_leave_one_out(tmp_path):
     assert tests == list(range(n))
     with pytest.raises(D.ManifestError):
         D.make_splits(m, "k-fold", k=1)
+    with pytest.raises(D.ManifestError, match="seed"):  # no folds from OS entropy
+        D.make_splits(m, "k-fold", k=2)
     with pytest.raises(D.ManifestError):
         D.make_splits(m, "mystery-policy")
 

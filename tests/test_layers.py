@@ -32,7 +32,7 @@ def conv_params(weight, bias=None, stride=1, padding=0):
 def test_conv2d_ones_kernel_counts_overlap():
     x = var(np.ones((1, 1, 4, 4)))
     p = conv_params(np.ones((1, 1, 3, 3)), padding=1)
-    y = L.conv2d(x, p).value.data[0, 0]
+    y = L.conv2d(x, p).value[0, 0]
     assert y.shape == (4, 4)
     assert y[1, 1] == 9.0
     assert y[0, 0] == 4.0
@@ -50,8 +50,8 @@ def test_conv2d_stride2_equals_stride1_then_downsample():
     x = var(rng.standard_normal((2, 3, 8, 8)))
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
-    y2 = L.conv2d(x, conv_params(w, b, stride=2, padding=1)).value.data
-    y1 = L.conv2d(x, conv_params(w, b, stride=1, padding=1)).value.data
+    y2 = L.conv2d(x, conv_params(w, b, stride=2, padding=1)).value
+    y1 = L.conv2d(x, conv_params(w, b, stride=1, padding=1)).value
     assert np.array_equal(y2, y1[:, :, ::2, ::2])
 
 
@@ -69,8 +69,8 @@ def test_conv2d_linearity():
     w = rng.standard_normal((3, 2, 3, 3))
     a, b = 0.7, -1.3
     p = conv_params(w, padding=1)
-    lhs = L.conv2d(var(a * x + b * y), p).value.data
-    rhs = a * L.conv2d(var(x), p).value.data + b * L.conv2d(var(y), p).value.data
+    lhs = L.conv2d(var(a * x + b * y), p).value
+    rhs = a * L.conv2d(var(x), p).value + b * L.conv2d(var(y), p).value
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -146,10 +146,10 @@ def test_conv2d_matches_reference(k, s, pad, dtype, rtol):
         p = L.Conv2dParams(var(rng.standard_normal((3, 2, k, k)), True, dtype),
                            var(rng.standard_normal(3), True, dtype), stride=s, padding=pad)
         y = L.conv2d(x, p)
-        g = rng.standard_normal(y.value.shape).astype(y.value.data.dtype)
+        g = rng.standard_normal(y.value.shape).astype(y.value.dtype)
         ad.backward(ad.total(ad.mul(y, var(g, dtype=dtype))))
-        ref = _conv2d_reference(x.value.data, p.weight.value.data, p.bias.value.data, s, pad, g)
-        got = (y.value.data, x.grad.data, p.weight.grad.data, p.bias.grad.data)
+        ref = _conv2d_reference(x.value, p.weight.value, p.bias.value, s, pad, g)
+        got = (y.value, x.grad, p.weight.grad, p.bias.grad)
         for name, a, b in zip(("y", "dx", "dw", "db"), got, ref):
             assert a.shape == b.shape, name
             np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol, err_msg=f"{name} n={n} {h}x{w}")
@@ -171,7 +171,7 @@ def test_conv2d_dead_input_gradient_is_skipped():
         assert (dx is None) == (not live)
         y = L.conv2d(x, p)
         ad.backward(ad.total(ad.mul(y, y)))
-        grads.append((p.weight.grad.data, p.bias.grad.data))
+        grads.append((p.weight.grad, p.bias.grad))
     assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
 
@@ -184,7 +184,7 @@ def test_conv2d_output_is_contiguous_nchw():
     for (k, s, pad), (h, w) in itertools.product(combos, [(8, 8), (7, 5)]):
         x = var(rng.standard_normal((2, 3, h, w)))
         y = L.conv2d(x, conv_params(rng.standard_normal((4, 3, k, k)), stride=s, padding=pad))
-        yd = y.value.data
+        yd = y.value
         assert yd.shape == (2, 4, (h + 2 * pad - k) // s + 1, (w + 2 * pad - k) // s + 1)
         assert yd.flags["C_CONTIGUOUS"]
 
@@ -200,8 +200,8 @@ def test_conv2d_1x1_is_a_plain_gemm_without_unrolling():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.all(y.value.data == 64.0)
-    assert peak < x.value.data.nbytes // 2
+    assert np.all(y.value == 64.0)
+    assert peak < x.value.nbytes // 2
 
 
 def test_conv2d_backward_frees_columns_before_input_gradient():
@@ -234,7 +234,7 @@ def test_conv2d_forward_retains_no_columns():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held - y.value.data.nbytes < 0.25 * cols_nbytes
+    assert held - y.value.nbytes < 0.25 * cols_nbytes
 
 
 def _conv2d_serial(xd, wd, bd, s, pad, g):
@@ -279,12 +279,12 @@ def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, p
         g = rng.standard_normal((n, 5, (9 + 2 * pad - k) // s + 1, (8 + 2 * pad - k) // s + 1))
         x = var(x0, requires_grad=True, dtype=dtype)
         p = L.Conv2dParams(var(w0, True, dtype), var(b0, True, dtype), stride=s, padding=pad)
-        g = g.astype(x.value.data.dtype)
-        want = _conv2d_serial(x.value.data, p.weight.value.data, p.bias.value.data, s, pad, g)
+        g = g.astype(x.value.dtype)
+        want = _conv2d_serial(x.value, p.weight.value, p.bias.value, s, pad, g)
         for gate in (np.inf, 0.0):
             monkeypatch.setattr(L, "_SPLIT_FLOP", gate)
             y = L.conv2d(x, p)
-            got = (y.value.data, *y._backward_fn(g))
+            got = (y.value, *y._backward_fn(g))
             for name, a, b in zip(("y", "dx", "dw", "db"), got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b), f"{name} n={n} {kind} {gate}"
 
@@ -359,9 +359,9 @@ def test_layer_check_rows_one_backward_per_check(monkeypatch):
 
 def test_average_pool_basics():
     y = L.average_pool(var([[[[1.0, 2.0], [3.0, 4.0]]]]), 2)
-    assert y.value.data.reshape(-1).tolist() == [2.5]
+    assert y.value.reshape(-1).tolist() == [2.5]
     const = L.average_pool(var(np.full((1, 2, 4, 4), 3.25)), 2)
-    assert np.all(const.value.data == 3.25)
+    assert np.all(const.value == 3.25)
     with pytest.raises(ShapeError):
         L.average_pool(var(np.zeros((1, 1, 5, 4))), 2)
 
@@ -369,15 +369,15 @@ def test_average_pool_basics():
 def test_average_pool_composition():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 3, 8, 8))
-    twice = L.average_pool(L.average_pool(var(x), 2), 2).value.data
-    once = L.average_pool(var(x), 4).value.data
+    twice = L.average_pool(L.average_pool(var(x), 2), 2).value
+    once = L.average_pool(var(x), 4).value
     assert np.max(np.abs(twice - once)) < 1e-12
 
 
 def test_average_pool_equals_generalized_conv_pool():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((8, 8))
-    pooled = L.average_pool(var(x.reshape(1, 1, 8, 8)), 2).value.data[0, 0]
+    pooled = L.average_pool(var(x.reshape(1, 1, 8, 8)), 2).value[0, 0]
     kernel = np.full((2, 2), 0.25)
     alt = wavelet.generalized_conv_pool(Tensor(x), kernel, 2).data
     assert np.max(np.abs(pooled - alt)) < 1e-12
@@ -394,8 +394,8 @@ def test_average_pool_finite_differences():
 
 def test_relu():
     y = L.relu(var([[-1.0, 0.0, 2.0]]))
-    assert y.value.data.tolist() == [[0.0, 0.0, 2.0]]
-    assert np.all(L.relu(var(-np.ones((2, 2)))).value.data == 0)
+    assert y.value.tolist() == [[0.0, 0.0, 2.0]]
+    assert np.all(L.relu(var(-np.ones((2, 2)))).value == 0)
 
 
 def test_relu_finite_differences_away_from_zero():
@@ -419,7 +419,7 @@ def bn_params(c, gamma=None, beta=None, **kw):
 def test_batch_norm_train_normalizes():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 3, 5, 5)) * 3 + 1
-    y = L.batch_norm(var(x), bn_params(3), mode="train").value.data
+    y = L.batch_norm(var(x), bn_params(3), mode="train").value
     assert np.max(np.abs(y.mean(axis=(0, 2, 3)))) < 1e-12
     assert np.max(np.abs(y.var(axis=(0, 2, 3)) - 1)) < 1e-4  # epsilon effect
 
@@ -428,7 +428,7 @@ def test_batch_norm_gamma_zero_gives_beta():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 2, 3, 3))
     p = bn_params(2, gamma=[0.0, 0.0], beta=[0.5, -1.5])
-    y = L.batch_norm(var(x), p, mode="train").value.data
+    y = L.batch_norm(var(x), p, mode="train").value
     assert np.all(y[:, 0] == 0.5)
     assert np.all(y[:, 1] == -1.5)
 
@@ -437,9 +437,9 @@ def test_batch_norm_eval_matches_hand_computation():
     # three samples of one channel, running stats set by hand
     x = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1, 1)
     p = bn_params(1, gamma=[2.0], beta=[0.25], epsilon=1e-5)
-    p.running_mean = Tensor([0.5])
-    p.running_var = Tensor([4.0])
-    y = L.batch_norm(var(x), p, mode="eval").value.data.reshape(-1)
+    p.running_mean = np.array([0.5])
+    p.running_var = np.array([4.0])
+    y = L.batch_norm(var(x), p, mode="eval").value.reshape(-1)
     expected = (x.reshape(-1) - 0.5) / np.sqrt(4.0 + 1e-5) * 2.0 + 0.25
     assert np.max(np.abs(y - expected)) < 1e-15
 
@@ -451,13 +451,13 @@ def test_batch_norm_running_stats_ema():
     L.batch_norm(var(x), p, mode="train")
     mu = x.mean(axis=(0, 2, 3))
     vr = x.var(axis=(0, 2, 3))
-    assert np.allclose(p.running_mean.data, 0.9 * 0.0 + 0.1 * mu, rtol=0, atol=1e-15)
-    assert np.allclose(p.running_var.data, 0.9 * 1.0 + 0.1 * vr, rtol=0, atol=1e-15)
+    assert np.allclose(p.running_mean, 0.9 * 0.0 + 0.1 * mu, rtol=0, atol=1e-15)
+    assert np.allclose(p.running_var, 0.9 * 1.0 + 0.1 * vr, rtol=0, atol=1e-15)
     # eval mode reads them and leaves both untouched
-    mean_before, var_before = p.running_mean.data.copy(), p.running_var.data.copy()
+    mean_before, var_before = p.running_mean.copy(), p.running_var.copy()
     L.batch_norm(var(x), p, mode="eval")
-    assert np.array_equal(p.running_mean.data, mean_before)
-    assert np.array_equal(p.running_var.data, var_before)
+    assert np.array_equal(p.running_mean, mean_before)
+    assert np.array_equal(p.running_var, var_before)
 
 
 def test_batch_norm_degenerate_train_raises():
@@ -466,9 +466,9 @@ def test_batch_norm_degenerate_train_raises():
 
 
 @pytest.mark.parametrize("stats", [
-    {"running_mean": Tensor(np.zeros(2))},  # one entry short of the 3 channels
-    {"running_var": Tensor(np.ones((3, 1)))},
-    {"running_mean": Tensor(np.zeros(3), dtype="f32")},  # gamma is f64
+    {"running_mean": np.zeros(2)},  # one entry short of the 3 channels
+    {"running_var": np.ones((3, 1))},
+    {"running_mean": np.zeros(3, np.float32)},  # gamma is f64
 ])
 def test_batch_norm_running_stats_must_match_gamma(stats):
     with pytest.raises(ShapeError, match="running statistic"):
@@ -512,17 +512,17 @@ def test_batch_norm_finite_differences():
 def test_global_average_pool():
     const = L.global_average_pool(var(np.full((2, 3, 4, 4), 1.75)))
     assert const.value.shape == (2, 3)
-    assert np.all(const.value.data == 1.75)
+    assert np.all(const.value == 1.75)
     x = np.arange(6.0).reshape(2, 3, 1, 1)
     squeeze = L.global_average_pool(var(x))
-    assert np.array_equal(squeeze.value.data, x[:, :, 0, 0])
+    assert np.array_equal(squeeze.value, x[:, :, 0, 0])
 
 
 def test_global_average_pool_matches_full_extent_average_pool():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((2, 3, 6, 6))
-    gap = L.global_average_pool(var(x)).value.data
-    ap = L.average_pool(var(x), 6).value.data[:, :, 0, 0]
+    gap = L.global_average_pool(var(x)).value
+    ap = L.average_pool(var(x), 6).value[:, :, 0, 0]
     assert np.max(np.abs(gap - ap)) < 1e-12
 
 
@@ -530,9 +530,9 @@ def test_fully_connected():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     eye = np.eye(2)
     y = L.fully_connected(var(x), var(eye), var(np.zeros(2)))
-    assert np.array_equal(y.value.data, x)
+    assert np.array_equal(y.value, x)
     bias_only = L.fully_connected(var(x), var(np.zeros((2, 3))), var(np.array([1.0, 2.0, 3.0])))
-    assert np.array_equal(bias_only.value.data, np.tile([1.0, 2.0, 3.0], (2, 1)))
+    assert np.array_equal(bias_only.value, np.tile([1.0, 2.0, 3.0], (2, 1)))
     with pytest.raises(ShapeError):
         L.fully_connected(var(x), var(np.zeros((3, 2))), var(np.zeros(2)))
 
@@ -581,7 +581,7 @@ def test_softmax_cross_entropy_gradient():
     shifted = np.exp(z - z.max(axis=1, keepdims=True))
     probs = shifted / shifted.sum(axis=1, keepdims=True)
     onehot = np.eye(5)[labels]
-    assert np.max(np.abs(v.grad.data - (probs - onehot) / 4)) < 1e-12
+    assert np.max(np.abs(v.grad - (probs - onehot) / 4)) < 1e-12
     err = ad.finite_difference_check(
         lambda u: L.softmax_cross_entropy(u, labels), Tensor(z), eps=1e-5)
     assert err < 1e-6

@@ -170,15 +170,15 @@ def test_ablated_is_strict_subset():
 def test_eval_forward_deterministic():
     model = M.build(tiny_config())
     x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 32, 32)), dtype="f64")
-    a = M.forward(model, x, mode="eval").value.data
-    b = M.forward(model, x, mode="eval").value.data
+    a = M.forward(model, x, mode="eval").value
+    b = M.forward(model, x, mode="eval").value
     assert np.array_equal(a, b)
 
 
 def test_zero_input_gives_equal_logits():
     model = M.build(tiny_config())
     x = Tensor(np.zeros((2, 3, 32, 32)), dtype="f64")
-    logits = M.forward(model, x, mode="eval").value.data
+    logits = M.forward(model, x, mode="eval").value
     assert np.max(np.abs(logits - logits[:, :1])) == 0.0
 
 
@@ -187,8 +187,8 @@ def test_batch_order_invariance_eval():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 3, 32, 32))
     perm = np.array([2, 0, 3, 1])
-    out = M.forward(model, Tensor(x, dtype="f64"), mode="eval").value.data
-    out_perm = M.forward(model, Tensor(x[perm], dtype="f64"), mode="eval").value.data
+    out = M.forward(model, Tensor(x, dtype="f64"), mode="eval").value
+    out_perm = M.forward(model, Tensor(x[perm], dtype="f64"), mode="eval").value
     assert np.allclose(out_perm, out[perm], rtol=1e-12, atol=0)
 
 
@@ -196,7 +196,7 @@ def test_same_seed_builds_identical_models():
     a = M.build(tiny_config())
     b = M.build(tiny_config())
     for name in a.params:
-        assert np.array_equal(a.params[name].value.data, b.params[name].value.data)
+        assert np.array_equal(a.params[name].value, b.params[name].value)
 
 
 def test_end_to_end_gradient_subset():
@@ -230,9 +230,9 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = M.load_model(path)
     assert loaded.config == model.config
     for name in model.params:
-        assert np.array_equal(loaded.params[name].value.data, model.params[name].value.data)
-    before = M.forward(model, x, mode="eval").value.data
-    after = M.forward(loaded, x, mode="eval").value.data
+        assert np.array_equal(loaded.params[name].value, model.params[name].value)
+    before = M.forward(model, x, mode="eval").value
+    after = M.forward(loaded, x, mode="eval").value
     assert np.array_equal(before, after)
 
 
@@ -267,8 +267,8 @@ def test_checkpoint_narrowing(tmp_path):
     assert narrowed.config.precision == "f32"
     worst = 0.0
     for name, v in model.params.items():
-        lo = narrowed.params[name].value.data.astype(np.float64)
-        hi = v.value.data
+        lo = narrowed.params[name].value.astype(np.float64)
+        hi = v.value
         scale = np.maximum(np.abs(hi), 1e-30)
         worst = max(worst, float(np.max(np.abs(lo - hi) / scale)))
     assert worst <= 2.0**-24  # round-to-nearest float32

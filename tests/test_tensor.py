@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,21 @@ from hypothesis import strategies as st
 
 from wcnn import tensor as T
 from wcnn.tensor import ShapeError, Tensor
+
+
+@pytest.mark.parametrize("module", ["autodiff", "layers", "model", "train", "gradcheck"])
+def test_tape_modules_do_not_reference_tensor(module):
+    # the tape, the model and training compute on plain arrays
+    path = Path(T.__file__).with_name(f"{module}.py")
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "Tensor" not in names
 
 
 def test_constructor_contracts():
@@ -53,7 +71,7 @@ def test_wtns_scalar(tmp_path):
     T.save_wtns(path, t)
     loaded = T.load_wtns(path)
     assert loaded.shape == ()
-    assert loaded.item() == 2.5
+    assert loaded.data.item() == 2.5
 
 
 def test_wtns_malformed_header_fields(tmp_path):

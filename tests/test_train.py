@@ -6,7 +6,7 @@ from wcnn import model as M
 from wcnn import train as TR
 from wcnn.data import ImageRecord
 from wcnn.seeding import SHUFFLE, stream_rng
-from wcnn.tensor import ShapeError, Tensor
+from wcnn.tensor import ShapeError, Tensor, as_array
 
 
 def make_param(values, name="p"):
@@ -20,31 +20,31 @@ def make_param(values, name="p"):
 def test_adam_first_step_closed_form():
     p = make_param([1.0, -2.0, 0.5])
     g = np.array([0.5, -1.0, 2.0])
-    p.grad = Tensor(g)
+    p.grad = g
     state = TR.AdamState(lr=0.01)
     TR.adam_step({"p": p}, state)
     # at t=1 the bias corrections cancel: m_hat = g, v_hat = g^2
     expected = np.array([1.0, -2.0, 0.5]) - 0.01 * g / (np.abs(g) + 1e-8)
-    assert np.max(np.abs(p.value.data - expected)) < 1e-12
+    assert np.max(np.abs(p.value - expected)) < 1e-12
 
 
 def test_adam_zero_gradient_keeps_parameters():
     # from fresh state a zero-gradient step is an exact no-op
     p = make_param([1.0, 2.0])
-    p.grad = Tensor([0.0, 0.0])
+    p.grad = np.array([0.0, 0.0])
     state = TR.AdamState(lr=0.1)
     TR.adam_step({"p": p}, state)
-    assert np.array_equal(p.value.data, np.array([1.0, 2.0]))
+    assert np.array_equal(p.value, np.array([1.0, 2.0]))
     assert np.all(state.m["p"] == 0.0) and np.all(state.v["p"] == 0.0)
 
 
 def test_adam_zero_gradient_decays_moments():
     p = make_param([1.0, 2.0])
-    p.grad = Tensor([0.5, 0.5])
+    p.grad = np.array([0.5, 0.5])
     state = TR.AdamState(lr=0.1)
     TR.adam_step({"p": p}, state)
     m_before, v_before = state.m["p"].copy(), state.v["p"].copy()
-    p.grad = Tensor([0.0, 0.0])
+    p.grad = np.array([0.0, 0.0])
     TR.adam_step({"p": p}, state)
     assert np.array_equal(state.m["p"], m_before * 0.9)
     assert np.array_equal(state.v["p"], v_before * 0.999)
@@ -53,18 +53,18 @@ def test_adam_zero_gradient_decays_moments():
 def test_adam_missing_gradient_is_zero():
     p = make_param([3.0])
     TR.adam_step({"p": p}, TR.AdamState())
-    assert p.value.data.tolist() == [3.0]
+    assert p.value.tolist() == [3.0]
 
 
 def test_adam_nonfinite_gradient_aborts():
     p = make_param([1.0])
-    p.grad = Tensor([np.nan])
+    p.grad = np.array([np.nan])
     state = TR.AdamState()
-    before = p.value.data.copy()
+    before = p.value.copy()
     with pytest.raises(TR.NonFiniteGradientError) as exc:
         TR.adam_step({"p": p}, state)
     assert "p" in str(exc.value)
-    assert np.array_equal(p.value.data, before)
+    assert np.array_equal(p.value, before)
     assert state.step == 0
 
 
@@ -90,10 +90,10 @@ def test_adam_quadratic_bowl():
     p = make_param([1.0, 1.0])
     state = TR.AdamState(lr=0.1)
     for _ in range(100):
-        p.grad = Tensor(2.0 * p.value.data)
+        p.grad = 2.0 * p.value
         TR.adam_step({"p": p}, state)
-    assert np.max(np.abs(p.value.data - np.array(reference))) < 1e-12
-    assert np.linalg.norm(p.value.data) < 0.05
+    assert np.max(np.abs(p.value - np.array(reference))) < 1e-12
+    assert np.linalg.norm(p.value) < 0.05
 
 
 # --- preprocessing -----------------------------------------------------------------
@@ -213,8 +213,8 @@ def test_first_batch_loss_near_log_classes():
     from wcnn import layers as L
 
     batch_records = records[:4] + records[16:20]
-    batch = TR._batch_tensor(
-        [TR.global_contrast_normalization(r.pixels) for r in batch_records], "f64")
+    batch = as_array(
+        np.stack([TR.global_contrast_normalization(r.pixels) for r in batch_records]), "f64")
     logits = M.forward(model, batch, mode="train")
     labels = np.array([r.labels[0] for r in batch_records])
     loss = L.softmax_cross_entropy(logits, labels).value.item()
@@ -240,7 +240,7 @@ def test_training_determinism():
         model = tiny_model()
         report = TR.train(model, records[::2], records[1::2], quick_cfg(epochs=3))
         first_loss = next(l for _, s, l, _ in report.rows if s == "train")
-        return first_loss, {k: v.value.data.copy() for k, v in model.params.items()}
+        return first_loss, {k: v.value.copy() for k, v in model.params.items()}
 
     loss_a, params_a = run()
     loss_b, params_b = run()
@@ -249,18 +249,29 @@ def test_training_determinism():
         assert np.array_equal(params_a[name], params_b[name]), name
 
 
-def test_training_with_augmentation_runs():
+def test_training_with_augmentation_runs(monkeypatch):
     records = separable_records()
     model = tiny_model()
+    held = []  # what each step hands Adam: every parameter's value and gradient
+
+    def adam_step(params, state):
+        held.extend(a for p in params.values() for a in (p.value, p.grad))
+        step(params, state)
+
+    step = TR.adam_step
+    monkeypatch.setattr(TR, "adam_step", adam_step)
     report = TR.train(model, records[::2], records[1::2],
                       quick_cfg(epochs=2, augment=True, resize_to=9))
     assert len(report.rows) > 0
+    # the tape, Adam and batch norm hold plain arrays
+    held += [s for _, bn in model.blocks.values() for s in (bn.running_mean, bn.running_var)]
+    assert held and {type(a) for a in held} == {np.ndarray}
 
 
 def test_non_finite_loss_diagnostic():
     records = separable_records()
     model = tiny_model()
-    model.params["head.fc.weight"].value.data[:] = np.nan
+    model.params["head.fc.weight"].value[:] = np.nan
     with pytest.raises(TR.NonFiniteLossError, match="epoch 0"):
         TR.train(model, records[::2], records[1::2], quick_cfg(epochs=1))
 
@@ -280,8 +291,8 @@ def test_bad_label_fails_before_the_first_step(monkeypatch):
 def test_evaluate_constant_predictor_hits_chance():
     records = separable_records()
     model = tiny_model()
-    model.params["head.fc.weight"].value.data[:] = 0.0
-    model.params["head.fc.bias"].value.data[:] = 0.0
+    model.params["head.fc.weight"].value[:] = 0.0
+    model.params["head.fc.bias"].value[:] = 0.0
     result = TR.evaluate(model, records)
     assert result["accuracy"] == 50.0  # argmax ties resolve to class 0; balanced set
 

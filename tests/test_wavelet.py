@@ -40,7 +40,7 @@ def test_conv_pool_identity():
 
 def test_conv_pool_pairwise_average():
     y = W.generalized_conv_pool(Tensor([1.0, 2.0, 3.0, 4.0]), [0.5, 0.5], 2)
-    assert y.tolist() == [1.5, 3.5]
+    assert y.data.tolist() == [1.5, 3.5]
 
 
 def test_conv_pool_composite_kernel_equals_conv_then_pool():
@@ -112,10 +112,10 @@ def test_dwt2d_hand_computed_2x2():
     # first letter = height filter, second = width filter.
     a, b, c, d = 2.0, -1.0, 0.5, 3.0
     ll, lh, hl, hh = one_level([[a, b], [c, d]])
-    assert abs(ll.item() - (a + b + c + d) / 2) < 1e-15
-    assert abs(lh.item() - ((a - b) + (c - d)) / 2) < 1e-15
-    assert abs(hl.item() - ((a + b) - (c + d)) / 2) < 1e-15
-    assert abs(hh.item() - ((a - b) - (c - d)) / 2) < 1e-15
+    assert abs(ll.data.item() - (a + b + c + d) / 2) < 1e-15
+    assert abs(lh.data.item() - ((a - b) + (c - d)) / 2) < 1e-15
+    assert abs(hl.data.item() - ((a + b) - (c + d)) / 2) < 1e-15
+    assert abs(hh.data.item() - ((a - b) - (c - d)) / 2) < 1e-15
 
 
 def test_dwt2d_energy_conservation():
@@ -191,7 +191,7 @@ def test_lowpass_band_is_twice_average_pool():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((1, 2, 8, 8))
     ll = one_level(x)[0]
-    pooled = L.average_pool(ad.Variable(Tensor(x)), 2).value.data
+    pooled = L.average_pool(ad.Variable(Tensor(x)), 2).value
     assert rel_err(ll.data, 2.0 * pooled) < 1e-12
 
 
@@ -209,7 +209,7 @@ def test_cnn_reduction_with_averaging_kernels_is_average_pool():
     x = rng.standard_normal((1, 1, 16, 16))
     avg = np.full((2, 2), 0.25)
     y = W.cnn_reduction(Tensor(x), [avg, avg])
-    pooled = L.average_pool(L.average_pool(ad.Variable(Tensor(x)), 2), 2).value.data
+    pooled = L.average_pool(L.average_pool(ad.Variable(Tensor(x)), 2), 2).value
     assert rel_err(y.data, pooled) < 1e-12
 
 
@@ -222,7 +222,7 @@ def test_cnn_reduction_haar_lowpass_gains_two_per_level():
         pooled = ad.Variable(Tensor(x))
         for _ in range(levels):
             pooled = L.average_pool(pooled, 2)
-        assert rel_err(y.data, (2.0**levels) * pooled.value.data) < 1e-12
+        assert rel_err(y.data, (2.0**levels) * pooled.value) < 1e-12
 
 
 def test_cnn_reduction_equals_strided_conv_chain():
@@ -236,7 +236,7 @@ def test_cnn_reduction_equals_strided_conv_chain():
         p = L.Conv2dParams(ad.Variable(Tensor(k.reshape(1, 1, 3, 3))),
                            ad.Variable(Tensor(np.zeros(1))), stride=2, padding=0)
         h = L.conv2d(h, p)
-    assert rel_err(y.data, h.value.data) < 1e-12
+    assert rel_err(y.data, h.value) < 1e-12
 
 
 # --- autodiff bridge -----------------------------------------------------------------
@@ -250,7 +250,7 @@ def test_decompose_variables_values_match_pyramid():
     for t, stack in enumerate(stacks):
         lh, hl, hh = pyr.levels[t]
         expected = np.concatenate([lh.data, hl.data, hh.data], axis=1)
-        assert np.array_equal(stack.value.data, expected)
+        assert np.array_equal(stack.value, expected)
 
 
 def test_decompose_adjoint_identity():
@@ -266,8 +266,8 @@ def test_decompose_adjoint_identity():
         term = ad.total(ad.mul(s, ad.Variable(Tensor(y))))
         loss = term if loss is None else ad.add(loss, term)
     ad.backward(loss)
-    lhs = sum(float((s.value.data * y).sum()) for s, y in zip(stacks, ys))
-    rhs = float((x * leaf.grad.data).sum())
+    lhs = sum(float((s.value * y).sum()) for s, y in zip(stacks, ys))
+    rhs = float((x * leaf.grad).sum())
     assert abs(lhs - rhs) / max(abs(lhs), 1e-12) < 1e-12
 
 
