@@ -8,12 +8,16 @@ fan-out is plain addition in recording order and 64-bit runs are
 bit-reproducible.  A gradient array may be shared by several nodes (`add`
 hands one to both parents), so none is ever written in place.  Nor is a tape
 value between its forward and its backward: closures read their inputs
-(`conv2d` rebuilds its columns from its input).  A node's output gradient is
-dropped as soon as its closure has used it.
+(`conv2d` rebuilds its columns from its input, `batch_norm_relu` its x-hat).
+A node's output gradient is dropped as soon as its closure has used it.
 
-Each forward pass supports exactly one backward pass: the closures (which
-hold the saved activations) are dropped once consumed, and reusing a spent
-subgraph raises.  Every gradient check runs through `gradient_errors`.
+Each forward pass supports exactly one backward pass.  Once its closure has
+run, a node is spent: it keeps its value, name and gradient, but drops its
+closure and its parents, and `backward` holds it no longer.  So a value is
+freed as soon as the last closure that reads it has finished, even while the
+caller still holds the loss or the logits.  A spent node is not a leaf
+(`_parents` is None, not empty): reusing a spent subgraph raises.  Every
+gradient check runs through `gradient_errors`.
 """
 
 from __future__ import annotations
@@ -88,32 +92,34 @@ def backward(loss: Variable) -> list[Variable]:
         if id(node) in visited:
             continue
         visited[id(node)] = node
-        for p in node._parents:
+        for p in node._parents or ():
             if p._live and id(p) not in visited:
                 stack.append(p)
     order = sorted(visited.values(), key=lambda n: n._rank, reverse=True)
+    del visited, node
 
     buffers: dict[int, np.ndarray] = {
         id(loss): np.ones(loss.value.shape, dtype=loss.value.dtype)
     }
     touched: list[Variable] = []
-    for node in order:
+    for i, node in enumerate(order):
+        order[i] = None  # once spent, a node lives only as long as its readers
         out_grad = buffers.pop(id(node), None)
         if out_grad is None:
             continue
         if node.requires_grad:
             node.grad = out_grad
             touched.append(node)
-        if not node._parents:
-            continue
-        if node._backward_fn is None:
+        if node._parents is None:
             raise RuntimeError(
                 f"backward already consumed node {node.name!r}; "
                 "rerun the forward pass before differentiating again"
             )
+        if not node._parents:
+            continue
         parent_grads = node._backward_fn(out_grad)
-        node._backward_fn = None
-        for parent, g in zip(node._parents, parent_grads):
+        parents, node._parents, node._backward_fn = node._parents, None, None
+        for parent, g in zip(parents, parent_grads):
             if g is None or not parent._live:
                 continue
             if g.shape != parent.value.shape:

@@ -30,7 +30,7 @@ from .tensor import ShapeError, Tensor, as_array, save_wtns
 
 USAGE_ERRORS = (RC.ConfigError, ShapeError, D.ManifestError, D.PnmError,
                 M.CheckpointError, FileNotFoundError)
-NUMERIC_ERRORS = (TR.NonFiniteLossError, TR.NonFiniteGradientError)
+NUMERIC_ERRORS = (TR.NonFiniteLossError, TR.NonFiniteGradientError, M.NonFiniteModelError)
 
 
 def _merged_config(args) -> dict[str, str]:

@@ -274,6 +274,10 @@ CLASS_SPECS = (
     ("band_noise", lambda s, r: _band_noise(s, r, 0.15, 0.30)),
 )
 
+# the largest image side: one f64 plane of 4096 px is 134 MB and a generator
+# holds a few, while 100,000 px would ask for 80 GB before writing anything
+MAX_SYNTH_SIZE = 4096
+
 
 def synth_textures(out_dir, classes: int, samples_per_class: int, size: int,
                    seed: int) -> Path:
@@ -284,8 +288,8 @@ def synth_textures(out_dir, classes: int, samples_per_class: int, size: int,
     """
     if not 2 <= classes <= len(CLASS_SPECS):
         raise ShapeError(f"classes must be in [2, {len(CLASS_SPECS)}], got {classes}")
-    if samples_per_class < 1 or size < 1:
-        raise ShapeError(f"samples per class and size must be >= 1, "
+    if samples_per_class < 1 or not 1 <= size <= MAX_SYNTH_SIZE:
+        raise ShapeError(f"samples per class must be >= 1 and size in [1, {MAX_SYNTH_SIZE}], "
                          f"got {samples_per_class} and {size}")
     out_dir = Path(out_dir)
     img_dir = out_dir / "images"

@@ -55,6 +55,11 @@ def layer_checks() -> list[tuple[str, float]]:
     targets = (rng.random((3, 4)) > 0.5).astype(float)
     x_odd = x[:, :, 1:, :7]
     relu_x = np.where(np.abs(x) < 0.1, 0.5, x)
+    # mirrored images: each channel's mean is 0 and every |x| >= 0.5, so with
+    # beta = 0 no batch-norm output lies near the ReLU kink
+    half = x[:1] + np.copysign(0.5, x[:1])
+    bn_relu_x = np.concatenate([half, -half])
+    zeros = np.zeros(3)
     x_wav = rng.standard_normal((1, 1, 8, 8))
     x_cat = rng.standard_normal((2, 1, 8, 8))
     r_cat = rng.standard_normal((2, 4, 8, 8))
@@ -62,8 +67,8 @@ def layer_checks() -> list[tuple[str, float]]:
     def conv(stride, padding):
         return lambda x, weight, bias: L.conv2d(x, L.Conv2dParams(weight, bias, stride, padding))
 
-    def bn(mode):
-        return lambda x, gamma, beta: L.batch_norm(x, L.BatchNormParams(gamma, beta), mode)
+    def bn(op, mode):
+        return lambda x, gamma, beta: op(x, L.BatchNormParams(gamma, beta), mode)
 
     table = [
         ("conv2d", conv(1, 1), r_conv, {"x": x, "weight": w3, "bias": bias}, {}),
@@ -72,8 +77,14 @@ def layer_checks() -> list[tuple[str, float]]:
         ("conv2d-1x1", conv(1, 0), r_conv, {"x": x, "weight": w1}, {"bias": bias}),
         ("average_pool", lambda x: L.average_pool(x, 2), r_pool, {"x": x}, {}),
         ("relu", L.relu, r_like, {"x": relu_x}, {}),
-        ("batch_norm-train", bn("train"), r_like, {"x": x, "gamma": gamma, "beta": beta}, {}),
-        ("batch_norm-eval", bn("eval"), r_like, {"x": x}, {"gamma": gamma, "beta": beta}),
+        ("batch_norm-train", bn(L.batch_norm, "train"), r_like,
+         {"x": x, "gamma": gamma, "beta": beta}, {}),
+        ("batch_norm-eval", bn(L.batch_norm, "eval"), r_like,
+         {"x": x}, {"gamma": gamma, "beta": beta}),
+        ("batch_norm_relu-train", bn(L.batch_norm_relu, "train"), r_like,
+         {"x": bn_relu_x, "gamma": gamma, "beta": zeros}, {}),
+        ("batch_norm_relu-eval", bn(L.batch_norm_relu, "eval"), r_like,
+         {"x": bn_relu_x}, {"gamma": gamma, "beta": zeros}),
         ("global_average_pool", L.global_average_pool, r_gap, {"x": x}, {}),
         ("fully_connected", L.fully_connected, r_fc,
          {"x": fc_x, "weight": fc_w, "bias": fc_b}, {}),

@@ -16,6 +16,11 @@ the tape holds anyway, to form dW.  The rebuild is a strided copy; keeping
 them would hold about half of a 224-px training step's memory.
 A conv of `_SPLIT_FLOP` forward FLOPs or more runs one image range per CPU on a
 thread pool; every image's arithmetic is unchanged, so bits match at any CPU count.
+
+A model block is `conv2d` then `batch_norm_relu`, one op that keeps no
+batch-norm output and bit-matches `relu(batch_norm(...))`.  `batch_norm` and
+`relu` stay as its reference and gradient-check oracle; `relu` also follows
+the optional embedding layer.
 """
 
 from __future__ import annotations
@@ -205,53 +210,98 @@ def relu(x: Variable) -> Variable:
     return record("relu", np.maximum(xd, 0), (x,), lambda g: (g * mask,))
 
 
-def batch_norm(x: Variable, p: BatchNormParams, mode: str) -> Variable:
-    """Normalize per channel; the mode only picks the statistics.
+_C = (None, slice(None), None, None)  # a per-channel vector broadcast over NCHW
+_AXES = (0, 2, 3)  # the per-channel reduction axes
 
-    Train mode uses the batch mean and population variance and advances the
-    running statistics by their EMA; eval mode uses the running statistics
-    and leaves them as they are.  Only in train mode do the statistics depend
-    on x, so only there does dx carry the two batch-mean terms.
-    """
+
+def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str):
+    """(y, mean, inv): y = gamma * x-hat + beta in one fresh array, and the
+    per-channel statistics it used, inv = 1/sqrt(var + eps).  Train mode
+    advances the running statistics by their EMA."""
     if mode not in ("train", "eval"):
         raise ShapeError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    xd = x.value
     if xd.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got rank {xd.ndim}")
-    gamma, beta = p.gamma, p.beta
-    gd, bd = gamma.value, beta.value
     n, c, h, w = xd.shape
-    if gd.shape[0] != c:
-        raise ShapeError(f"batch_norm channel mismatch: input {c}, params {gd.shape[0]}")
-
-    train = mode == "train"
-    if train:
+    if p.gamma.value.shape[0] != c:
+        raise ShapeError(f"batch_norm channel mismatch: input {c}, "
+                         f"params {p.gamma.value.shape[0]}")
+    if mode == "train":
         if n * h * w <= 1:
             raise ShapeError("batch_norm train mode needs batch*height*width > 1 per channel")
-        mu, var = xd.mean(axis=(0, 2, 3)), xd.var(axis=(0, 2, 3))
+        mu, var = xd.mean(axis=_AXES), xd.var(axis=_AXES)
         mom = xd.dtype.type(p.momentum)
         p.running_mean = (1 - mom) * p.running_mean + mom * mu
         p.running_var = (1 - mom) * p.running_var + mom * var
     else:
         mu, var = p.running_mean, p.running_var
     inv = 1.0 / np.sqrt(var + xd.dtype.type(p.epsilon))
-    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-    y = gd[None, :, None, None] * xhat + bd[None, :, None, None]
+    y = _bn_normalize(xd, mu, inv)
+    y *= p.gamma.value[_C]
+    y += p.beta.value[_C]
+    return y, mu, inv
 
-    def backward_fn(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
-        if not train:  # fixed statistics: dx is g scaled per channel
-            return g * (gd * inv)[None, :, None, None], dgamma, dbeta
-        dxhat = g * gd[None, :, None, None]
-        dx = inv[None, :, None, None] * (
-            dxhat
-            - dxhat.mean(axis=(0, 2, 3))[None, :, None, None]
-            - xhat * (dxhat * xhat).mean(axis=(0, 2, 3))[None, :, None, None]
-        )
-        return dx, dgamma, dbeta
 
-    return record("batch_norm", y, (x, gamma, beta), backward_fn)
+def _bn_normalize(xd, mu, inv) -> np.ndarray:
+    """x-hat = (x - mean) * inv, in a fresh array."""
+    xhat = np.subtract(xd, mu[_C])
+    xhat *= inv[_C]
+    return xhat
+
+
+def _bn_backward(gy, xd, mu, inv, gd, mode: str):
+    """(dx, dgamma, dbeta) from gy = dL/dy, a fresh array that this overwrites.
+
+    x-hat is rebuilt from x.  Eval mode: dx = gy * gamma * inv.  Train mode
+    also carries the batch-mean terms,
+
+        dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),  dxhat = gy * gamma,
+
+    evaluated in place in gy, the rebuilt x-hat and one product buffer,
+    operation for operation in this order, so the bits equal those of the
+    expression as written.
+    """
+    dbeta = gy.sum(axis=_AXES)
+    xhat = _bn_normalize(xd, mu, inv)
+    prod = gy * xhat
+    dgamma = prod.sum(axis=_AXES)
+    if mode == "eval":  # fixed statistics: dx is gy scaled per channel
+        return np.multiply(gy, (gd * inv)[_C], out=gy), dgamma, dbeta
+    dxhat = np.multiply(gy, gd[_C], out=gy)
+    m2 = np.multiply(dxhat, xhat, out=prod).mean(axis=_AXES)
+    dx = np.subtract(dxhat, dxhat.mean(axis=_AXES)[_C], out=prod)
+    dx -= np.multiply(xhat, m2[_C], out=xhat)
+    dx *= inv[_C]
+    return dx, dgamma, dbeta
+
+
+def batch_norm(x: Variable, p: BatchNormParams, mode: str) -> Variable:
+    """Normalize per channel; the mode only picks the statistics.
+
+    Train mode uses the batch mean and population variance and advances the
+    running statistics by their EMA; eval mode uses the running statistics
+    and leaves them as they are.  Only in train mode do the statistics depend
+    on x, so only there does dx carry the two batch-mean terms.  The model
+    runs `batch_norm_relu`; this op and `relu` are its reference.
+    """
+    xd, gd = x.value, p.gamma.value
+    y, mu, inv = _bn_forward(xd, p, mode)
+    return record("batch_norm", y, (x, p.gamma, p.beta),
+                  lambda g: _bn_backward(g.copy(), xd, mu, inv, gd, mode))
+
+
+def batch_norm_relu(x: Variable, p: BatchNormParams, mode: str) -> Variable:
+    """`relu(batch_norm(x, p, mode))` as one op, bit for bit.
+
+    The batch-norm output is never kept: the forward applies the ReLU in the
+    same buffer, and the backward rebuilds x-hat from x and the ReLU mask
+    from its own output (y > 0 exactly where the batch-norm output is).
+    """
+    xd, gd = x.value, p.gamma.value
+    y, mu, inv = _bn_forward(xd, p, mode)
+    np.maximum(y, 0, out=y)
+    return record("batch_norm_relu", y, (x, p.gamma, p.beta),
+                  lambda g: _bn_backward(g * (y > 0), xd, mu, inv, gd, mode))
 
 
 def global_average_pool(x: Variable) -> Variable:

@@ -11,8 +11,9 @@ reaches the end of the network.  The head is global average pooling, an
 optional embedding layer, and a fully connected classifier.
 
 Every convolution (down, proj, conv<b>) is one block: conv with padding k // 2,
-batch norm, ReLU.  `_add_block` declares it into the one registry
-`Model.blocks`, which `forward`, `Model.buffers` and `load_model` all walk.
+then batch norm and ReLU as the one tape op `layers.batch_norm_relu`.
+`_add_block` declares it into the one registry `Model.blocks`, which
+`forward`, `Model.buffers` and `load_model` all walk.
 
 The analysis filters are fixed and contribute zero trainable parameters;
 `param_count` walks only the registered parameter variables, and the tests
@@ -193,7 +194,7 @@ def build(config: WaveletCnnConfig) -> Model:
 
 def _cbr(model: Model, h: ad.Variable, name: str, mode: str) -> ad.Variable:
     conv, bn = model.blocks[name]
-    return L.relu(L.batch_norm(L.conv2d(h, conv), bn, mode))
+    return L.batch_norm_relu(L.conv2d(h, conv), bn, mode)
 
 
 def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
@@ -271,12 +272,20 @@ class CheckpointError(ValueError):
     pass
 
 
+class NonFiniteModelError(RuntimeError):
+    """A parameter or buffer holds NaN or inf, so `save_model` writes nothing."""
+
+
 def save_model(model: Model, path) -> None:
     entries: list[tuple[str, str, np.ndarray]] = []
     for name, v in model.params.items():
         entries.append((name, "param", v.value))
     for name, t in model.buffers().items():
         entries.append((name, "buffer", t))
+    for name, kind, t in entries:
+        if not np.all(np.isfinite(t)):
+            raise NonFiniteModelError(f"{kind} {name!r} is not finite; checkpoint {path} "
+                                      "not written")
 
     payload = io.BytesIO()
     manifest_lines = []

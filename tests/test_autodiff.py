@@ -211,3 +211,30 @@ def test_finite_difference_check_leaves_the_input_unchanged():
     with pytest.raises(FloatingPointError):
         ad.finite_difference_check(defined_only_at_x, x, eps=1e-5)
     assert np.array_equal(x.data, before)
+
+
+def test_backward_frees_spent_node_values():
+    # with the loss still held, a spent chain keeps only the leaf's gradient:
+    # no node is held by the tape, its children or the backward pass
+    x = ad.Variable(Tensor(np.ones(1 << 17)), requires_grad=True)  # 1 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = x
+        for _ in range(30):
+            y = ad.scale(y, 0.5)
+        mid = y
+        for _ in range(3):
+            y = ad.scale(y, 0.5)
+        loss = ad.total(y)
+        del y
+        ad.backward(loss)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss.value == 0.5 ** 33 * x.value.size
+    assert held - mid.value.nbytes < 3 * x.value.nbytes
+    with pytest.raises(RuntimeError, match="already consumed"):
+        ad.backward(loss)
+    with pytest.raises(RuntimeError, match="already consumed"):
+        ad.backward(ad.total(ad.scale(mid, 2.0)))

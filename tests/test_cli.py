@@ -251,6 +251,18 @@ def test_train_divergence_exits_3(tmp_path, corpus, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan propagation is the point
+def test_train_exits_3_before_checkpointing_non_finite_parameters(tmp_path, corpus, capsys):
+    # one epoch of one batch: the step to inf comes after the only loss check,
+    # so the best checkpoint is the first place that sees it
+    cfg = write_cfg(tmp_path, corpus, **{"train.lr": 1e39, "train.epochs": 1,
+                                         "train.batch_size": 32})
+    out = tmp_path / "x"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "is not finite; checkpoint" in capsys.readouterr().err
+    assert not (out / "best.wcnn").exists()
+
+
 def test_eval_checkpoint(tmp_path, corpus, capsys):
     cfg = write_cfg(tmp_path, corpus)
     out = tmp_path / "run"
@@ -454,12 +466,13 @@ def test_every_option_is_read_by_its_command():
     ["levels-sweep", "--levels", "2,x"], ["levels-sweep", "--seeds", "0"],
     ["gradcheck", "--coords-per-param", "0"], ["gradcheck", "--coords-per-param", "-1"],
     ["gradcheck", "--tolerance", "nan"], ["gradcheck", "--tolerance", "inf"],
-    ["gradcheck", "--tolerance", "0"],
+    ["gradcheck", "--tolerance", "0"], ["synth", "--size", "100000"],
 ], ids=lambda argv: "{}{}={}".format(*argv))
 def test_bad_argument_exits_2(tmp_path, capsys, argv):
     out = [] if argv[0] == "gradcheck" else ["--out", str(tmp_path / "out")]
     assert cli.main([*argv, *out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_ablate_cli(tmp_path, corpus, capsys):

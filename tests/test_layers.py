@@ -305,7 +305,9 @@ LAYER_ROWS = [
     "conv2d-stride2-odd/x", "conv2d-1x1/x", "conv2d-1x1/weight",
     "average_pool/x", "relu/x",
     "batch_norm-train/x", "batch_norm-train/gamma", "batch_norm-train/beta",
-    "batch_norm-eval/x", "global_average_pool/x",
+    "batch_norm-eval/x",
+    "batch_norm_relu-train/x", "batch_norm_relu-train/gamma", "batch_norm_relu-train/beta",
+    "batch_norm_relu-eval/x", "global_average_pool/x",
     "fully_connected/x", "fully_connected/weight", "fully_connected/bias",
     "softmax_cross_entropy/logits", "sigmoid_bce/logits", "wavelet_decompose/x",
     "concat_channels/a", "concat_channels/b", "scale/a",
@@ -349,7 +351,7 @@ def test_layer_check_rows_one_backward_per_check(monkeypatch):
     monkeypatch.setattr(ad, "backward", lambda loss: backwards.append(loss) or real_backward(loss))
     rows = G.layer_checks()
     assert [name for name, _ in rows] == LAYER_ROWS
-    assert len(backwards) == len({name.split("/")[0] for name in LAYER_ROWS}) == 15
+    assert len(backwards) == len({name.split("/")[0] for name in LAYER_ROWS}) == 17
     for name, err in rows:
         assert err < 1e-6, f"{name}: {err:.2e}"
 
@@ -504,6 +506,65 @@ def test_batch_norm_finite_differences():
         return ad.total(ad.mul(out, r))
 
     assert ad.finite_difference_check(wrt_beta, Tensor(b0), eps=1e-5) < 1e-6
+
+
+def _bn_relu_step(op, x0, g0, b0, r, mode):
+    """Output, running statistics and gradients of op(x, p, mode) under the loss sum(op * r)."""
+    x, gamma, beta = (ad.Variable(a.copy(), requires_grad=True) for a in (x0, g0, b0))
+    c = x0.shape[1]
+    p = L.BatchNormParams(gamma, beta, running_mean=np.linspace(-0.2, 0.3, c, dtype=x0.dtype),
+                          running_var=np.linspace(0.5, 2.0, c, dtype=x0.dtype))
+    y = op(x, p, mode)
+    out = y.value.copy()
+    ad.backward(ad.total(ad.mul(y, ad.Variable(r))))
+    return out, p.running_mean, p.running_var, x.grad, gamma.grad, beta.grad
+
+
+@pytest.mark.parametrize("shape", [(16, 12, 16, 16), (4, 64, 28, 28)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batch_norm_relu_is_bit_identical_to_relu_of_batch_norm(shape, dtype, mode):
+    rng = np.random.default_rng(sum(shape))
+    x0 = (rng.standard_normal(shape) * 2 + 0.3).astype(dtype)
+    g0 = (rng.standard_normal(shape[1]) + 1).astype(dtype)
+    b0 = rng.standard_normal(shape[1]).astype(dtype)
+    r = rng.standard_normal(shape).astype(dtype)
+    fused = _bn_relu_step(L.batch_norm_relu, x0, g0, b0, r, mode)
+    oracle = _bn_relu_step(lambda x, p, m: L.relu(L.batch_norm(x, p, m)), x0, g0, b0, r, mode)
+    names = ("y", "running_mean", "running_var", "dx", "dgamma", "dbeta")
+    for name, a, b in zip(names, fused, oracle):
+        assert a.dtype == dtype and np.array_equal(a, b), name
+    # the in-place arithmetic computes the closed form as written, bit for bit
+    y, mu, var_, dx, dgamma, dbeta = oracle  # eval mode leaves the running statistics
+    axes, c4 = (0, 2, 3), (None, slice(None), None, None)
+    if mode == "train":
+        mu, var_ = x0.mean(axis=axes), x0.var(axis=axes)
+    inv = 1.0 / np.sqrt(var_ + dtype(1e-5))
+    xhat = (x0 - mu[c4]) * inv[c4]
+    assert np.array_equal(y, np.maximum(g0[c4] * xhat + b0[c4], 0))
+    g = r * (y > 0)
+    assert np.array_equal(dgamma, (g * xhat).sum(axis=axes))
+    assert np.array_equal(dbeta, g.sum(axis=axes))
+    if mode == "eval":
+        assert np.array_equal(dx, g * (g0 * inv)[c4])
+    else:
+        dxhat = g * g0[c4]
+        assert np.array_equal(dx, inv[c4] * (dxhat - dxhat.mean(axis=axes)[c4]
+                                            - xhat * (dxhat * xhat).mean(axis=axes)[c4]))
+
+
+def test_batch_norm_relu_keeps_no_batch_norm_output():
+    # the closure holds x, mean, inv and the output itself: nothing the size
+    # of x beyond y stays allocated after the forward
+    x = var(np.random.default_rng(4).standard_normal((8, 16, 32, 32)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = L.batch_norm_relu(x, bn_params(16), mode="train")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held - y.value.nbytes < 0.25 * x.value.nbytes
 
 
 # --- global average pool / fully connected -------------------------------------

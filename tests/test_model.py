@@ -259,6 +259,18 @@ def test_checkpoint_version_mismatch(tmp_path):
         M.load_model(tmp_path / "v9.wcnn")
 
 
+@pytest.mark.parametrize("name, bad", [("head.fc.bias", np.nan), ("stage2.conv1.weight", -np.inf),
+                                       ("stage1.proj.bn.running_var", np.inf)])
+def test_save_model_refuses_non_finite_values(tmp_path, name, bad):
+    model = M.build(tiny_config())
+    values = {**{k: v.value for k, v in model.params.items()}, **model.buffers()}
+    values[name].reshape(-1)[-1] = bad
+    path = tmp_path / "model.wcnn"
+    with pytest.raises(M.NonFiniteModelError, match=name):
+        M.save_model(model, path)
+    assert not path.exists()
+
+
 def test_checkpoint_narrowing(tmp_path):
     model = M.build(tiny_config())
     path = tmp_path / "model.wcnn"
