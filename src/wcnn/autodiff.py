@@ -8,7 +8,7 @@ fan-out is plain addition in recording order and 64-bit runs are
 bit-reproducible.  A gradient array may be shared by several nodes (`add`
 hands one to both parents), so none is ever written in place.  Nor is a tape
 value between its forward and its backward: closures read their inputs
-(`conv2d` rebuilds its columns from its input, `batch_norm_relu` its x-hat).
+(`conv2d` reads its input again for dW, `batch_norm_relu` rebuilds its x-hat).
 A node's output gradient is dropped as soon as its closure has used it.
 
 Each forward pass supports exactly one backward pass.  Once its closure has

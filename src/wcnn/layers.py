@@ -6,14 +6,25 @@ bank in `wavelet` handles its own alignment explicitly.  Padding is zero
 padding.  This artifact only needs square 1x1/3x3 kernels and strides 1/2,
 and the parameter records enforce that.
 
-`conv2d` unrolls each image channel-major (Caffe-style im2col) into columns
+`conv2d` has two kernels, both over one image range at a time.  A 3x3
+stride-1 conv, most of the backbone, is nine shifted GEMMs (the low-memory
+kn2row of Anderson et al., arXiv:1709.03395): with each image's zero-padded
+rows laid end to end, tap (i, j) reads the contiguous slice that starts
+i*row + j further on, so BLAS reads the input in place and the two junk
+columns per output row are dropped afterwards.  Its dW is the same taps
+against the output gradient, and its dx the same routine run as a
+correlation of that gradient with the flipped, transposed taps, so it builds
+no columns and scatters nothing.  It copies the weights into taps instead,
+so it runs only where the columns would be the larger copy, n*ho*wo >=
+out_ch: every desk-scale conv, but not the 7x7 maps of 512 channels that end
+the 224-px model.  Every other conv unrolls each image channel-major
+(Caffe-style im2col) into columns
 `[n, c*k*k, ho*wo]`: the forward GEMM writes C-contiguous NCHW output and the
 input-gradient columns come out as contiguous per-tap blocks.  The columns of
 a 1x1 stride-1 kernel are a view of the (padded) input, so it is one GEMM.
-The columns are not kept: the forward builds them per image range for its
-GEMM and drops them, and the backward rebuilds them from the input, which
-the tape holds anyway, to form dW.  The rebuild is a strided copy; keeping
-them would hold about half of a 224-px training step's memory.
+The columns are not kept: the forward builds them for its GEMM and drops
+them, and the backward rebuilds them from the input, which the tape holds
+anyway, to form dW.
 A conv of `_SPLIT_FLOP` forward FLOPs or more runs one image range per CPU on a
 thread pool; every image's arithmetic is unchanged, so bits match at any CPU count.
 
@@ -105,15 +116,96 @@ class BatchNormParams:
             raise ShapeError("batch norm running variance must be non-negative")
 
 
+def _padded_rows(a: np.ndarray, p: int):
+    """(rows, width): a [m, c, h, w] zero-padded by p on every side (cropped
+    by -p if p < 0) with one more zero row below, its rows laid end to end as
+    [m, c, (h + 2p + 1) * width], and the padded row width w + 2p.  The extra
+    row keeps the last tap's slice inside the buffer."""
+    m, c, h, w = a.shape
+    q, r = max(p, 0), max(-p, 0)
+    buf = np.zeros((m, c, h + 2 * p + 1, w + 2 * p), a.dtype)
+    buf[:, :, q:q + h - 2 * r, q:q + w - 2 * r] = a[:, :, r:h - r, r:w - r]
+    return buf.reshape(m, c, -1), w + 2 * p
+
+
+def _tap_slices(af: np.ndarray, width: int, rows: int):
+    """The nine 3x3 taps of flat padded rows, in (i, j) order: tap (i, j) is
+    the view af[:, :, i*width + j:][..., :rows*width], which BLAS reads in place."""
+    return [af[:, :, i * width + j:i * width + j + rows * width]
+            for i in range(3) for j in range(3)]
+
+
+def _tap_sum(taps: np.ndarray, af: np.ndarray, width: int, rows: int, out: np.ndarray):
+    """out[m] = sum over the nine taps t, in order, of taps[t] @ tap slice t of af[m]."""
+    slices = _tap_slices(af, width, rows)
+    np.matmul(taps[0], slices[0], out=out)
+    tmp = None
+    for wt, xs in zip(taps[1:], slices[1:]):
+        tmp = np.matmul(wt, xs, out=tmp)
+        out += tmp
+    return out
+
+
+def _weight_taps(wd: np.ndarray) -> np.ndarray:
+    """The 3x3 weights [o, c, 3, 3] as nine contiguous [o, c] taps, in (i, j) order."""
+    return np.ascontiguousarray(wd.transpose(2, 3, 0, 1)).reshape(9, *wd.shape[:2])
+
+
+def _conv3x3_shifted(x: Variable, wd, bd, pad: int, ho: int, wo: int, flop: float):
+    """(y, backward_fn) of a stride-1 3x3 conv as nine shifted GEMMs per image."""
+    xd = x.value
+    n, c, h, width = xd.shape
+    o = wd.shape[0]
+    taps = _weight_taps(wd)
+    y = np.empty((n, o, ho, wo), xd.dtype)
+
+    def forward_range(lo, hi):
+        xf, row = _padded_rows(xd[lo:hi], pad)
+        yf = _tap_sum(taps, xf, row, ho, np.empty((hi - lo, o, ho * row), xd.dtype))
+        np.add(yf.reshape(hi - lo, o, ho, row)[..., :wo], bd[:, None, None], out=y[lo:hi])
+
+    _over_images(n, flop, forward_range)
+
+    def backward_fn(g):
+        db = g.sum(axis=(0, 2, 3))
+        dws = np.empty((n, 9, o, c), g.dtype)
+
+        def weight_grad_range(lo, hi):
+            xf, row = _padded_rows(xd[lo:hi], pad)
+            gp = np.zeros((hi - lo, o, ho, row), g.dtype)  # zero under the junk columns
+            gp[..., :wo] = g[lo:hi]
+            gp = gp.reshape(hi - lo, o, ho * row)
+            for t, xs in enumerate(_tap_slices(xf, row, ho)):
+                np.matmul(gp, xs.transpose(0, 2, 1), out=dws[lo:hi, t])
+
+        _over_images(n, flop, weight_grad_range)
+        # image by image, in order, as a serial loop adds
+        dw = np.add.reduce(dws, axis=0).transpose(1, 2, 0).reshape(o, c, 3, 3)
+        if not x._live:
+            return None, dw, db
+        # dx correlates g, padded by 2 - pad, with the flipped taps transposed
+        flipped = _weight_taps(wd)[::-1].transpose(0, 2, 1)  # views BLAS reads as transposed
+        dxr = np.empty((n, c, h, width + 2), g.dtype)  # rows of g's padded width
+
+        def input_grad_range(lo, hi):
+            gf, row = _padded_rows(g[lo:hi], 2 - pad)
+            _tap_sum(flipped, gf, row, h, dxr[lo:hi].reshape(hi - lo, c, h * row))
+
+        _over_images(n, flop, input_grad_range)
+        return dxr[..., :width], dw, db
+
+    return y, backward_fn
+
+
 def conv2d(x: Variable, p: Conv2dParams) -> Variable:
     """2-D convolution over NCHW input.
 
     Output extent per axis is floor((in + 2*pad - k)/stride) + 1; with k=3,
     pad=1, stride=1 the spatial shape is preserved, with stride=2 it halves
-    (rounding up).  The backward closure keeps x, not its columns: it rebuilds
-    each image range's columns from x for dW and drops them before the
-    input-gradient columns are allocated, so x must not change in place
-    before the backward.
+    (rounding up).  The backward closure keeps x, and no columns: the
+    shifted-tap kernel reads x in place, im2col rebuilds each image range's
+    columns from it for dW and drop them before the input-gradient columns
+    are allocated.  So x must not change in place before the backward.
     """
     xd = x.value
     if xd.ndim != 4:
@@ -133,6 +225,10 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
         raise ShapeError(f"conv2d empty output for input {h}x{width}, k={kh}, pad={pad}")
 
     ckk = c * kh * kw
+    flop = 2.0 * n * o * ckk * ho * wo
+    if kh == 3 and s == 1 and n * ho * wo >= o:  # the columns outweigh the weights
+        y, backward_fn = _conv3x3_shifted(x, wd, bd, pad, ho, wo, flop)
+        return record("conv2d", y, (x, w, b), backward_fn)
     direct = kh == 1 and s == 1  # the columns are the (padded) input, viewed as is
 
     def columns(lo, hi):
@@ -151,7 +247,6 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
 
     wmat = wd.reshape(o, ckk)
     y = np.empty((n, o, ho * wo), xd.dtype)
-    flop = 2.0 * n * o * ckk * ho * wo
 
     def forward_range(lo, hi):
         np.matmul(wmat, columns(lo, hi), out=y[lo:hi])
@@ -165,7 +260,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
         dws = np.empty((n, o, ckk), g.dtype)
         _over_images(n, flop, lambda lo, hi: np.matmul(
             gm[lo:hi], columns(lo, hi).transpose(0, 2, 1), out=dws[lo:hi]))
-        dw = sum(dws).reshape(o, c, kh, kw)  # image by image, in order, as a serial loop adds
+        dw = np.add.reduce(dws, axis=0).reshape(o, c, kh, kw)  # image by image, in order
         dws = None  # spent, like each range's columns; free it before the input-gradient columns
         if not x._live:
             return None, dw, db
@@ -229,14 +324,17 @@ def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str):
     if mode == "train":
         if n * h * w <= 1:
             raise ShapeError("batch_norm train mode needs batch*height*width > 1 per channel")
-        mu, var = xd.mean(axis=_AXES), xd.var(axis=_AXES)
+        mu = xd.mean(axis=_AXES)
+        y = np.subtract(xd, mu[_C])  # x - mean once: the variance and x-hat share it
+        var = np.multiply(y, y).sum(axis=_AXES) / (n * h * w)  # the bits of xd.var
         mom = xd.dtype.type(p.momentum)
         p.running_mean = (1 - mom) * p.running_mean + mom * mu
         p.running_var = (1 - mom) * p.running_var + mom * var
     else:
         mu, var = p.running_mean, p.running_var
+        y = np.subtract(xd, mu[_C])
     inv = 1.0 / np.sqrt(var + xd.dtype.type(p.epsilon))
-    y = _bn_normalize(xd, mu, inv)
+    y *= inv[_C]  # x-hat, as `_bn_normalize` rebuilds it
     y *= p.gamma.value[_C]
     y += p.beta.value[_C]
     return y, mu, inv
