@@ -7,6 +7,9 @@ low band. With the orthonormal Haar pair the pyramid holds exactly the energy
 of the input and inverts exactly.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from wcnn import Tensor, decompose, reconstruct
@@ -32,5 +35,6 @@ print(f"\nenergy of pyramid / input : {total / float((x.data**2).sum()):.12f}")
 print(f"max reconstruction error  : {err:.3e}")
 
 # subbands can be persisted in the WTNS1 raw-tensor format
-save_wtns("/tmp/demo_L1_LH.wtns", pyramid.levels[0][0])
-print("wrote /tmp/demo_L1_LH.wtns")
+out = Path(tempfile.gettempdir()) / "demo_L1_LH.wtns"
+save_wtns(out, pyramid.levels[0][0])
+print(f"wrote {out}")

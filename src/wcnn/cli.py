@@ -26,7 +26,7 @@ from . import train as TR
 from . import wavelet as W
 from . import runconfig as RC
 from .schema import get_value, to_items
-from .tensor import ShapeError, Tensor, as_array, save_wtns
+from .tensor import DTYPES, ShapeError, Tensor, as_array, save_wtns
 
 USAGE_ERRORS = (RC.ConfigError, ShapeError, D.ManifestError, D.PnmError,
                 M.CheckpointError, FileNotFoundError)
@@ -123,6 +123,7 @@ def _train_once(cfg: dict[str, str], checkpoint: Path | None):
     model_cfg, train_cfg = RC.model_config_from(cfg), RC.train_config_from(cfg)
     model_cfg.validate()  # both configs fail before any image loads
     train_cfg.validate()
+    train_cfg.resolved_resize(model_cfg.input_size)
     manifest, (train_idx, test_idx) = _load_split(
         get_value(cfg, "data.manifest", ""), model_cfg.num_classes,
         get_value(cfg, "data.policy", "by-split-column"), get_value(cfg, "data.k", 0) or None,
@@ -241,7 +242,6 @@ def cmd_levels_sweep(args) -> int:
     for level_runs in runs:  # every run is checked before the first one trains
         for run_cfg in level_runs:
             RC.model_config_from(run_cfg).validate()
-    out = _out_dir(args)
     detail = [f"# config_hash = {RC.config_hash(cfg)}"]
     cells = []
     for lv, level_runs in zip(levels, runs):
@@ -257,7 +257,7 @@ def cmd_levels_sweep(args) -> int:
         "accuracy\t" + "\t".join(cells),
     ]
     text = "\n".join(lines) + "\n"
-    (out / "levels_sweep.tsv").write_text(text)
+    (_out_dir(args) / "levels_sweep.tsv").write_text(text)
     sys.stdout.write(text)
     return 0
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--pgm", action="store_true", help="also write rescaled PGM previews")
     p.add_argument("--verify", action="store_true", help="report the reconstruction error")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f32")
+    p.add_argument("--precision", choices=tuple(DTYPES), default="f32")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("synth", help="generate the synthetic texture corpus")
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[out], help="evaluate a checkpoint on a manifest")
     p.add_argument("checkpoint")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--policy", choices=("by-split-column", "leave-one-group-in", "k-fold"))
+    p.add_argument("--policy", choices=D.SPLIT_POLICIES)
     p.add_argument("--split", type=int, default=0)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)

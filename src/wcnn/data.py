@@ -171,6 +171,9 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(path.parent, tuple(records), tuple(sorted(names)))
 
 
+SPLIT_POLICIES = ("by-split-column", "leave-one-group-in", "k-fold")
+
+
 def make_splits(manifest: DatasetManifest, policy: str,
                 k: int | None = None, seed: int | None = None) -> list[tuple[list[int], list[int]]]:
     """Produce (train_indices, test_indices) pairs under one of three policies.
@@ -215,7 +218,8 @@ def make_splits(manifest: DatasetManifest, policy: str,
             (sorted(set(idx) - set(fold)), fold)
             for fold in folds
         ]
-    raise ManifestError(f"unknown split policy {policy!r}")
+    raise ManifestError(f"unknown split policy {policy!r}; "
+                        f"expected one of {', '.join(SPLIT_POLICIES)}")
 
 
 def load_images(manifest: DatasetManifest, indices=None) -> list[ImageRecord]:

@@ -6,25 +6,24 @@ bank in `wavelet` handles its own alignment explicitly.  Padding is zero
 padding.  This artifact only needs square 1x1/3x3 kernels and strides 1/2,
 and the parameter records enforce that.
 
-`conv2d` has two kernels, both over one image range at a time.  A 3x3
-stride-1 conv, most of the backbone, is nine shifted GEMMs (the low-memory
-kn2row of Anderson et al., arXiv:1709.03395): with each image's zero-padded
-rows laid end to end, tap (i, j) reads the contiguous slice that starts
-i*row + j further on, so BLAS reads the input in place and the two junk
-columns per output row are dropped afterwards.  Its dW is the same taps
-against the output gradient, and its dx the same routine run as a
-correlation of that gradient with the flipped, transposed taps, so it builds
-no columns and scatters nothing.  It copies the weights into taps instead,
-so it runs only where the columns would be the larger copy, n*ho*wo >=
-out_ch: every desk-scale conv, but not the 7x7 maps of 512 channels that end
-the 224-px model.  Every other conv unrolls each image channel-major
-(Caffe-style im2col) into columns
-`[n, c*k*k, ho*wo]`: the forward GEMM writes C-contiguous NCHW output and the
-input-gradient columns come out as contiguous per-tap blocks.  The columns of
-a 1x1 stride-1 kernel are a view of the (padded) input, so it is one GEMM.
-The columns are not kept: the forward builds them for its GEMM and drops
-them, and the backward rebuilds them from the input, which the tape holds
-anyway, to form dW.
+`conv2d` is one tap sum, two operand layouts and two dx methods, run on one
+image range at a time.  The forward is y = sum_t W_t @ X_t + b, and tap t of
+dW is the sum over images of g @ X_t^T; only the operands X_t differ.  A 3x3
+stride-1 conv, most of the backbone, has nine taps (the low-memory kn2row of
+Anderson et al., arXiv:1709.03395): with each image's zero-padded rows laid
+end to end, tap (i, j) is the contiguous slice that starts i*row + j further
+on, so BLAS reads the input in place and the two junk columns per output row
+are dropped afterwards.  Its weight taps are a copy, so it runs only where
+the columns would be the larger copy, n*ho*wo >= out_ch: every desk-scale
+conv, but not the 7x7 maps of 512 channels that end the 224-px model.  Every
+other conv has one tap, the weights [o, c*k*k] against the image unrolled
+channel-major (Caffe-style im2col) into columns [n, c*k*k, ho*wo], a view of
+the (padded) input for a 1x1 stride-1 kernel; its GEMM writes the NCHW output
+in place.  No operands are kept: the backward rebuilds them from the input,
+which the tape holds anyway, to form dW.  dx is the nine-tap sum again, the
+output gradient correlated with the flipped, transposed taps, which builds no
+columns and scatters nothing; or, for im2col, the input-gradient columns
+scattered back one contiguous per-tap block at a time.
 A conv of `_SPLIT_FLOP` forward FLOPs or more runs one image range per CPU on a
 thread pool; every image's arithmetic is unchanged, so bits match at any CPU count.
 
@@ -135,15 +134,13 @@ def _tap_slices(af: np.ndarray, width: int, rows: int):
             for i in range(3) for j in range(3)]
 
 
-def _tap_sum(taps: np.ndarray, af: np.ndarray, width: int, rows: int, out: np.ndarray):
-    """out[m] = sum over the nine taps t, in order, of taps[t] @ tap slice t of af[m]."""
-    slices = _tap_slices(af, width, rows)
-    np.matmul(taps[0], slices[0], out=out)
+def _tap_sum(taps: np.ndarray, operands, out: np.ndarray):
+    """out[m] = sum over the taps t, in order, of taps[t] @ operands[t][m]."""
+    np.matmul(taps[0], operands[0], out=out)
     tmp = None
-    for wt, xs in zip(taps[1:], slices[1:]):
+    for wt, xs in zip(taps[1:], operands[1:]):
         tmp = np.matmul(wt, xs, out=tmp)
         out += tmp
-    return out
 
 
 def _weight_taps(wd: np.ndarray) -> np.ndarray:
@@ -151,61 +148,17 @@ def _weight_taps(wd: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(wd.transpose(2, 3, 0, 1)).reshape(9, *wd.shape[:2])
 
 
-def _conv3x3_shifted(x: Variable, wd, bd, pad: int, ho: int, wo: int, flop: float):
-    """(y, backward_fn) of a stride-1 3x3 conv as nine shifted GEMMs per image."""
-    xd = x.value
-    n, c, h, width = xd.shape
-    o = wd.shape[0]
-    taps = _weight_taps(wd)
-    y = np.empty((n, o, ho, wo), xd.dtype)
-
-    def forward_range(lo, hi):
-        xf, row = _padded_rows(xd[lo:hi], pad)
-        yf = _tap_sum(taps, xf, row, ho, np.empty((hi - lo, o, ho * row), xd.dtype))
-        np.add(yf.reshape(hi - lo, o, ho, row)[..., :wo], bd[:, None, None], out=y[lo:hi])
-
-    _over_images(n, flop, forward_range)
-
-    def backward_fn(g):
-        db = g.sum(axis=(0, 2, 3))
-        dws = np.empty((n, 9, o, c), g.dtype)
-
-        def weight_grad_range(lo, hi):
-            xf, row = _padded_rows(xd[lo:hi], pad)
-            gp = np.zeros((hi - lo, o, ho, row), g.dtype)  # zero under the junk columns
-            gp[..., :wo] = g[lo:hi]
-            gp = gp.reshape(hi - lo, o, ho * row)
-            for t, xs in enumerate(_tap_slices(xf, row, ho)):
-                np.matmul(gp, xs.transpose(0, 2, 1), out=dws[lo:hi, t])
-
-        _over_images(n, flop, weight_grad_range)
-        # image by image, in order, as a serial loop adds
-        dw = np.add.reduce(dws, axis=0).transpose(1, 2, 0).reshape(o, c, 3, 3)
-        if not x._live:
-            return None, dw, db
-        # dx correlates g, padded by 2 - pad, with the flipped taps transposed
-        flipped = _weight_taps(wd)[::-1].transpose(0, 2, 1)  # views BLAS reads as transposed
-        dxr = np.empty((n, c, h, width + 2), g.dtype)  # rows of g's padded width
-
-        def input_grad_range(lo, hi):
-            gf, row = _padded_rows(g[lo:hi], 2 - pad)
-            _tap_sum(flipped, gf, row, h, dxr[lo:hi].reshape(hi - lo, c, h * row))
-
-        _over_images(n, flop, input_grad_range)
-        return dxr[..., :width], dw, db
-
-    return y, backward_fn
-
-
 def conv2d(x: Variable, p: Conv2dParams) -> Variable:
-    """2-D convolution over NCHW input.
+    """2-D convolution over NCHW input: one tap sum, two operand layouts, two dx methods.
 
     Output extent per axis is floor((in + 2*pad - k)/stride) + 1; with k=3,
     pad=1, stride=1 the spatial shape is preserved, with stride=2 it halves
-    (rounding up).  The backward closure keeps x, and no columns: the
-    shifted-tap kernel reads x in place, im2col rebuilds each image range's
-    columns from it for dW and drop them before the input-gradient columns
-    are allocated.  So x must not change in place before the backward.
+    (rounding up).  Per image range, y = sum_t W_t @ X_t + b and
+    dW_t = sum over images of g @ X_t^T, where the operands X_t are the nine
+    shifted slices of the padded rows or the one im2col column matrix.  The
+    backward closure keeps x, and no operands and no tap copy: it rebuilds
+    each range's operands from x for dW and drops them before dx.  So x must
+    not change in place before the backward.
     """
     xd = x.value
     if xd.ndim != 4:
@@ -226,58 +179,82 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
 
     ckk = c * kh * kw
     flop = 2.0 * n * o * ckk * ho * wo
-    if kh == 3 and s == 1 and n * ho * wo >= o:  # the columns outweigh the weights
-        y, backward_fn = _conv3x3_shifted(x, wd, bd, pad, ho, wo, flop)
-        return record("conv2d", y, (x, w, b), backward_fn)
-    direct = kh == 1 and s == 1  # the columns are the (padded) input, viewed as is
+    shifted = kh == 3 and s == 1 and n * ho * wo >= o  # the columns outweigh the weights
 
-    def columns(lo, hi):
-        """The unrolled columns [hi - lo, c*k*k, ho*wo] of images lo..hi-1."""
-        xs = xd[lo:hi]
-        if pad:
-            xs = np.zeros((hi - lo, c, h + 2 * pad, width + 2 * pad), xd.dtype)
-            xs[:, :, pad:pad + h, pad:pad + width] = xd[lo:hi]
+    def operands(lo, hi):
+        """(per-tap operands, row) of images lo..hi-1: the nine tap slices of
+        the padded rows, or the one unrolled column matrix [m, c*k*k, ho*wo]."""
+        if shifted:
+            xf, row = _padded_rows(xd[lo:hi], pad)
+            return _tap_slices(xf, row, ho), row
+        xs = np.pad(xd[lo:hi], ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd[lo:hi]
         win = sliding_window_view(xs, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
         win = win.transpose(0, 1, 4, 5, 2, 3)
-        if direct:
-            return win.reshape(hi - lo, ckk, ho * wo)
+        if kh == 1 and s == 1:  # the columns are the (padded) input, viewed as is
+            return [win.reshape(hi - lo, ckk, ho * wo)], wo
         cols = np.empty((hi - lo, ckk, ho * wo), xd.dtype)
         np.copyto(cols.reshape(win.shape), win)
-        return cols
+        return [cols], wo
 
-    wmat = wd.reshape(o, ckk)
-    y = np.empty((n, o, ho * wo), xd.dtype)
+    taps = _weight_taps(wd) if shifted else wd.reshape(1, o, ckk)
+    y = np.empty((n, o, ho, wo), xd.dtype)
 
     def forward_range(lo, hi):
-        np.matmul(wmat, columns(lo, hi), out=y[lo:hi])
-        y[lo:hi] += bd[:, None]
+        ops, row = operands(lo, hi)
+        # the GEMM writes y in place unless junk columns follow each output row
+        yf = y[lo:hi].reshape(hi - lo, o, ho * wo) if row == wo else \
+            np.empty((hi - lo, o, ho * row), xd.dtype)
+        _tap_sum(taps, ops, yf)
+        np.add(yf.reshape(hi - lo, o, ho, row)[..., :wo], bd[:, None, None], out=y[lo:hi])
 
     _over_images(n, flop, forward_range)
 
     def backward_fn(g):
-        gm = g.reshape(n, o, ho * wo)
         db = g.sum(axis=(0, 2, 3))
-        dws = np.empty((n, o, ckk), g.dtype)
-        _over_images(n, flop, lambda lo, hi: np.matmul(
-            gm[lo:hi], columns(lo, hi).transpose(0, 2, 1), out=dws[lo:hi]))
-        dw = np.add.reduce(dws, axis=0).reshape(o, c, kh, kw)  # image by image, in order
-        dws = None  # spent, like each range's columns; free it before the input-gradient columns
+        dws = np.empty((n, 9, o, c) if shifted else (n, 1, o, ckk), g.dtype)
+
+        def weight_grad_range(lo, hi):
+            ops, row = operands(lo, hi)
+            gp = g[lo:hi]
+            if row != wo:  # zero under the junk columns
+                gp = np.zeros((hi - lo, o, ho, row), g.dtype)
+                gp[..., :wo] = g[lo:hi]
+            gp = gp.reshape(hi - lo, o, ho * row)
+            for t, xs in enumerate(ops):
+                np.matmul(gp, xs.transpose(0, 2, 1), out=dws[lo:hi, t])
+
+        _over_images(n, flop, weight_grad_range)
+        # image by image, in order, as a serial loop adds
+        dw = np.add.reduce(dws, axis=0).transpose(1, 2, 0).reshape(o, c, kh, kw)
+        dws = None  # spent, like each range's operands; free it before dx
         if not x._live:
             return None, dw, db
+        if shifted:  # correlate g, padded by 2 - pad, with the flipped taps transposed
+            flipped = _weight_taps(wd)[::-1].transpose(0, 2, 1)  # views BLAS reads as transposed
+            dxr = np.empty((n, c, h, width + 2), g.dtype)  # rows of g's padded width
+
+            def input_grad_range(lo, hi):
+                gf, row = _padded_rows(g[lo:hi], 2 - pad)
+                out = dxr[lo:hi].reshape(hi - lo, c, h * row)
+                _tap_sum(flipped, _tap_slices(gf, row, h), out)
+
+            _over_images(n, flop, input_grad_range)
+            return dxr[..., :width], dw, db
+        # scatter the input-gradient columns, one contiguous block per tap
         dcols = np.empty((n, c, kh, kw, ho, wo), g.dtype)
         dxp = np.zeros((n, c, h + 2 * pad, width + 2 * pad), dtype=g.dtype)
 
-        def input_grad_range(lo, hi):
-            np.matmul(wmat.T, gm[lo:hi], out=dcols[lo:hi].reshape(hi - lo, ckk, ho * wo))
+        def scatter_range(lo, hi):
+            np.matmul(wd.reshape(o, ckk).T, g[lo:hi].reshape(hi - lo, o, ho * wo),
+                      out=dcols[lo:hi].reshape(hi - lo, ckk, ho * wo))
             for i in range(kh):
                 for j in range(kw):
                     dxp[lo:hi, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[lo:hi, :, i, j]
 
-        _over_images(n, flop, input_grad_range)
-        dx = dxp[:, :, pad:pad + h, pad:pad + width] if pad else dxp
-        return dx, dw, db
+        _over_images(n, flop, scatter_range)
+        return dxp[:, :, pad:pad + h, pad:pad + width], dw, db
 
-    return record("conv2d", y.reshape(n, o, ho, wo), (x, w, b), backward_fn)
+    return record("conv2d", y, (x, w, b), backward_fn)
 
 
 def average_pool(x: Variable, p: int) -> Variable:

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import layers as L
 from . import metrics as X
 from . import model as M
-from .data import ImageRecord
+from .data import MAX_SYNTH_SIZE, ImageRecord
 from .seeding import AUGMENT, SHUFFLE, stream_rng
 from .tensor import ShapeError, as_array
 
@@ -77,6 +77,11 @@ class TrainConfig:
             raise ShapeError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_resize(self, input_size: int) -> int:
+        """The augmentation's resize target; a set resize_to must lie in
+        [input_size, MAX_SYNTH_SIZE], so the crop fits and the resize stays bounded."""
+        if self.resize_to and not input_size <= self.resize_to <= MAX_SYNTH_SIZE:
+            raise ShapeError(f"resize_to must be 0 or in [{input_size}, {MAX_SYNTH_SIZE}], "
+                             f"got {self.resize_to}")
         return self.resize_to if self.resize_to else input_size * 256 // 224
 
     def lr_at(self, epoch: int) -> float:

@@ -187,30 +187,35 @@ def test_acceptance_5_desk_scale_learning(texture_corpus):
 
 def test_acceptance_6_levels_sweep_format(texture_corpus, tmp_path):
     start = time.perf_counter()
-    manifest, train_records, test_records = texture_corpus
-    levels = (2, 3, 4)
-    seeds = (0, 1, 2)
-    cells = {}
-    for lv in levels:
-        accs = []
-        for s in seeds:
-            model = M.build(desk_config(levels=lv, channels=(12, 24, 32, 32)[:lv],
-                                        init_seed=s))
-            report = TR.train(model, train_records, test_records,
-                              TR.TrainConfig(epochs=12, batch_size=16, lr=1e-3, seed=s,
-                                             augment=True, eval_every=2))
-            accs.append(report.best_test_acc)
-        mean, sd = X.split_aggregate(accs)
-        cells[lv] = X.format_mean_sd(mean, sd)
-
-    table = ["levels\t" + "\t".join(str(lv) for lv in levels),
-             "accuracy\t" + "\t".join(cells[lv] for lv in levels)]
-    text = "\n".join(table) + "\n"
-    (tmp_path / "levels_sweep.tsv").write_text(text)
+    manifest, _, _ = texture_corpus
+    # the desk configuration, its channel schedule cut to each level by the command
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text("\n".join([
+        "seed = 0",
+        "model.levels = 4",
+        "model.input_size = 32",
+        "model.input_channels = 1",
+        "model.channels = 12,24,32,32",
+        "model.blocks_per_stage = 2",
+        "model.classes = 6",
+        "model.precision = f32",
+        "train.epochs = 12",
+        "train.batch_size = 16",
+        "train.lr = 0.001",
+        "train.augment = true",
+        "train.eval_every = 2",
+        f"data.manifest = {manifest.root / 'manifest.tsv'}",
+        "data.policy = by-split-column",
+        "data.split = 0",
+    ]) + "\n")
+    rc = cli.main(["levels-sweep", "--config", str(cfg_path), "--levels", "2,3,4",
+                   "--seeds", "3", "--out", str(tmp_path / "sweep")])
+    assert rc == 0
+    text = (tmp_path / "sweep" / "levels_sweep.tsv").read_text()
 
     # completeness and format only: absolute accuracies at this scale say
     # nothing about full-scale texture benchmarks
-    header, row = text.strip().splitlines()
+    header, row = [line for line in text.splitlines() if not line.startswith("#")]
     assert header.split("\t") == ["levels", "2", "3", "4"]
     cells_out = row.split("\t")[1:]
     assert len(cells_out) == 3

@@ -491,12 +491,13 @@ def test_ablate_cli(tmp_path, corpus, capsys):
 @pytest.mark.parametrize("override", [
     "model.levels=7", "model.classes=5", "data.k=4", "train.lr=nan", "model.bn_epsilon=inf",
     "train.beta1=1.5", "train.beta2=1", "train.epsilon=0", "model.embedding_dim=-1", "seed=-1",
+    "train.resize_to=5", "train.resize_to=-3",
 ])
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_rejected_run_leaves_no_out_dir(tmp_path, corpus, capsys, command, override):
-    # a config check (a non-finite value, a value out of its range), the
-    # manifest's class count and a split option all fail before the run has
-    # anything to write
+    # a config check (a non-finite value, a value out of its range, a resize
+    # target below the 16-px input), the manifest's class count and a split
+    # option all fail before the run has anything to write
     cfg = write_cfg(tmp_path, corpus)
     out = tmp_path / "x"
     assert cli.main([command, "--config", str(cfg), "--set", override, "--out", str(out)]) == 2
@@ -517,6 +518,20 @@ def test_levels_sweep_checks_every_run_before_training(tmp_path, corpus, capsys,
                    "--seeds", "2", "--out", str(tmp_path / "sw")])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_levels_sweep_rejected_train_config_leaves_no_out_dir(tmp_path, corpus, capsys,
+                                                              monkeypatch):
+    def train(*_):
+        raise AssertionError("a run trained with a rejected train config")
+
+    monkeypatch.setattr(TR, "train", train)
+    cfg = write_cfg(tmp_path, corpus, **{"train.resize_to": 5})
+    rc = cli.main(["levels-sweep", "--config", str(cfg), "--levels", "2",
+                   "--seeds", "1", "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "resize_to must be 0 or in [16, 4096], got 5" in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
 
 

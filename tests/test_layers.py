@@ -237,6 +237,23 @@ def test_conv2d_forward_retains_no_columns():
     assert held - y.value.nbytes < 0.25 * cols_nbytes
 
 
+def test_conv2d_backward_holds_no_weight_copy():
+    # the nine-tap forward copies the weights into taps; once conv2d returns,
+    # nothing may keep that copy (one weight copy per conv at paper scale)
+    x = var(np.ones((1, 64, 4, 4)), requires_grad=True)
+    p = conv_params(np.ones((16, 64, 3, 3)), padding=1)  # n*ho*wo = 16 >= 16: nine taps
+    w_nbytes = p.weight.value.nbytes
+    assert w_nbytes > x.value.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = L.conv2d(x, p)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held - y.value.nbytes < 0.5 * w_nbytes
+
+
 def _shifted_taps_serial(xd, wd, bd, pad, g):
     """Whole-batch stride-1 3x3 conv2d as nine shifted GEMMs over flat padded rows."""
     width = xd.shape[3]
