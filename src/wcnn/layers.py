@@ -30,7 +30,11 @@ thread pool; every image's arithmetic is unchanged, so bits match at any CPU cou
 A model block is `conv2d` then `batch_norm_relu`, one op that keeps no
 batch-norm output and bit-matches `relu(batch_norm(...))`.  `batch_norm` and
 `relu` stay as its reference and gradient-check oracle; `relu` also follows
-the optional embedding layer.
+the optional embedding layer.  A batch norm of `_SPLIT_BN` elements or more
+runs one channel range per CPU on the same pool, forward and backward.  A
+range holds at least two channels, which numpy reduces in the same order as
+the whole array, so its bits too match at any CPU count.  `_over_ranges` is
+the one split helper; `train.adam_step` uses it as well.
 """
 
 from __future__ import annotations
@@ -46,17 +50,20 @@ from .autodiff import Variable, record
 from .tensor import ShapeError, tag
 
 _SPLIT_FLOP = 5e7  # two ranges lost to hand-off below about 2e7, won 1.4-2.2x above 5e7
+_SPLIT_BN = 2**18  # elements; two channel ranges lost below 1e5, tied at 2e5, won 1.3-2x from 2.6e5
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = ThreadPoolExecutor(max_workers=_CPUS)
 
 
-def _over_images(n: int, flop: float, fn) -> None:
-    """Call fn(lo, hi) on one image range per CPU, or on [0, n) inline below `_SPLIT_FLOP`."""
-    parts = min(n, _CPUS)
-    if flop < _SPLIT_FLOP or parts == 1:
-        return fn(0, n)
+def _over_ranges(n: int, fn, split: bool = True, least: int = 1) -> list:
+    """[fn(lo, hi)] over one contiguous range of [0, n) per CPU, each at least
+    `least` long, run on `_POOL`; [fn(0, n)] on the calling thread when
+    `split` is false or one range is all there is.  Results are in range order."""
+    parts = min(n // least, _CPUS) if split else 1
+    if parts <= 1:
+        return [fn(0, n)]
     cuts = [n * r // parts for r in range(parts + 1)]
-    list(_POOL.map(fn, cuts[:-1], cuts[1:]))  # reading every result re-raises a range's error
+    return list(_POOL.map(fn, cuts[:-1], cuts[1:]))  # reading each result re-raises a range's error
 
 
 @dataclass
@@ -178,7 +185,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
         raise ShapeError(f"conv2d empty output for input {h}x{width}, k={kh}, pad={pad}")
 
     ckk = c * kh * kw
-    flop = 2.0 * n * o * ckk * ho * wo
+    split = 2.0 * n * o * ckk * ho * wo >= _SPLIT_FLOP  # forward FLOPs
     shifted = kh == 3 and s == 1 and n * ho * wo >= o  # the columns outweigh the weights
 
     def operands(lo, hi):
@@ -207,7 +214,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
         _tap_sum(taps, ops, yf)
         np.add(yf.reshape(hi - lo, o, ho, row)[..., :wo], bd[:, None, None], out=y[lo:hi])
 
-    _over_images(n, flop, forward_range)
+    _over_ranges(n, forward_range, split)
 
     def backward_fn(g):
         db = g.sum(axis=(0, 2, 3))
@@ -223,7 +230,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
             for t, xs in enumerate(ops):
                 np.matmul(gp, xs.transpose(0, 2, 1), out=dws[lo:hi, t])
 
-        _over_images(n, flop, weight_grad_range)
+        _over_ranges(n, weight_grad_range, split)
         # image by image, in order, as a serial loop adds
         dw = np.add.reduce(dws, axis=0).transpose(1, 2, 0).reshape(o, c, kh, kw)
         dws = None  # spent, like each range's operands; free it before dx
@@ -238,7 +245,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
                 out = dxr[lo:hi].reshape(hi - lo, c, h * row)
                 _tap_sum(flipped, _tap_slices(gf, row, h), out)
 
-            _over_images(n, flop, input_grad_range)
+            _over_ranges(n, input_grad_range, split)
             return dxr[..., :width], dw, db
         # scatter the input-gradient columns, one contiguous block per tap
         dcols = np.empty((n, c, kh, kw, ho, wo), g.dtype)
@@ -251,7 +258,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
                 for j in range(kw):
                     dxp[lo:hi, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[lo:hi, :, i, j]
 
-        _over_images(n, flop, scatter_range)
+        _over_ranges(n, scatter_range, split)
         return dxp[:, :, pad:pad + h, pad:pad + width], dw, db
 
     return record("conv2d", y, (x, w, b), backward_fn)
@@ -286,34 +293,62 @@ _C = (None, slice(None), None, None)  # a per-channel vector broadcast over NCHW
 _AXES = (0, 2, 3)  # the per-channel reduction axes
 
 
-def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str):
-    """(y, mean, inv): y = gamma * x-hat + beta in one fresh array, and the
-    per-channel statistics it used, inv = 1/sqrt(var + eps).  Train mode
-    advances the running statistics by their EMA."""
+def _bn_forward_range(xs, stats, gd, bd, eps, relu: bool, out=None):
+    """(y, mean, var, inv) of the channels of xs: y = gamma * x-hat + beta,
+    then the ReLU if `relu`, in `out` or a fresh array, and the per-channel
+    statistics it used, inv = 1/sqrt(var + eps).  `stats` is the (mean, var)
+    to use, or None for the batch's own (train mode)."""
+    if stats is None:
+        mu = xs.mean(axis=_AXES)
+        y = np.subtract(xs, mu[_C], out=out)  # x - mean once: the variance and x-hat share it
+        n, _, h, w = xs.shape
+        var = np.multiply(y, y).sum(axis=_AXES) / (n * h * w)  # the bits of xs.var
+    else:
+        mu, var = stats
+        y = np.subtract(xs, mu[_C], out=out)
+    inv = 1.0 / np.sqrt(var + eps)
+    y *= inv[_C]  # x-hat, as `_bn_normalize` rebuilds it
+    y *= gd[_C]
+    y += bd[_C]
+    if relu:
+        np.maximum(y, 0, out=y)
+    return y, mu, var, inv
+
+
+def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool):
+    """(y, mean, inv): y = gamma * x-hat + beta (then the ReLU if `relu`) in
+    one fresh array, and the per-channel statistics it used.  Train mode
+    advances the running statistics by their EMA.  From `_SPLIT_BN` elements
+    on, one channel range per CPU.  A per-channel reduction over two or more
+    channels has the bits of the whole array's; numpy reduces a single
+    channel in another order, so every range holds at least two."""
     if mode not in ("train", "eval"):
         raise ShapeError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     if xd.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got rank {xd.ndim}")
     n, c, h, w = xd.shape
-    if p.gamma.value.shape[0] != c:
-        raise ShapeError(f"batch_norm channel mismatch: input {c}, "
-                         f"params {p.gamma.value.shape[0]}")
-    if mode == "train":
-        if n * h * w <= 1:
-            raise ShapeError("batch_norm train mode needs batch*height*width > 1 per channel")
-        mu = xd.mean(axis=_AXES)
-        y = np.subtract(xd, mu[_C])  # x - mean once: the variance and x-hat share it
-        var = np.multiply(y, y).sum(axis=_AXES) / (n * h * w)  # the bits of xd.var
+    gd, bd = p.gamma.value, p.beta.value
+    if gd.shape[0] != c:
+        raise ShapeError(f"batch_norm channel mismatch: input {c}, params {gd.shape[0]}")
+    if mode == "train" and n * h * w <= 1:
+        raise ShapeError("batch_norm train mode needs batch*height*width > 1 per channel")
+    stats = None if mode == "train" else (p.running_mean, p.running_var)
+    eps = xd.dtype.type(p.epsilon)
+    if xd.size < _SPLIT_BN:
+        y, mu, var, inv = _bn_forward_range(xd, stats, gd, bd, eps, relu)
+    else:
+        y = np.empty(xd.shape, xd.dtype)
+
+        def channel_range(lo, hi):
+            s = slice(lo, hi)
+            part = None if stats is None else (stats[0][s], stats[1][s])
+            return _bn_forward_range(xd[:, s], part, gd[s], bd[s], eps, relu, y[:, s])[1:]
+
+        mu, var, inv = map(np.concatenate, zip(*_over_ranges(c, channel_range, least=2)))
+    if stats is None:
         mom = xd.dtype.type(p.momentum)
         p.running_mean = (1 - mom) * p.running_mean + mom * mu
         p.running_var = (1 - mom) * p.running_var + mom * var
-    else:
-        mu, var = p.running_mean, p.running_var
-        y = np.subtract(xd, mu[_C])
-    inv = 1.0 / np.sqrt(var + xd.dtype.type(p.epsilon))
-    y *= inv[_C]  # x-hat, as `_bn_normalize` rebuilds it
-    y *= p.gamma.value[_C]
-    y += p.beta.value[_C]
     return y, mu, inv
 
 
@@ -324,8 +359,9 @@ def _bn_normalize(xd, mu, inv) -> np.ndarray:
     return xhat
 
 
-def _bn_backward(gy, xd, mu, inv, gd, mode: str):
-    """(dx, dgamma, dbeta) from gy = dL/dy, a fresh array that this overwrites.
+def _bn_backward_range(gy, xs, mu, inv, gd, mode: str):
+    """(dx, dgamma, dbeta) of the channels of xs from gy = dL/dy, which this
+    overwrites with dx.
 
     x-hat is rebuilt from x.  Eval mode: dx = gy * gamma * inv.  Train mode
     also carries the batch-mean terms,
@@ -337,16 +373,36 @@ def _bn_backward(gy, xd, mu, inv, gd, mode: str):
     expression as written.
     """
     dbeta = gy.sum(axis=_AXES)
-    xhat = _bn_normalize(xd, mu, inv)
+    xhat = _bn_normalize(xs, mu, inv)
     prod = gy * xhat
     dgamma = prod.sum(axis=_AXES)
     if mode == "eval":  # fixed statistics: dx is gy scaled per channel
         return np.multiply(gy, (gd * inv)[_C], out=gy), dgamma, dbeta
     dxhat = np.multiply(gy, gd[_C], out=gy)
     m2 = np.multiply(dxhat, xhat, out=prod).mean(axis=_AXES)
-    dx = np.subtract(dxhat, dxhat.mean(axis=_AXES)[_C], out=prod)
+    dx = np.subtract(dxhat, dxhat.mean(axis=_AXES)[_C], out=dxhat)
     dx -= np.multiply(xhat, m2[_C], out=xhat)
     dx *= inv[_C]
+    return dx, dgamma, dbeta
+
+
+def _bn_backward(g, y, xd, mu, inv, gd, mode: str):
+    """(dx, dgamma, dbeta) from g = dL/d(output): g itself for `batch_norm`
+    (y is None), g through the ReLU mask y > 0 for `batch_norm_relu`.  dx is
+    one fresh array; from `_SPLIT_BN` elements on, one channel range per CPU."""
+    if g.size < _SPLIT_BN:
+        return _bn_backward_range(g.copy() if y is None else g * (y > 0), xd, mu, inv, gd, mode)
+    dx = np.empty(g.shape, g.dtype)
+
+    def channel_range(lo, hi):
+        s = slice(lo, hi)
+        if y is None:
+            np.copyto(dx[:, s], g[:, s])
+        else:
+            np.multiply(g[:, s], y[:, s] > 0, out=dx[:, s])
+        return _bn_backward_range(dx[:, s], xd[:, s], mu[s], inv[s], gd[s], mode)[1:]
+
+    dgamma, dbeta = map(np.concatenate, zip(*_over_ranges(g.shape[1], channel_range, least=2)))
     return dx, dgamma, dbeta
 
 
@@ -360,9 +416,9 @@ def batch_norm(x: Variable, p: BatchNormParams, mode: str) -> Variable:
     runs `batch_norm_relu`; this op and `relu` are its reference.
     """
     xd, gd = x.value, p.gamma.value
-    y, mu, inv = _bn_forward(xd, p, mode)
+    y, mu, inv = _bn_forward(xd, p, mode, relu=False)
     return record("batch_norm", y, (x, p.gamma, p.beta),
-                  lambda g: _bn_backward(g.copy(), xd, mu, inv, gd, mode))
+                  lambda g: _bn_backward(g, None, xd, mu, inv, gd, mode))
 
 
 def batch_norm_relu(x: Variable, p: BatchNormParams, mode: str) -> Variable:
@@ -373,10 +429,9 @@ def batch_norm_relu(x: Variable, p: BatchNormParams, mode: str) -> Variable:
     from its own output (y > 0 exactly where the batch-norm output is).
     """
     xd, gd = x.value, p.gamma.value
-    y, mu, inv = _bn_forward(xd, p, mode)
-    np.maximum(y, 0, out=y)
+    y, mu, inv = _bn_forward(xd, p, mode, relu=True)
     return record("batch_norm_relu", y, (x, p.gamma, p.beta),
-                  lambda g: _bn_backward(g * (y > 0), xd, mu, inv, gd, mode))
+                  lambda g: _bn_backward(g, y, xd, mu, inv, gd, mode))
 
 
 def global_average_pool(x: Variable) -> Variable:

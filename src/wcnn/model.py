@@ -22,7 +22,10 @@ recompute the totals from the configuration arithmetic independently.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
+import uuid
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -277,6 +280,8 @@ class NonFiniteModelError(RuntimeError):
 
 
 def save_model(model: Model, path) -> None:
+    """Write a WCNN1 checkpoint atomically: to a temporary file beside `path`,
+    then renamed over it, so a failed write leaves any earlier file whole."""
     entries: list[tuple[str, str, np.ndarray]] = []
     for name, v in model.params.items():
         entries.append((name, "param", v.value))
@@ -297,9 +302,16 @@ def save_model(model: Model, path) -> None:
     cfg_lines = [f"{k} = {v}" for k, v in to_items(model.config)]
     header = [f"{_MAGIC} {_VERSION}", f"config {len(cfg_lines)}", *cfg_lines,
               f"manifest {len(manifest_lines)}", *manifest_lines, f"payload {len(blob)}"]
-    with open(path, "wb") as fh:
-        fh.write("".join(line + "\n" for line in header).encode("ascii"))
-        fh.write(blob)
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"  # same directory: os.replace is a rename
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write("".join(line + "\n" for line in header).encode("ascii"))
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path, precision: str | None = None) -> Model:

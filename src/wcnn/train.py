@@ -6,11 +6,13 @@ target defaults to input_size * 256 // 224, mirroring the full-scale
 256 -> 224 recipe at any desk scale.
 
 Adam's hyperparameters and their defaults are `TrainConfig`'s; they are
-echoed in every report header.  All randomness flows from the single seed
-through per-(epoch, sample) streams, so runs are reproducible independent of
-batch size.  Two identical 64-bit runs produce bit-identical
-checkpoints when BLAS runs the same number of threads in both, on any number
-of CPUs (see the README's determinism contract).
+echoed in every report header.  `adam_step` updates in place, a large
+parameter by row ranges on the conv pool (`layers._over_ranges`).  All
+randomness flows from the single seed through per-(epoch, sample) streams,
+so runs are reproducible independent of batch size.  Two identical 64-bit
+runs produce bit-identical checkpoints when BLAS runs the same number of
+threads in both, on any number of CPUs (see the README's determinism
+contract).
 """
 
 from __future__ import annotations
@@ -93,6 +95,12 @@ class TrainConfig:
 
 # --- Adam ---------------------------------------------------------------------
 
+# elements; two ranges lost to hand-off up to about 1.5e5, tied near 3e5, won 1.2-1.5x from 6e5
+_SPLIT_ADAM = 2**19
+# elements per block, by the 224-px model's Adam step: 2**16 took 83-93 ms split, 2**14 took
+# 190-220 ms (the small calls of two ranges contend for the GIL), whole arrays 97-127 ms
+_ADAM_BLOCK = 2**16
+
 
 @dataclass
 class AdamState:
@@ -107,12 +115,39 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _adam_update(p, g, m, v, s1, s2, b1, b2, c1, c2, lr, eps) -> None:
+    """Adam on one block of elements, in place on p, m and v, operation for
+    operation as m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps) evaluates, through two scratch
+    buffers s1 and s2 of the block's shape."""
+    m *= b1
+    np.multiply(1 - b1, g, out=s1)
+    m += s1
+    v *= b2
+    np.multiply(1 - b2, g, out=s1)
+    s1 *= g
+    v += s1
+    np.divide(m, c1, out=s1)
+    np.multiply(lr, s1, out=s1)
+    np.divide(v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    s1 /= s2
+    p -= s1
+
+
 def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
-    """One bias-corrected moment update, in place on the parameter values.
+    """One bias-corrected moment update, in place on the parameter values and moments.
 
     Parameters whose `.grad` is unset are treated as zero-gradient (their
     moments decay, values stay put).  Any non-finite gradient aborts the step
     before touching anything, naming the offending parameter.
+
+    The arithmetic is elementwise, so any split of the elements keeps the
+    bits.  A parameter of more than `_ADAM_BLOCK` elements is walked in blocks
+    of leading-axis rows, with two scratch buffers per range, and from
+    `_SPLIT_ADAM` elements on its rows split into one range per CPU on the
+    conv pool.  No buffer outlives the step.
     """
     grads: dict[str, np.ndarray] = {}
     for name, p in params.items():
@@ -127,20 +162,26 @@ def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
     correct1 = 1.0 - b1**t
     correct2 = 1.0 - b2**t
     for name, p in params.items():
-        g = grads[name]
-        dt = p.value.dtype
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.value)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.value)
             state.v[name] = np.zeros_like(p.value)
-        v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / correct1
-        v_hat = v / correct2
-        p.value -= dt.type(state.lr) * m_hat / (np.sqrt(v_hat) + dt.type(state.epsilon))
+        pv, g, m, v = p.value, grads[name], state.m[name], state.v[name]
+        dt = pv.dtype
+        hyper = (b1, b2, correct1, correct2, dt.type(state.lr), dt.type(state.epsilon))
+        if pv.size <= _ADAM_BLOCK:
+            _adam_update(pv, g, m, v, np.empty_like(pv), np.empty_like(pv), *hyper)
+            continue
+        block = max(1, _ADAM_BLOCK * len(pv) // pv.size)  # rows
+
+        def update(lo, hi):
+            s1 = np.empty((min(block, hi - lo), *pv.shape[1:]), dt)
+            s2 = np.empty_like(s1)
+            for at in range(lo, hi, block):
+                end = min(at + block, hi)
+                _adam_update(pv[at:end], g[at:end], m[at:end], v[at:end],
+                             s1[:end - at], s2[:end - at], *hyper)
+
+        L._over_ranges(len(pv), update, pv.size >= _SPLIT_ADAM)
 
 
 # --- preprocessing -------------------------------------------------------------

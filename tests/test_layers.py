@@ -620,6 +620,99 @@ def test_batch_norm_relu_keeps_no_batch_norm_output():
     assert held - y.value.nbytes < 0.25 * x.value.nbytes
 
 
+def _bn_serial(x, gd, bd, rm, rv, mode, relu, g):
+    """Whole-array batch norm, then the ReLU if `relu`, and its backward under
+    the output gradient g: the arithmetic every channel range must repeat.
+    Returns y, dx, dgamma, dbeta and the running mean and variance after."""
+    axes, c4 = (0, 2, 3), (None, slice(None), None, None)
+    eps, mom = x.dtype.type(1e-5), x.dtype.type(0.1)
+    if mode == "train":
+        mu = x.mean(axis=axes)
+        d = x - mu[c4]
+        var_ = (d * d).sum(axis=axes) / (x.size // x.shape[1])
+        rm, rv = (1 - mom) * rm + mom * mu, (1 - mom) * rv + mom * var_
+    else:
+        mu, var_ = rm, rv
+    inv = 1.0 / np.sqrt(var_ + eps)
+    xhat = (x - mu[c4]) * inv[c4]
+    y = xhat * gd[c4] + bd[c4]
+    if relu:
+        y = np.maximum(y, 0)
+        g = g * (y > 0)
+    dgamma, dbeta = (g * xhat).sum(axis=axes), g.sum(axis=axes)
+    if mode == "eval":
+        return y, g * (gd * inv)[c4], dgamma, dbeta, rm, rv
+    dxhat = g * gd[c4]
+    dx = (dxhat - dxhat.mean(axis=axes)[c4] - xhat * (dxhat * xhat).mean(axis=axes)[c4]) * inv[c4]
+    return y, dx, dgamma, dbeta, rm, rv
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("op", [L.batch_norm, L.batch_norm_relu], ids=lambda op: op.__name__)
+def test_batch_norm_channel_ranges_are_bit_identical_to_one_range(monkeypatch, op, mode, dtype):
+    # a gate of 0 splits every batch into min(c // 2, 3) channel ranges of at
+    # least two channels on the pool (fewer than four channels stay one
+    # range), a gate of inf runs one range on the calling thread; both must
+    # give the bits of the whole-array arithmetic
+    monkeypatch.setattr(L, "_CPUS", 3)
+    ranges = []
+    pool_map = L._POOL.map
+    monkeypatch.setattr(L._POOL, "map", lambda fn, los, his: ranges.append(len(los)) or
+                        pool_map(fn, los, his))
+    rng = np.random.default_rng(19)
+    big = (rng.standard_normal((5, 13, 6, 7)) * 2 + 0.3).astype(dtype)
+    views = {  # non-owning inputs, as the channel-concatenated stage inputs are
+        "owned": lambda c: big[:, :c].copy(),
+        "channel-slice": lambda c: big[:, 2:2 + c],
+    }
+    for c, (kind, make) in itertools.product((2, 3, 4, 7, 11), views.items()):
+        x = ad.Variable(make(c), requires_grad=True)
+        assert (kind == "owned") == (x.value.base is None)
+        gd = (rng.standard_normal(c) + 1).astype(dtype)
+        bd = rng.standard_normal(c).astype(dtype)
+        rm, rv = np.linspace(-0.2, 0.3, c, dtype=dtype), np.linspace(0.5, 2.0, c, dtype=dtype)
+        g = rng.standard_normal(x.value.shape).astype(dtype)
+        want = _bn_serial(x.value, gd, bd, rm, rv, mode, op is L.batch_norm_relu, g)
+        for gate in (np.inf, 0.0):
+            monkeypatch.setattr(L, "_SPLIT_BN", gate)
+            ranges.clear()
+            p = L.BatchNormParams(ad.Variable(gd.copy(), True), ad.Variable(bd.copy(), True),
+                                  running_mean=rm.copy(), running_var=rv.copy())
+            y = op(x, p, mode)
+            got = (y.value, *y._backward_fn(g), p.running_mean, p.running_var)
+            names = ("y", "dx", "dgamma", "dbeta", "running_mean", "running_var")
+            for name, a, b in zip(names, got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f"{name} c={c} {kind} {gate}"
+            assert ranges == ([min(c // 2, 3)] * 2 if gate == 0 and c >= 4 else []), (c, gate)
+
+
+def test_batch_norm_gradcheck_over_channel_ranges(monkeypatch):
+    # the gradcheck fixtures are far below the gate, so force the split; their
+    # three channels make one range of the split path, and a six-channel
+    # input adds three ranges of two
+    monkeypatch.setattr(L, "_SPLIT_BN", 0.0)
+    monkeypatch.setattr(L, "_CPUS", 3)
+    rows = [(name, err) for name, err in G.layer_checks() if name.startswith("batch_norm")]
+    assert len(rows) == 8
+    rng = np.random.default_rng(21)
+    x, r = rng.standard_normal((2, 6, 4, 4)), rng.standard_normal((2, 6, 4, 4))
+    gamma, beta = rng.standard_normal(6) + 1.5, rng.standard_normal(6)
+    for op, mode in itertools.product((L.batch_norm, L.batch_norm_relu), ("train", "eval")):
+        leaves = {k: ad.Variable(a.copy(), requires_grad=True)
+                  for k, a in (("x", x), ("gamma", gamma), ("beta", beta))}
+
+        def loss():
+            return ad.total(ad.mul(op(leaves["x"], L.BatchNormParams(leaves["gamma"],
+                                                                     leaves["beta"]), mode),
+                                   ad.Variable(r)))
+
+        errors = ad.gradient_errors(loss, leaves, None, G.EPS, floor=1e-12)
+        rows += [(f"{op.__name__}-{mode}-6ch/{k}", err) for k, err in errors.items()]
+    for name, err in rows:
+        assert err < 1e-5, f"{name}: {err:.2e}"
+
+
 # --- global average pool / fully connected -------------------------------------
 
 

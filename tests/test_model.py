@@ -271,6 +271,37 @@ def test_save_model_refuses_non_finite_values(tmp_path, name, bad):
     assert not path.exists()
 
 
+class _DiskFullHalfway:
+    """A file that writes half of its first large write, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if len(data) > 1000:  # the payload, not the header
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_save_model_failing_midway_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.wcnn"
+    M.save_model(M.build(tiny_config()), path)
+    old = path.read_bytes()
+    monkeypatch.setattr(M, "open", lambda *a, **k: _DiskFullHalfway(open(*a, **k)),
+                        raising=False)  # shadows the builtin inside `model` only
+    with pytest.raises(OSError, match="No space"):
+        M.save_model(M.build(tiny_config(init_seed=1)), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.wcnn"]  # no temporary left
+
+
 def test_checkpoint_narrowing(tmp_path):
     model = M.build(tiny_config())
     path = tmp_path / "model.wcnn"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wcnn import autodiff as ad
+from wcnn import layers as L
 from wcnn import model as M
 from wcnn import train as TR
 from wcnn.data import ImageRecord
@@ -66,6 +67,90 @@ def test_adam_nonfinite_gradient_aborts():
     assert "p" in str(exc.value)
     assert np.array_equal(p.value, before)
     assert state.step == 0
+
+
+@pytest.mark.parametrize("split", [np.inf, 0])
+def test_adam_nonfinite_last_gradient_touches_nothing(monkeypatch, split):
+    monkeypatch.setattr(TR, "_SPLIT_ADAM", split)
+    monkeypatch.setattr(TR, "_ADAM_BLOCK", 4)
+    params = {name: make_param(np.arange(12.0).reshape(6, 2) + i, name)
+              for i, name in enumerate("abc")}
+    for p in params.values():
+        p.grad = np.full((6, 2), 0.5)
+    state = TR.AdamState(lr=0.1)
+    TR.adam_step(params, state)  # so the moments are nonzero
+    params["c"].grad = np.full((6, 2), 0.25)
+    params["c"].grad[5, 1] = np.nan
+    before = {name: (p.value.copy(), state.m[name].copy(), state.v[name].copy())
+              for name, p in params.items()}
+    with pytest.raises(TR.NonFiniteGradientError, match="'c'"):
+        TR.adam_step(params, state)
+    assert state.step == 1
+    for name, p in params.items():
+        for a, b in zip((p.value, state.m[name], state.v[name]), before[name]):
+            assert np.array_equal(a, b), name
+
+
+def _adam_reference(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as one whole-array expression per moment and update: the bits
+    every block and range of `adam_step` must repeat.  Returns new p, m, v."""
+    m, v = m * b1, v * b2
+    m += (1 - b1) * g
+    v += (1 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return p - p.dtype.type(lr) * m_hat / (np.sqrt(v_hat) + p.dtype.type(eps)), m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_ranges_are_bit_identical_to_the_whole_array_expression(monkeypatch, dtype):
+    # a gate of 0 splits every parameter's rows into min(rows, 3) ranges on
+    # the pool; a block of 8 elements walks them one or two rows at a time,
+    # with a short last block; a gate of inf and a large block make one call
+    monkeypatch.setattr(L, "_CPUS", 3)
+    shapes = {"conv": (5, 4, 3, 3), "fc": (6, 7), "tall": (11, 4), "bias": (5,), "scalar": ()}
+    start = {k: np.random.default_rng(22).standard_normal(s).astype(dtype)
+             for k, s in shapes.items()}
+    for split, block in ((np.inf, 2**16), (0, 8), (0, 2**16), (np.inf, 8)):
+        monkeypatch.setattr(TR, "_SPLIT_ADAM", split)
+        monkeypatch.setattr(TR, "_ADAM_BLOCK", block)
+        rng = np.random.default_rng(23)
+        params = {k: ad.Variable(a.copy(), requires_grad=True) for k, a in start.items()}
+        want = {k: (a, np.zeros_like(a), np.zeros_like(a)) for k, a in start.items()}
+        state = TR.AdamState(lr=0.01)
+        for t in range(1, 5):
+            for k, p in params.items():
+                p.grad = rng.standard_normal(shapes[k]).astype(dtype)
+            # a transposed view, as a conv weight gradient from the tap sum is
+            grad = rng.standard_normal((4, 5, 3, 3)).astype(dtype)
+            params["conv"].grad = grad.transpose(1, 0, 2, 3)
+            assert not params["conv"].grad.flags.c_contiguous
+            TR.adam_step(params, state)
+            for k, p in params.items():
+                want[k] = _adam_reference(*want[k][:1], p.grad, *want[k][1:], t, lr=0.01)
+                got = (p.value, state.m[k], state.v[k])
+                for name, a, b in zip(("p", "m", "v"), got, want[k]):
+                    assert a.dtype == dtype and np.array_equal(a, b), (name, k, t, split, block)
+
+
+def test_desk_step_submits_nothing_to_the_pool(monkeypatch):
+    # at the default gates every conv, batch norm and Adam update of the desk
+    # configuration (README, `bench/workloads.py`) runs inline: a hand-off to
+    # the pool costs more than these small arrays save
+    def refuse(*args, **kwargs):
+        raise AssertionError("desk-scale work was submitted to the pool")
+
+    monkeypatch.setattr(L._POOL, "map", refuse)
+    monkeypatch.setattr(L._POOL, "submit", refuse)
+    cfg = M.WaveletCnnConfig(levels=3, input_size=32, input_channels=1, channels=(12, 24, 32),
+                             num_classes=6, precision="f32")
+    model = M.build(cfg)
+    rng = np.random.default_rng(24)
+    batch = as_array(rng.standard_normal((32, 1, 32, 32)), "f32")
+    logits = M.forward(model, batch[:16], mode="train")
+    ad.backward(L.softmax_cross_entropy(logits, rng.integers(0, 6, 16)))
+    TR.adam_step(model.params, TR.AdamState())
+    M.forward(model, batch, mode="eval")  # `evaluate`'s default batch
 
 
 def scalar_adam_reference(theta, lr, steps):
