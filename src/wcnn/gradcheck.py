@@ -64,17 +64,17 @@ def layer_checks() -> list[tuple[str, float]]:
     x_cat = rng.standard_normal((2, 1, 8, 8))
     r_cat = rng.standard_normal((2, 4, 8, 8))
 
-    def conv(stride, padding):
-        return lambda x, weight, bias: L.conv2d(x, L.Conv2dParams(weight, bias, stride, padding))
+    def conv(stride):
+        return lambda x, weight, bias: L.conv2d(x, L.Conv2dParams(weight, bias, stride))
 
     def bn(op, mode):
         return lambda x, gamma, beta: op(x, L.BatchNormParams(gamma, beta), mode)
 
     table = [
-        ("conv2d", conv(1, 1), r_conv, {"x": x, "weight": w3, "bias": bias}, {}),
-        ("conv2d-stride2", conv(2, 1), r_half, {"x": x, "weight": w3, "bias": bias}, {}),
-        ("conv2d-stride2-odd", conv(2, 1), r_half, {"x": x_odd}, {"weight": w3, "bias": bias}),
-        ("conv2d-1x1", conv(1, 0), r_conv, {"x": x, "weight": w1}, {"bias": bias}),
+        ("conv2d", conv(1), r_conv, {"x": x, "weight": w3, "bias": bias}, {}),
+        ("conv2d-stride2", conv(2), r_half, {"x": x, "weight": w3, "bias": bias}, {}),
+        ("conv2d-stride2-odd", conv(2), r_half, {"x": x_odd}, {"weight": w3, "bias": bias}),
+        ("conv2d-1x1", conv(1), r_conv, {"x": x, "weight": w1}, {"bias": bias}),
         ("average_pool", lambda x: L.average_pool(x, 2), r_pool, {"x": x}, {}),
         ("relu", L.relu, r_like, {"x": relu_x}, {}),
         ("batch_norm-train", bn(L.batch_norm, "train"), r_like,
@@ -115,11 +115,11 @@ def default_check_config() -> M.WaveletCnnConfig:
                               precision="f64", init_seed=7)
 
 
-def model_checks(config: M.WaveletCnnConfig | None = None, *, input_stride: int,
+def model_checks(config: M.WaveletCnnConfig, *, input_stride: int,
                  coords_per_param: int) -> list[tuple[str, float]]:
     """End-to-end loss gradients: every `input_stride`-th input coordinate and
     a seeded sample of up to `coords_per_param` coordinates of every parameter
-    tensor.  `config` defaults to `default_check_config()`.
+    tensor.
 
     The loss is the classification loss plus a fixed random linear functional
     of the logits, which keeps most gradients away from the central-difference
@@ -130,7 +130,6 @@ def model_checks(config: M.WaveletCnnConfig | None = None, *, input_stride: int,
     absolute to stay under a 1e-5 threshold.  Train-mode batch norm advances
     running statistics it never reads, so every probe is the same function.
     """
-    config = config or default_check_config()
     model = M.build(config)
     rng = np.random.default_rng(99)
     x0 = rng.standard_normal((1, config.input_channels, config.input_size, config.input_size))

@@ -2,9 +2,12 @@
 
 Convolution is implemented as cross-correlation (no kernel flip), the usual
 CNN convention; learned weights make the orientation immaterial.  The filter
-bank in `wavelet` handles its own alignment explicitly.  Padding is zero
-padding.  This artifact only needs square 1x1/3x3 kernels and strides 1/2,
-and the parameter records enforce that.
+bank in `wavelet` handles its own alignment explicitly.  The network builds
+convolutions of three kinds, and `Conv2dParams` accepts no other: 3x3 at
+stride 1 (the blocks of each stage), 3x3 at stride 2 (the conv that opens a
+stage: convolve, then keep every second sample) and 1x1 at stride 1 (the
+subband projections).  Each is zero-padded by k // 2, so stride 1 keeps the
+spatial extent and stride 2 halves it, rounding up.
 
 `conv2d` is one tap sum, two operand layouts and two dx methods, run on one
 image range at a time.  The forward is y = sum_t W_t @ X_t + b, and tap t of
@@ -17,10 +20,10 @@ are dropped afterwards.  Its weight taps are a copy, so it runs only where
 the columns would be the larger copy, n*ho*wo >= out_ch: every desk-scale
 conv, but not the 7x7 maps of 512 channels that end the 224-px model.  Every
 other conv has one tap, the weights [o, c*k*k] against the image unrolled
-channel-major (Caffe-style im2col) into columns [n, c*k*k, ho*wo], a view of
-the (padded) input for a 1x1 stride-1 kernel; its GEMM writes the NCHW output
-in place.  No operands are kept: the backward rebuilds them from the input,
-which the tape holds anyway, to form dW.  dx is the nine-tap sum again, the
+channel-major (Caffe-style im2col) into columns [n, c*k*k, ho*wo], which for
+a 1x1 kernel are the input itself, viewed as is; its GEMM writes the NCHW
+output in place.  No operands are kept: the backward rebuilds them from the
+input, which the tape holds anyway, to form dW.  dx is the nine-tap sum again, the
 output gradient correlated with the flipped, transposed taps, which builds no
 columns and scatters nothing; or, for im2col, the input-gradient columns
 scattered back one contiguous per-tap block at a time.
@@ -68,21 +71,18 @@ def _over_ranges(n: int, fn, split: bool = True, least: int = 1) -> list:
 
 @dataclass
 class Conv2dParams:
-    """Weights [out_ch, in_ch, k, k], bias [out_ch], integer stride and padding."""
+    """Weights [out_ch, in_ch, k, k], bias [out_ch] and the stride of one of
+    the three conv kinds: 3x3 at stride 1 or 2, or 1x1 at stride 1."""
 
     weight: Variable
     bias: Variable
     stride: int = 1
-    padding: int = 0
 
     def __post_init__(self):
         o, c, kh, kw = self.weight.value.shape
-        if kh != kw or kh not in (1, 3):
-            raise ShapeError(f"conv kernel must be square 1x1 or 3x3, got {kh}x{kw}")
-        if self.stride not in (1, 2):
-            raise ShapeError(f"conv stride must be 1 or 2, got {self.stride}")
-        if self.padding < 0:
-            raise ShapeError(f"conv padding must be >= 0, got {self.padding}")
+        if (kh, kw, self.stride) not in ((3, 3, 1), (3, 3, 2), (1, 1, 1)):
+            raise ShapeError(f"conv must be 3x3 at stride 1 or 2 or 1x1 at stride 1, "
+                             f"got {kh}x{kw} at stride {self.stride}")
         if self.bias.value.shape != (o,):
             raise ShapeError(f"conv bias shape {self.bias.value.shape} != ({o},)")
 
@@ -122,21 +122,22 @@ class BatchNormParams:
             raise ShapeError("batch norm running variance must be non-negative")
 
 
-def _padded_rows(a: np.ndarray, p: int):
-    """(rows, width): a [m, c, h, w] zero-padded by p on every side (cropped
-    by -p if p < 0) with one more zero row below, its rows laid end to end as
-    [m, c, (h + 2p + 1) * width], and the padded row width w + 2p.  The extra
-    row keeps the last tap's slice inside the buffer."""
+def _padded_rows(a: np.ndarray) -> np.ndarray:
+    """a [m, c, h, w] zero-padded by one on every side, with one more zero row
+    below: [m, c, h + 3, w + 2].  Its first h + 2 rows are the padded image;
+    the extra row keeps the last tap's slice (`_tap_slices`) inside the buffer."""
     m, c, h, w = a.shape
-    q, r = max(p, 0), max(-p, 0)
-    buf = np.zeros((m, c, h + 2 * p + 1, w + 2 * p), a.dtype)
-    buf[:, :, q:q + h - 2 * r, q:q + w - 2 * r] = a[:, :, r:h - r, r:w - r]
-    return buf.reshape(m, c, -1), w + 2 * p
+    buf = np.zeros((m, c, h + 3, w + 2), a.dtype)
+    buf[:, :, 1:h + 1, 1:w + 1] = a
+    return buf
 
 
-def _tap_slices(af: np.ndarray, width: int, rows: int):
-    """The nine 3x3 taps of flat padded rows, in (i, j) order: tap (i, j) is
-    the view af[:, :, i*width + j:][..., :rows*width], which BLAS reads in place."""
+def _tap_slices(buf: np.ndarray, rows: int):
+    """The nine 3x3 taps of a `_padded_rows` buffer, in (i, j) order: with its
+    rows laid end to end, tap (i, j) is the view of `rows` padded rows that
+    starts i*width + j on, which BLAS reads in place."""
+    m, c, _, width = buf.shape
+    af = buf.reshape(m, c, -1)
     return [af[:, :, i * width + j:i * width + j + rows * width]
             for i in range(3) for j in range(3)]
 
@@ -158,9 +159,9 @@ def _weight_taps(wd: np.ndarray) -> np.ndarray:
 def conv2d(x: Variable, p: Conv2dParams) -> Variable:
     """2-D convolution over NCHW input: one tap sum, two operand layouts, two dx methods.
 
-    Output extent per axis is floor((in + 2*pad - k)/stride) + 1; with k=3,
-    pad=1, stride=1 the spatial shape is preserved, with stride=2 it halves
-    (rounding up).  Per image range, y = sum_t W_t @ X_t + b and
+    Every kind pads by k // 2, so the output extent per axis is
+    ceil(in / stride): stride 1 keeps the shape, stride 2 halves it (rounding
+    up).  Per image range, y = sum_t W_t @ X_t + b and
     dW_t = sum over images of g @ X_t^T, where the operands X_t are the nine
     shifted slices of the padded rows or the one im2col column matrix.  The
     backward closure keeps x, and no operands and no tap copy: it rebuilds
@@ -178,29 +179,26 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {cw}")
     if wd.dtype != xd.dtype:
         raise ShapeError(f"conv2d dtype mismatch: input {tag(xd)}, weight {tag(wd)}")
-    s, pad = p.stride, p.padding
-    ho = (h + 2 * pad - kh) // s + 1
-    wo = (width + 2 * pad - kw) // s + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"conv2d empty output for input {h}x{width}, k={kh}, pad={pad}")
+    s, pad = p.stride, kh // 2
+    ho, wo = -(-h // s), -(-width // s)
 
     ckk = c * kh * kw
     split = 2.0 * n * o * ckk * ho * wo >= _SPLIT_FLOP  # forward FLOPs
     shifted = kh == 3 and s == 1 and n * ho * wo >= o  # the columns outweigh the weights
 
     def operands(lo, hi):
-        """(per-tap operands, row) of images lo..hi-1: the nine tap slices of
-        the padded rows, or the one unrolled column matrix [m, c*k*k, ho*wo]."""
+        """(per-tap operands, row) of images lo..hi-1: for a 1x1 kernel the
+        input itself, viewed as columns [m, c, h*w]; the nine tap slices of the
+        padded rows; or the one unrolled column matrix [m, c*9, ho*wo]."""
+        m = hi - lo
+        if kh == 1:
+            return [xd[lo:hi].reshape(m, c, h * width)], wo
+        xp = _padded_rows(xd[lo:hi])
         if shifted:
-            xf, row = _padded_rows(xd[lo:hi], pad)
-            return _tap_slices(xf, row, ho), row
-        xs = np.pad(xd[lo:hi], ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd[lo:hi]
-        win = sliding_window_view(xs, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-        win = win.transpose(0, 1, 4, 5, 2, 3)
-        if kh == 1 and s == 1:  # the columns are the (padded) input, viewed as is
-            return [win.reshape(hi - lo, ckk, ho * wo)], wo
-        cols = np.empty((hi - lo, ckk, ho * wo), xd.dtype)
-        np.copyto(cols.reshape(win.shape), win)
+            return _tap_slices(xp, ho), width + 2
+        win = sliding_window_view(xp[:, :, :h + 2], (3, 3), axis=(2, 3))[:, :, ::s, ::s]
+        cols = np.empty((m, ckk, ho * wo), xd.dtype)
+        np.copyto(cols.reshape(m, c, 3, 3, ho, wo), win.transpose(0, 1, 4, 5, 2, 3))
         return [cols], wo
 
     taps = _weight_taps(wd) if shifted else wd.reshape(1, o, ckk)
@@ -236,14 +234,13 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
         dws = None  # spent, like each range's operands; free it before dx
         if not x._live:
             return None, dw, db
-        if shifted:  # correlate g, padded by 2 - pad, with the flipped taps transposed
+        if shifted:  # correlate g, padded by one, with the flipped taps transposed
             flipped = _weight_taps(wd)[::-1].transpose(0, 2, 1)  # views BLAS reads as transposed
             dxr = np.empty((n, c, h, width + 2), g.dtype)  # rows of g's padded width
 
             def input_grad_range(lo, hi):
-                gf, row = _padded_rows(g[lo:hi], 2 - pad)
-                out = dxr[lo:hi].reshape(hi - lo, c, h * row)
-                _tap_sum(flipped, _tap_slices(gf, row, h), out)
+                out = dxr[lo:hi].reshape(hi - lo, c, h * (width + 2))
+                _tap_sum(flipped, _tap_slices(_padded_rows(g[lo:hi]), h), out)
 
             _over_ranges(n, input_grad_range, split)
             return dxr[..., :width], dw, db

@@ -22,10 +22,7 @@ recompute the totals from the configuration arithmetic independently.
 
 from __future__ import annotations
 
-import contextlib
 import io
-import os
-import uuid
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,7 +33,7 @@ from . import wavelet as W
 from .schema import ConfigError, field_keys, from_items, parse_config_text, to_items
 from .seeding import INIT, stream_rng
 from .tensor import (DTYPES, ShapeError, as_array, decode, encode, parse_shape_fields,
-                     shape_fields, tag)
+                     shape_fields, tag, write_atomic)
 
 DEFAULT_CHANNELS = (64, 128, 256, 512, 512)
 MAX_LEVELS = 5
@@ -152,7 +149,7 @@ def _add_block(model: Model, rng, name: str, in_ch: int, out_ch: int, k: int,
     beta = _param(model, f"{name}.bn.beta", np.zeros(out_ch))
     cfg = model.config
     model.blocks[name] = (
-        L.Conv2dParams(w, b, stride=stride, padding=k // 2),
+        L.Conv2dParams(w, b, stride=stride),
         L.BatchNormParams(gamma, beta, epsilon=cfg.bn_epsilon, momentum=cfg.bn_momentum),
     )
 
@@ -264,8 +261,7 @@ def ablate_to_plain_cnn(config: WaveletCnnConfig) -> Model:
 #   manifest <n>       followed by n `name kind dtype ndim d0 .. offset` lines
 #   payload <bytes>    followed by raw little-endian scalars
 #
-# Parameters and running statistics round-trip bit-exactly at matching
-# precision; loading into a narrower precision rounds to nearest.
+# Parameters and running statistics round-trip bit-exactly.
 
 _MAGIC = "WCNN1"
 _VERSION = 1
@@ -280,8 +276,8 @@ class NonFiniteModelError(RuntimeError):
 
 
 def save_model(model: Model, path) -> None:
-    """Write a WCNN1 checkpoint atomically: to a temporary file beside `path`,
-    then renamed over it, so a failed write leaves any earlier file whole."""
+    """Write a WCNN1 checkpoint atomically (`tensor.write_atomic`), so a
+    failed write leaves any earlier file whole."""
     entries: list[tuple[str, str, np.ndarray]] = []
     for name, v in model.params.items():
         entries.append((name, "param", v.value))
@@ -302,24 +298,16 @@ def save_model(model: Model, path) -> None:
     cfg_lines = [f"{k} = {v}" for k, v in to_items(model.config)]
     header = [f"{_MAGIC} {_VERSION}", f"config {len(cfg_lines)}", *cfg_lines,
               f"manifest {len(manifest_lines)}", *manifest_lines, f"payload {len(blob)}"]
-    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"  # same directory: os.replace is a rename
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write("".join(line + "\n" for line in header).encode("ascii"))
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    write_atomic(path, "".join(line + "\n" for line in header).encode("ascii"), blob)
 
 
-def load_model(path, precision: str | None = None) -> Model:
+def load_model(path) -> Model:
     """Rebuild a model from a checkpoint.
 
-    `precision` overrides the stored one; narrowing f64 -> f32 rounds each
-    scalar to the nearest representable value.  Any malformed header line,
-    config value, manifest line or payload raises `CheckpointError`.
+    Any malformed header line, config value, manifest line or payload raises
+    `CheckpointError`, and so does a value `save_model` would not have
+    written: an array whose shape or dtype is not the config's, a non-finite
+    parameter or buffer, or a negative running variance.
     """
     with open(path, "rb") as fh:
         def line() -> str:
@@ -356,8 +344,6 @@ def load_model(path, precision: str | None = None) -> Model:
         if set(items) != set(keys.values()):
             raise CheckpointError(f"{path}: config block keys are not the config fields")
         config = from_items(WaveletCnnConfig, items, keys)
-        if precision is not None:
-            config = replace(config, precision=precision)
         model = build(config)
         stored = {}
         for parts in manifest:
@@ -373,13 +359,18 @@ def load_model(path, precision: str | None = None) -> Model:
         if name not in stored:
             raise CheckpointError(f"{path}: missing {name}")
         arr = stored[name]
-        if arr.shape != like.shape:
-            raise CheckpointError(f"{path}: {name} has shape {arr.shape}, expected {like.shape}")
-        return arr.astype(DTYPES[config.precision], copy=False)
+        if arr.shape != like.shape or arr.dtype != like.dtype:
+            raise CheckpointError(f"{path}: {name} is {tag(arr)}{list(arr.shape)}, "
+                                  f"expected {tag(like)}{list(like.shape)}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: {name} is not finite")
+        return arr
 
     for name, v in model.params.items():
         v.value = restore(name, v.value)
     for name, (_, bn) in model.blocks.items():
         bn.running_mean = restore(f"{name}.bn.running_mean", bn.running_mean)
         bn.running_var = restore(f"{name}.bn.running_var", bn.running_var)
+        if np.any(bn.running_var < 0):
+            raise CheckpointError(f"{path}: {name}.bn.running_var is negative")
     return model

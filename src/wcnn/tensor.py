@@ -12,11 +12,15 @@ which owns its arrays.
 One little-endian codec (`shape_fields`/`parse_shape_fields`,
 `encode`/`decode`) is the payload encoding of both WTNS1 tensor files and
 WCNN1 checkpoints; malformed fields or short payloads raise `ShapeError`.
+Every file the library writes but PNM images goes through `write_atomic`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import uuid
 
 import numpy as np
 
@@ -115,6 +119,23 @@ def decode(buf: bytes, dtype: str, shape: tuple[int, ...], offset: int) -> np.nd
     return np.frombuffer(buf, le, size // le.itemsize, offset).reshape(shape).astype(DTYPES[dtype])
 
 
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write `chunks` to `path` atomically: to a temporary file beside it, then
+    renamed over it, so a write that fails midway leaves any earlier file
+    whole and no temporary behind.  There is no fsync: this guards against a
+    failed write, not against a power loss."""
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"  # same directory: os.replace is a rename
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 # --- WTNS1 raw tensor file format ------------------------------------------
 #
 # ASCII header line `WTNS1 <dtype> <ndim> <d0> <d1> ...` terminated by a
@@ -124,9 +145,7 @@ _WTNS_MAGIC = "WTNS1"
 
 
 def save_wtns(path, t: Tensor) -> None:
-    with open(path, "wb") as fh:
-        fh.write(f"{_WTNS_MAGIC} {shape_fields(t.data)}\n".encode("ascii"))
-        fh.write(encode(t.data))
+    write_atomic(path, f"{_WTNS_MAGIC} {shape_fields(t.data)}\n".encode("ascii"), encode(t.data))
 
 
 def load_wtns(path) -> Tensor:

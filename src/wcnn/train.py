@@ -305,7 +305,9 @@ def train(model: M.Model, train_records: list[ImageRecord],
     """Run the epoch loop; returns the report and (optionally) saves the best
     checkpoint by test accuracy.
 
-    Raises NonFiniteLossError with a batch diagnostic if the loss diverges.
+    Each call starts Adam afresh, at step 1 with zero moments: a model trained
+    over several calls restarts its optimizer at each one.  Raises
+    NonFiniteLossError with a batch diagnostic if the loss diverges.
     """
     cfg.validate()
     if not train_records:

@@ -95,7 +95,7 @@ def test_acceptance_2_conv_pool_equivalence():
 
 def test_acceptance_3_gradient_integrity():
     start = time.perf_counter()
-    rows = G.layer_checks() + G.model_checks(input_stride=1, coords_per_param=8)
+    rows = G.layer_checks() + G.model_checks(G.default_check_config(), input_stride=1, coords_per_param=8)
     worst_name, worst = max(rows, key=lambda r: r[1])
     elapsed = time.perf_counter() - start
     assert worst < 1e-5, f"worst check {worst_name}: {worst:.2e}"

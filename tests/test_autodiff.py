@@ -91,14 +91,15 @@ def test_concat_channels_and_offsets():
     assert single is not a.value
 
     with pytest.raises(ShapeError, match="spatial/batch mismatch"):
-        ad.concat_channels([a, Tensor(np.zeros((1, 1, 3, 2)))])
+        ad.concat_channels([a, ad.Variable(Tensor(np.zeros((1, 1, 3, 2))))])
     with pytest.raises(ShapeError, match="spatial/batch mismatch"):
-        ad.concat_channels([a, Tensor(np.zeros((2, 1, 2, 2)))])
+        ad.concat_channels([a, ad.Variable(Tensor(np.zeros((2, 1, 2, 2))))])
     with pytest.raises(ShapeError, match="dtype mismatch"):
-        ad.concat_channels([a, Tensor(np.zeros((1, 1, 2, 2)), dtype="f32")])
+        ad.concat_channels([a, ad.Variable(Tensor(np.zeros((1, 1, 2, 2)), dtype="f32"))])
     with pytest.raises(ShapeError, match="at least one"):
         ad.concat_channels([])
-    for rank3 in ([Tensor(np.zeros((1, 2, 2)))], [a, Tensor(np.zeros((1, 2, 2)))]):
+    rank3_part = ad.Variable(Tensor(np.zeros((1, 2, 2))))
+    for rank3 in ([rank3_part], [a, rank3_part]):
         with pytest.raises(ShapeError, match="NCHW"):
             ad.concat_channels(rank3)
 

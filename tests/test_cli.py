@@ -279,6 +279,20 @@ def test_eval_checkpoint(tmp_path, corpus, capsys):
     assert (tmp_path / "ev" / "metrics.tsv").read_text() == text
 
 
+def test_eval_report_failing_midway_keeps_the_old_report(tmp_path, corpus, disk_full_halfway):
+    model = M.build(RC.model_config_from(RC.load_config(write_cfg(tmp_path, corpus))))
+    M.save_model(model, tmp_path / "m.wcnn")
+    out = tmp_path / "ev"
+    out.mkdir()
+    (out / "metrics.tsv").write_text("an earlier report\n")
+    disk_full_halfway(0)
+    with pytest.raises(OSError, match="No space"):
+        cli.main(["eval", str(tmp_path / "m.wcnn"), "--manifest", str(corpus / "manifest.tsv"),
+                  "--out", str(out)])
+    assert (out / "metrics.tsv").read_text() == "an earlier report\n"
+    assert [p.name for p in out.iterdir()] == ["metrics.tsv"]  # no temporary left
+
+
 def test_eval_defaults_to_the_runs_k_fold_split(tmp_path, corpus, capsys, monkeypatch):
     # without --seed, eval must shuffle the folds as training did, with the run's seed
     cfg = write_cfg(tmp_path, corpus, seed=3, **{"data.policy": "k-fold", "data.k": 4})
@@ -361,6 +375,33 @@ def test_eval_corrupted_checkpoint_header_exits_2(tmp_path, corpus, capsys, befo
                    "--out", str(tmp_path / "ev")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def overwrite_stored_scalar(path, name, index, value):
+    """Overwrite scalar `index` of the array `name` in the payload of the checkpoint at `path`."""
+    raw = path.read_bytes()
+    start = raw.index(b"\n", raw.index(b"\npayload ") + 1) + 1
+    fields = next(line.split() for line in raw[:start].decode("ascii").splitlines()
+                  if line.split()[0] == name)
+    le = np.dtype({"f32": "<f4", "f64": "<f8"}[fields[2]])
+    at = start + int(fields[-1]) + index * le.itemsize
+    path.write_bytes(raw[:at] + np.array(value, le).tobytes() + raw[at + le.itemsize:])
+
+
+@pytest.mark.parametrize("name, value", [("stage1.down.weight", np.nan), ("head.fc.bias", -np.inf),
+                                         ("stage2.conv1.bn.running_var", -5.0)])
+def test_eval_checkpoint_with_corrupted_values_exits_2(tmp_path, corpus, capsys, name, value):
+    cfg = RC.model_config_from(RC.load_config(write_cfg(tmp_path, corpus)))
+    path = tmp_path / "m.wcnn"
+    M.save_model(M.build(cfg), path)
+    overwrite_stored_scalar(path, name, 1, value)
+    with pytest.raises(M.CheckpointError, match=name):
+        M.load_model(path)
+    rc = cli.main(["eval", str(path), "--manifest", str(corpus / "manifest.tsv"),
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {name}") and "Traceback" not in err
 
 
 def checkpoint_with_wavelet_line(tmp_path, corpus, wavelet):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from wcnn import autodiff as ad
@@ -19,11 +21,15 @@ def var(arr, requires_grad=False, dtype="f64"):
     return ad.Variable(Tensor(np.asarray(arr), dtype=dtype), requires_grad=requires_grad)
 
 
-def conv_params(weight, bias=None, stride=1, padding=0):
+def conv_params(weight, bias=None, stride=1):
     w = var(weight)
     if bias is None:
         bias = np.zeros(w.value.shape[0])
-    return L.Conv2dParams(w, var(bias), stride=stride, padding=padding)
+    return L.Conv2dParams(w, var(bias), stride=stride)
+
+
+# (kernel, stride, padding k // 2) of the three conv kinds the model builds
+CONV_KINDS = [(3, 1, 1), (3, 2, 1), (1, 1, 0)]
 
 
 # --- conv2d -------------------------------------------------------------------
@@ -31,7 +37,7 @@ def conv_params(weight, bias=None, stride=1, padding=0):
 
 def test_conv2d_ones_kernel_counts_overlap():
     x = var(np.ones((1, 1, 4, 4)))
-    p = conv_params(np.ones((1, 1, 3, 3)), padding=1)
+    p = conv_params(np.ones((1, 1, 3, 3)))
     y = L.conv2d(x, p).value[0, 0]
     assert y.shape == (4, 4)
     assert y[1, 1] == 9.0
@@ -41,7 +47,7 @@ def test_conv2d_ones_kernel_counts_overlap():
 
 def test_conv2d_stride2_halves_224():
     x = var(np.zeros((1, 1, 224, 224)))
-    p = conv_params(np.zeros((1, 1, 3, 3)), stride=2, padding=1)
+    p = conv_params(np.zeros((1, 1, 3, 3)), stride=2)
     assert L.conv2d(x, p).value.shape == (1, 1, 112, 112)
 
 
@@ -50,8 +56,8 @@ def test_conv2d_stride2_equals_stride1_then_downsample():
     x = var(rng.standard_normal((2, 3, 8, 8)))
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
-    y2 = L.conv2d(x, conv_params(w, b, stride=2, padding=1)).value
-    y1 = L.conv2d(x, conv_params(w, b, stride=1, padding=1)).value
+    y2 = L.conv2d(x, conv_params(w, b, stride=2)).value
+    y1 = L.conv2d(x, conv_params(w, b, stride=1)).value
     # two kernels (im2col at stride 2, shifted taps at stride 1) sum in different orders
     assert np.max(np.abs(y2 - y1[:, :, ::2, ::2])) <= 1e-12
 
@@ -59,7 +65,7 @@ def test_conv2d_stride2_equals_stride1_then_downsample():
 @pytest.mark.parametrize("h,w", [(1, 1), (1, 5), (3, 3), (6, 4), (7, 7)])
 def test_conv2d_same_padding_preserves_shape(h, w):
     x = var(np.ones((1, 2, h, w)))
-    p = conv_params(np.ones((3, 2, 3, 3)), padding=1, stride=1)
+    p = conv_params(np.ones((3, 2, 3, 3)), stride=1)
     assert L.conv2d(x, p).value.shape == (1, 3, h, w)
 
 
@@ -69,7 +75,7 @@ def test_conv2d_linearity():
     y = rng.standard_normal((1, 2, 6, 6))
     w = rng.standard_normal((3, 2, 3, 3))
     a, b = 0.7, -1.3
-    p = conv_params(w, padding=1)
+    p = conv_params(w)
     lhs = L.conv2d(var(a * x + b * y), p).value
     rhs = a * L.conv2d(var(x), p).value + b * L.conv2d(var(y), p).value
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -80,11 +86,11 @@ def test_conv2d_errors():
     with pytest.raises(ShapeError):
         L.conv2d(x, conv_params(np.zeros((1, 3, 3, 3))))  # channel mismatch
     with pytest.raises(ShapeError):
-        L.conv2d(var(np.zeros((1, 1, 2, 2))), conv_params(np.zeros((1, 1, 3, 3))))  # empty out
-    with pytest.raises(ShapeError):
         conv_params(np.zeros((1, 1, 5, 5)))  # unsupported kernel size
     with pytest.raises(ShapeError):
         conv_params(np.zeros((1, 1, 3, 3)), stride=3)
+    with pytest.raises(ShapeError):
+        conv_params(np.zeros((1, 1, 1, 1)), stride=2)  # no 1x1 stride-2 kind
 
 
 def test_conv2d_finite_differences():
@@ -94,18 +100,18 @@ def test_conv2d_finite_differences():
     b0 = rng.standard_normal(2)
 
     def wrt_x(v):
-        return ad.total(L.conv2d(v, conv_params(w0, b0, padding=1)))
+        return ad.total(L.conv2d(v, conv_params(w0, b0)))
 
     assert ad.finite_difference_check(wrt_x, Tensor(x0), eps=1e-5) < 1e-6
 
     def wrt_w(v):
-        p = L.Conv2dParams(v, var(b0), stride=2, padding=1)
+        p = L.Conv2dParams(v, var(b0), stride=2)
         return ad.total(L.conv2d(var(x0), p))
 
     assert ad.finite_difference_check(wrt_w, Tensor(w0), eps=1e-5) < 1e-6
 
     def wrt_b(v):
-        p = L.Conv2dParams(var(w0), v, padding=1)
+        p = L.Conv2dParams(var(w0), v)
         return ad.total(L.conv2d(var(x0), p))
 
     assert ad.finite_difference_check(wrt_b, Tensor(b0), eps=1e-5) < 1e-6
@@ -137,15 +143,13 @@ def _conv2d_reference(xd, wd, bd, s, pad, g):
 
 
 @pytest.mark.parametrize("dtype,rtol", [("f64", 1e-12), ("f32", 1e-5)])
-@pytest.mark.parametrize("k,s,pad", list(itertools.product((1, 3), (1, 2), (0, 1, 2, 3))))
+@pytest.mark.parametrize("k,s,pad", CONV_KINDS)
 def test_conv2d_matches_reference(k, s, pad, dtype, rtol):
     rng = np.random.default_rng(15)
     for n, (h, w) in itertools.product((1, 3), [(1, 1), (5, 5), (7, 6), (8, 8)]):
-        if h + 2 * pad < k or w + 2 * pad < k:
-            continue  # empty output, rejected by conv2d
         x = var(rng.standard_normal((n, 2, h, w)), requires_grad=True, dtype=dtype)
         p = L.Conv2dParams(var(rng.standard_normal((3, 2, k, k)), True, dtype),
-                           var(rng.standard_normal(3), True, dtype), stride=s, padding=pad)
+                           var(rng.standard_normal(3), True, dtype), stride=s)
         y = L.conv2d(x, p)
         g = rng.standard_normal(y.value.shape).astype(y.value.dtype)
         ad.backward(ad.total(ad.mul(y, var(g, dtype=dtype))))
@@ -166,7 +170,7 @@ def test_conv2d_dead_input_gradient_is_skipped():
     grads = []
     for live in (True, False):
         x = var(x0, requires_grad=live)
-        p = L.Conv2dParams(var(w0, True), var(b0, True), stride=2, padding=1)
+        p = L.Conv2dParams(var(w0, True), var(b0, True), stride=2)
         y = L.conv2d(x, p)
         dx = y._backward_fn(np.ones(y.value.shape))[0]
         assert (dx is None) == (not live)
@@ -177,21 +181,21 @@ def test_conv2d_dead_input_gradient_is_skipped():
 
 
 def test_conv2d_output_is_contiguous_nchw():
-    # every kernel/stride/padding combination the model builds
+    # every conv kind the model builds, and no other
     model = M.build(M.WaveletCnnConfig(levels=2, input_size=32, channels=(4, 6), num_classes=3))
-    combos = {(p.weight.value.shape[2], p.stride, p.padding) for p, _ in model.blocks.values()}
-    assert combos == {(3, 2, 1), (1, 1, 0), (3, 1, 1)}
+    combos = {(p.weight.value.shape[2], p.stride) for p, _ in model.blocks.values()}
+    assert combos == {(k, s) for k, s, _ in CONV_KINDS}
     rng = np.random.default_rng(17)
-    for (k, s, pad), (h, w) in itertools.product(combos, [(8, 8), (7, 5)]):
+    for (k, s), (h, w) in itertools.product(combos, [(8, 8), (7, 5)]):
         x = var(rng.standard_normal((2, 3, h, w)))
-        y = L.conv2d(x, conv_params(rng.standard_normal((4, 3, k, k)), stride=s, padding=pad))
+        y = L.conv2d(x, conv_params(rng.standard_normal((4, 3, k, k)), stride=s))
         yd = y.value
-        assert yd.shape == (2, 4, (h + 2 * pad - k) // s + 1, (w + 2 * pad - k) // s + 1)
+        assert yd.shape == (2, 4, -(-h // s), -(-w // s))
         assert yd.flags["C_CONTIGUOUS"]
 
 
 def test_conv2d_1x1_is_a_plain_gemm_without_unrolling():
-    # the columns of a 1x1 stride-1 unpadded kernel are a view of the input,
+    # the columns of a 1x1 kernel are a view of the input,
     # so the forward allocates far less than a copy of the input
     x = var(np.ones((2, 64, 32, 32)))
     p = conv_params(np.ones((4, 64, 1, 1)))
@@ -209,7 +213,7 @@ def test_conv2d_stride1_3x3_builds_no_columns():
     # the shifted taps read the padded input and gradient in place: forward and
     # backward together never hold even half of one im2col column buffer
     x = var(np.ones((2, 16, 32, 32)), requires_grad=True)
-    p = conv_params(np.ones((4, 16, 3, 3)), padding=1)
+    p = conv_params(np.ones((4, 16, 3, 3)))
     cols_nbytes = 2 * 16 * 9 * 32 * 32 * 8
     tracemalloc.start()
     try:
@@ -225,7 +229,7 @@ def test_conv2d_stride1_3x3_builds_no_columns():
 def test_conv2d_forward_retains_no_columns():
     # between forward and backward the tape holds y and the input, not the columns
     x = var(np.ones((2, 16, 32, 32)), requires_grad=True)
-    p = conv_params(np.ones((4, 16, 3, 3)), padding=1)
+    p = conv_params(np.ones((4, 16, 3, 3)))
     cols_nbytes = 2 * 16 * 9 * 32 * 32 * 8
     tracemalloc.start()
     try:
@@ -241,7 +245,7 @@ def test_conv2d_backward_holds_no_weight_copy():
     # the nine-tap forward copies the weights into taps; once conv2d returns,
     # nothing may keep that copy (one weight copy per conv at paper scale)
     x = var(np.ones((1, 64, 4, 4)), requires_grad=True)
-    p = conv_params(np.ones((16, 64, 3, 3)), padding=1)  # n*ho*wo = 16 >= 16: nine taps
+    p = conv_params(np.ones((16, 64, 3, 3)))  # n*ho*wo = 16 >= 16: nine taps
     w_nbytes = p.weight.value.nbytes
     assert w_nbytes > x.value.nbytes
     tracemalloc.start()
@@ -254,22 +258,20 @@ def test_conv2d_backward_holds_no_weight_copy():
     assert held - y.value.nbytes < 0.5 * w_nbytes
 
 
-def _shifted_taps_serial(xd, wd, bd, pad, g):
+def _shifted_taps_serial(xd, wd, bd, g):
     """Whole-batch stride-1 3x3 conv2d as nine shifted GEMMs over flat padded rows."""
     width = xd.shape[3]
     o, c = wd.shape[:2]
     ho, wo = g.shape[2:]
 
-    def flat(a, p):  # pad by p (crop by -p) plus one zero row, rows end to end
-        if p < 0:
-            a, p = a[:, :, -p:p, -p:p], 0
-        a = np.pad(a, ((0, 0), (0, 0), (p, p + 1), (p, p)))
+    def flat(a):  # pad by one plus one zero row, rows end to end
+        a = np.pad(a, ((0, 0), (0, 0), (1, 2), (1, 1)))
         return a.reshape(a.shape[0], a.shape[1], -1), a.shape[3]
 
     def taps(af, row, rows):
         return [(i, j, af[:, :, i * row + j:i * row + j + rows * row]) for i in range(3) for j in range(3)]
 
-    xf, row = flat(xd, pad)
+    xf, row = flat(xd)
     yr = sum(np.ascontiguousarray(wd[:, :, i, j]) @ xs for i, j, xs in taps(xf, row, ho))
     y = yr.reshape(-1, o, ho, row)[..., :wo] + bd[:, None, None]
     gp = np.zeros((g.shape[0], o, ho, row), g.dtype)
@@ -281,7 +283,7 @@ def _shifted_taps_serial(xd, wd, bd, pad, g):
         for i, j, xs in taps(xf[m:m + 1], row, ho):
             dwm[:, :, i, j] = gp[m] @ xs[0].T
         dw += dwm
-    gf, grow = flat(g, 2 - pad)
+    gf, grow = flat(g)
     flipped = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
     dxr = sum(flipped[i, j] @ gs for i, j, gs in taps(gf, grow, xd.shape[2]))
     dx = dxr.reshape(xd.shape[:3] + (grow,))[..., :width]
@@ -294,7 +296,7 @@ def _conv2d_serial(xd, wd, bd, s, pad, g):
     o, _, kh, kw = wd.shape
     ho, wo = g.shape[2:]
     if kh == 3 and s == 1 and n * ho * wo >= o:
-        return _shifted_taps_serial(xd, wd, bd, pad, g)
+        return _shifted_taps_serial(xd, wd, bd, g)
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
@@ -312,7 +314,7 @@ def _conv2d_serial(xd, wd, bd, s, pad, g):
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
-@pytest.mark.parametrize("k,s,pad", list(itertools.product((1, 3), (1, 2), (0, 1))))
+@pytest.mark.parametrize("k,s,pad", CONV_KINDS)
 def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, pad, dtype):
     # a gate of 0 splits every batch into min(n, 3) uneven ranges on the pool,
     # a gate of inf runs one range on the calling thread; both must give the
@@ -331,7 +333,7 @@ def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, p
         w0, b0 = rng.standard_normal((5, 4, k, k)), rng.standard_normal(5)
         g = rng.standard_normal((n, 5, (9 + 2 * pad - k) // s + 1, (8 + 2 * pad - k) // s + 1))
         x = var(x0, requires_grad=True, dtype=dtype)
-        p = L.Conv2dParams(var(w0, True, dtype), var(b0, True, dtype), stride=s, padding=pad)
+        p = L.Conv2dParams(var(w0, True, dtype), var(b0, True, dtype), stride=s)
         g = g.astype(x.value.dtype)
         want = _conv2d_serial(x.value, p.weight.value, p.bias.value, s, pad, g)
         for gate in (np.inf, 0.0):
@@ -340,6 +342,40 @@ def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, p
             got = (y.value, *y._backward_fn(g))
             for name, a, b in zip(("y", "dx", "dw", "db"), got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b), f"{name} n={n} {kind} {gate}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_conv2d_generated_shapes(data):
+    # a drawn kind, batch, extent and dtype, with out-channels on both sides of
+    # the nine-tap rule n*ho*wo >= o: the reference's values at its tolerances,
+    # and over uneven image ranges the bits of one range.  dW sums up to 405
+    # products per entry, so the absolute tolerance scales with the largest entry
+    k, s, pad = data.draw(st.sampled_from(CONV_KINDS), label="kind")
+    n, c, h, w = (data.draw(st.integers(1, top), label=name)
+                  for name, top in (("n", 5), ("c", 6), ("h", 9), ("w", 9)))
+    dtype, rtol = data.draw(st.sampled_from([("f64", 1e-12), ("f32", 1e-5)]), label="dtype")
+    columns = n * -(-h // s) * -(-w // s)
+    taps = data.draw(st.booleans(), label="n*ho*wo >= o")
+    o = data.draw(st.integers(1, columns) if taps else st.integers(columns + 1, columns + 8),
+                  label="o")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = var(rng.standard_normal((n, c, h, w)), requires_grad=True, dtype=dtype)
+    p = L.Conv2dParams(var(rng.standard_normal((o, c, k, k)), True, dtype),
+                       var(rng.standard_normal(o), True, dtype), stride=s)
+    g = rng.standard_normal((n, o, -(-h // s), -(-w // s))).astype(x.value.dtype)
+    ref = _conv2d_reference(x.value, p.weight.value, p.bias.value, s, pad, g)
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(L, "_CPUS", 3)
+        for gate in (np.inf, 0.0):
+            mp.setattr(L, "_SPLIT_FLOP", gate)
+            y = L.conv2d(x, p)
+            runs.append((y.value, *y._backward_fn(g)))
+    for name, one, split, want in zip(("y", "dx", "dw", "db"), *runs, ref):
+        atol = rtol * max(1.0, float(np.abs(want).max()))
+        np.testing.assert_allclose(one, want, rtol=rtol, atol=atol, err_msg=name)
+        assert one.dtype == split.dtype and np.array_equal(one, split), name
 
 
 def test_conv2d_gradcheck_over_image_ranges(monkeypatch):

@@ -74,6 +74,17 @@ def test_wtns_scalar(tmp_path):
     assert loaded.data.item() == 2.5
 
 
+def test_save_wtns_failing_midway_keeps_the_old_file(tmp_path, disk_full_halfway):
+    path = tmp_path / "t.wtns"
+    T.save_wtns(path, Tensor(np.zeros((2, 2))))
+    old = path.read_bytes()
+    disk_full_halfway(1000)  # the payload, not the header
+    with pytest.raises(OSError, match="No space"):
+        T.save_wtns(path, Tensor(np.ones((3, 16, 16))))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.wtns"]  # no temporary left
+
+
 def test_wtns_malformed_header_fields(tmp_path):
     path = tmp_path / "bad.wtns"
     for header in (b"WTNS1 f64 x\n", b"WTNS1 f16 1 2\n", b"WTNS1 f64 2 3\n", b"WTNS1 f64 1 -2\n",
