@@ -124,10 +124,14 @@ def _train_once(cfg: dict[str, str], checkpoint: Path | None):
     model_cfg.validate()  # both configs fail before any image loads
     train_cfg.validate()
     train_cfg.resolved_resize(model_cfg.input_size)
+    policy = get_value(cfg, "data.policy", "by-split-column")
+    index = get_value(cfg, "data.split", 0)
     manifest, (train_idx, test_idx) = _load_split(
-        get_value(cfg, "data.manifest", ""), model_cfg.num_classes,
-        get_value(cfg, "data.policy", "by-split-column"), get_value(cfg, "data.k", 0) or None,
-        model_cfg.init_seed, get_value(cfg, "data.split", 0))
+        get_value(cfg, "data.manifest", ""), model_cfg.num_classes, policy,
+        get_value(cfg, "data.k", 0) or None, model_cfg.init_seed, index)
+    for side, indices in (("training", train_idx), ("test", test_idx)):
+        if not indices:
+            raise RC.ConfigError(f"split {index} under policy {policy!r} has no {side} images")
     train_records = D.load_images(manifest, train_idx)
     test_records = D.load_images(manifest, test_idx)
     model = M.build(model_cfg)

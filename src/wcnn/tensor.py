@@ -12,7 +12,7 @@ which owns its arrays.
 One little-endian codec (`shape_fields`/`parse_shape_fields`,
 `encode`/`decode`) is the payload encoding of both WTNS1 tensor files and
 WCNN1 checkpoints; malformed fields or short payloads raise `ShapeError`.
-Every file the library writes but PNM images goes through `write_atomic`.
+Every file the library writes goes through `write_atomic`.
 """
 
 from __future__ import annotations

@@ -139,9 +139,11 @@ def _adam_update(p, g, m, v, s1, s2, b1, b2, c1, c2, lr, eps) -> None:
 def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
     """One bias-corrected moment update, in place on the parameter values and moments.
 
-    Parameters whose `.grad` is unset are treated as zero-gradient (their
-    moments decay, values stay put).  Any non-finite gradient aborts the step
-    before touching anything, naming the offending parameter.
+    A parameter whose `.grad` is unset counts as having a zero gradient: its
+    moments decay, and its value still moves by the decaying first moment.
+    Only from a fresh state (zero moments) does such a step leave it put.
+    Any non-finite gradient aborts the step before touching anything, naming
+    the offending parameter.
 
     The arithmetic is elementwise, so any split of the elements keeps the
     bits.  A parameter of more than `_ADAM_BLOCK` elements is walked in blocks

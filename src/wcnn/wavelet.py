@@ -125,6 +125,9 @@ def check_divisible(shape, levels: int):
         raise ShapeError(f"levels must be >= 1, got {levels}")
     h, w = shape[-2], shape[-1]
     factor = 1 << levels
+    if min(h, w) < factor:  # 0 and negative extents are multiples of 2^L too
+        raise ShapeError(f"spatial extent {h}x{w} must be a positive multiple of "
+                         f"2^{levels}={factor}")
     if h % factor or w % factor:
         need_h = (h + factor - 1) // factor * factor
         need_w = (w + factor - 1) // factor * factor

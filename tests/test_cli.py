@@ -532,7 +532,7 @@ def test_ablate_cli(tmp_path, corpus, capsys):
 @pytest.mark.parametrize("override", [
     "model.levels=7", "model.classes=5", "data.k=4", "train.lr=nan", "model.bn_epsilon=inf",
     "train.beta1=1.5", "train.beta2=1", "train.epsilon=0", "model.embedding_dim=-1", "seed=-1",
-    "train.resize_to=5", "train.resize_to=-3",
+    "train.resize_to=5", "train.resize_to=-3", "model.input_size=0", "model.input_size=-16",
 ])
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_rejected_run_leaves_no_out_dir(tmp_path, corpus, capsys, command, override):
@@ -543,6 +543,30 @@ def test_rejected_run_leaves_no_out_dir(tmp_path, corpus, capsys, command, overr
     out = tmp_path / "x"
     assert cli.main([command, "--config", str(cfg), "--set", override, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "param-count"])
+def test_input_size_zero_exits_2(capsys, command):
+    # 0 is a multiple of 2^2 too, but no image has that extent
+    argv = [command, "--set", "model.input_size=0", "--set", "model.levels=2",
+            "--set", "model.channels=2,2"]
+    assert cli.main(argv) == 2
+    assert "spatial extent 0x0 must be a positive multiple of 2^2=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy, side", [("by-split-column", "training"),
+                                          ("leave-one-group-in", "test")])
+def test_split_without_training_or_test_images_leaves_no_out_dir(tmp_path, capsys, policy,
+                                                                 side):
+    # one sample per class puts every image in split 0 and group s0, so the one
+    # split of each policy has an empty side
+    corpus = tmp_path / "corpus"
+    D.synth_textures(corpus, classes=3, samples_per_class=1, size=16, seed=0)
+    cfg = write_cfg(tmp_path, corpus, **{"data.policy": policy})
+    out = tmp_path / "x"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"split 0 under policy {policy!r} has no {side} images" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -81,6 +81,17 @@ def test_pnm_malformed_header_fields(tmp_path, header):
         D.load_pnm(path)
 
 
+def test_write_pnm_failing_midway_keeps_the_old_image(tmp_path, disk_full_halfway):
+    path = tmp_path / "t.pgm"
+    D.write_pnm(path, np.zeros((1, 16, 16)))
+    old = path.read_bytes()
+    disk_full_halfway(100)  # the 256 pixel bytes, not the header
+    with pytest.raises(OSError, match="No space"):
+        D.write_pnm(path, np.ones((1, 16, 16)))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["t.pgm"]  # no temporary left
+
+
 @pytest.fixture(scope="module")
 def tiny_pgm(tmp_path_factory):
     path = tmp_path_factory.mktemp("pnm") / "t.pgm"
@@ -224,6 +235,22 @@ def test_synth_textures_deterministic(tmp_path):
         for a, b in zip(man1.records, man3.records)
     )
     assert changed
+
+
+def test_synth_textures_rerun_rewrites_only_changed_images(tmp_path):
+    def stamps():
+        return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in sorted((tmp_path / "images").iterdir())}
+
+    D.synth_textures(tmp_path, classes=3, samples_per_class=4, size=16, seed=7)
+    first = stamps()
+    D.synth_textures(tmp_path, classes=3, samples_per_class=4, size=16, seed=7)
+    assert stamps() == first  # every image already held its bytes
+    D.synth_textures(tmp_path, classes=3, samples_per_class=4, size=16, seed=8)
+    other = stamps()
+    assert other.keys() == first.keys()
+    # each image was renamed over from a new file, so each has a new inode
+    assert all(other[name][0] != first[name][0] for name in first)
 
 
 def test_synth_textures_spec(tmp_path):

@@ -57,6 +57,21 @@ def test_adam_missing_gradient_is_zero():
     assert p.value.tolist() == [3.0]
 
 
+def test_adam_missing_gradient_after_a_step_still_moves_by_the_first_moment():
+    p = make_param([1.0, 2.0])
+    p.grad = np.array([0.5, -0.5])
+    state = TR.AdamState(lr=0.1)
+    TR.adam_step({"p": p}, state)
+    assert np.allclose(p.value, [0.9, 2.1], rtol=0, atol=1e-8)
+    p1, m1, v1 = p.value.copy(), state.m["p"].copy(), state.v["p"].copy()
+    p.grad = None
+    TR.adam_step({"p": p}, state)
+    m_hat, v_hat = 0.9 * m1 / (1 - 0.9**2), 0.999 * v1 / (1 - 0.999**2)
+    expected = p1 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert np.allclose(p.value, expected, rtol=0, atol=1e-12)
+    assert np.allclose(p.value, [0.833, 2.167], rtol=0, atol=1e-3)
+
+
 def test_adam_nonfinite_gradient_aborts():
     p = make_param([1.0])
     p.grad = np.array([np.nan])
