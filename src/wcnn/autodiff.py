@@ -162,10 +162,30 @@ def total(a: Variable) -> Variable:
     return record("total", value, (a,), lambda g: (np.full(shape, g.reshape(-1)[0], dtype=dt),))
 
 
+def _tiled(parts: list[Variable]) -> np.ndarray | None:
+    """The memory-owning array whose channels the parts' values are, in order
+    and without gap or overlap, or None if they are not such slices of one."""
+    first = parts[0].value
+    base = first.base
+    if not isinstance(base, np.ndarray) or base.ndim != 4:
+        return None
+    at = 0
+    for p in parts:
+        v = p.value
+        if v.base is not base or v.strides != base.strides or \
+                v.ctypes.data != base.ctypes.data + at * base.strides[1]:
+            return None
+        at += v.shape[1]
+    return base if base.shape == (first.shape[0], at, *first.shape[2:]) else None
+
+
 def concat_channels(parts: list[Variable]) -> Variable:
     """Concatenate NCHW values along the channel axis, in argument order.
 
     Every part must agree with the first on batch, height, width and dtype.
+    Parts whose values are consecutive channel slices that tile one array
+    owning its memory (as `model.forward` writes each stage's parts) record
+    that array itself, with no copy; any other parts are copied into a fresh one.
     """
     if not parts:
         raise ShapeError("concat_channels requires at least one part")
@@ -177,7 +197,9 @@ def concat_channels(parts: list[Variable]) -> Variable:
             raise ShapeError(f"concat_channels spatial/batch mismatch: {first.shape} vs {t.shape}")
         if t.dtype != first.dtype:
             raise ShapeError(f"concat_channels dtype mismatch: {tag(first)} vs {tag(t)}")
-    value = np.concatenate([p.value for p in parts], axis=1)
+    value = _tiled(parts)
+    if value is None:
+        value = np.concatenate([p.value for p in parts], axis=1)
     sizes = [p.value.shape[1] for p in parts]
 
     def backward_fn(g):

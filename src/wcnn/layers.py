@@ -9,10 +9,10 @@ stage: convolve, then keep every second sample) and 1x1 at stride 1 (the
 subband projections).  Each is zero-padded by k // 2, so stride 1 keeps the
 spatial extent and stride 2 halves it, rounding up.
 
-`conv2d` is one tap sum, two operand layouts and two dx methods, run on one
-image range at a time.  The forward is y = sum_t W_t @ X_t + b, and tap t of
-dW is the sum over images of g @ X_t^T; only the operands X_t differ.  A 3x3
-stride-1 conv, most of the backbone, has nine taps (the low-memory kn2row of
+`conv2d` is one tap sum, two operand layouts and two dx methods.  The
+forward is y = sum_t W_t @ X_t + b, and tap t of dW is the sum over images
+of g @ X_t^T; only the operands X_t differ.  A 3x3 stride-1 conv, most of
+the backbone, has nine taps (the low-memory kn2row of
 Anderson et al., arXiv:1709.03395): with each image's zero-padded rows laid
 end to end, tap (i, j) is the contiguous slice that starts i*row + j further
 on, so BLAS reads the input in place and the two junk columns per output row
@@ -23,12 +23,21 @@ other conv has one tap, the weights [o, c*k*k] against the image unrolled
 channel-major (Caffe-style im2col) into columns [n, c*k*k, ho*wo], which for
 a 1x1 kernel are the input itself, viewed as is; its GEMM writes the NCHW
 output in place.  No operands are kept: the backward rebuilds them from the
-input, which the tape holds anyway, to form dW.  dx is the nine-tap sum again, the
+input, which the tape holds anyway, to form dW.  The nine-tap dW is formed
+one tap at a time, each a GEMM per image into one [n, o, c] buffer whose
+images are then added in order; its g operand is a view into the padded g
+that its dx reads too.  The one-tap dW keeps a per-image buffer [n, o, c*k*k]
+and adds its images in order as well.  dx is the nine-tap sum again, the
 output gradient correlated with the flipped, transposed taps, which builds no
 columns and scatters nothing; or, for im2col, the input-gradient columns
 scattered back one contiguous per-tap block at a time.
-A conv of `_SPLIT_FLOP` forward FLOPs or more runs one image range per CPU on a
-thread pool; every image's arithmetic is unchanged, so bits match at any CPU count.
+
+A conv of `_SPLIT_FLOP` forward FLOPs or more runs on a thread pool, one
+range per CPU: of images for the forward, dx and the one-tap dW, of taps for
+the nine-tap dW, of weights for the one-tap dW's image sum, and of channels,
+two or more each, for db.  No split changes any output element's arithmetic,
+so bits match at any CPU count.  A split of a GEMM's rows or columns would
+not: BLAS may block a part other than the whole.
 
 A model block is `conv2d` then `batch_norm_relu`, one op that keeps no
 batch-norm output and bit-matches `relu(batch_norm(...))`.  `batch_norm` and
@@ -122,13 +131,18 @@ class BatchNormParams:
             raise ShapeError("batch norm running variance must be non-negative")
 
 
-def _padded_rows(a: np.ndarray) -> np.ndarray:
+def _padded_rows(a: np.ndarray, split: bool = False) -> np.ndarray:
     """a [m, c, h, w] zero-padded by one on every side, with one more zero row
-    below: [m, c, h + 3, w + 2].  Its first h + 2 rows are the padded image;
-    the extra row keeps the last tap's slice (`_tap_slices`) inside the buffer."""
+    below: [m, c, h + 3, w + 2], filled one image range per CPU if `split`.
+    Its first h + 2 rows are the padded image; the extra row keeps the last
+    tap's slice (`_tap_slices`) inside the buffer."""
     m, c, h, w = a.shape
     buf = np.zeros((m, c, h + 3, w + 2), a.dtype)
-    buf[:, :, 1:h + 1, 1:w + 1] = a
+
+    def fill(lo, hi):
+        buf[lo:hi, :, 1:h + 1, 1:w + 1] = a[lo:hi]
+
+    _over_ranges(m, fill, split)
     return buf
 
 
@@ -151,6 +165,18 @@ def _tap_sum(taps: np.ndarray, operands, out: np.ndarray):
         out += tmp
 
 
+def _image_sum(a: np.ndarray, out: np.ndarray) -> None:
+    """out = the sum of a over its leading (image) axis, image by image in
+    order, as a serial loop adds.  numpy reduces two or more elements that
+    way, but the images of a lone element pairwise, so that one is looped."""
+    if out.size > 1:
+        np.add.reduce(a, axis=0, out=out)
+        return
+    out[...] = 0  # the reduction's own start
+    for ai in a:
+        out += ai
+
+
 def _weight_taps(wd: np.ndarray) -> np.ndarray:
     """The 3x3 weights [o, c, 3, 3] as nine contiguous [o, c] taps, in (i, j) order."""
     return np.ascontiguousarray(wd.transpose(2, 3, 0, 1)).reshape(9, *wd.shape[:2])
@@ -161,12 +187,11 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
 
     Every kind pads by k // 2, so the output extent per axis is
     ceil(in / stride): stride 1 keeps the shape, stride 2 halves it (rounding
-    up).  Per image range, y = sum_t W_t @ X_t + b and
-    dW_t = sum over images of g @ X_t^T, where the operands X_t are the nine
-    shifted slices of the padded rows or the one im2col column matrix.  The
-    backward closure keeps x, and no operands and no tap copy: it rebuilds
-    each range's operands from x for dW and drops them before dx.  So x must
-    not change in place before the backward.
+    up).  y = sum_t W_t @ X_t + b and dW_t = sum over images of g @ X_t^T,
+    where the operands X_t are the nine shifted slices of the padded rows or
+    the one im2col column matrix.  The backward closure keeps x, and no
+    operands and no tap copy: it rebuilds the operands from x for dW and
+    drops them before dx.  So x must not change in place before the backward.
     """
     xd = x.value
     if xd.ndim != 4:
@@ -215,32 +240,46 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
     _over_ranges(n, forward_range, split)
 
     def backward_fn(g):
-        db = g.sum(axis=(0, 2, 3))
-        dws = np.empty((n, 9, o, c) if shifted else (n, 1, o, ckk), g.dtype)
+        db = np.empty(o, g.dtype)
+        _over_ranges(o, lambda lo, hi: g[:, lo:hi].sum(axis=(0, 2, 3), out=db[lo:hi]), split, 2)
+        if shifted:
+            row = width + 2
+            gp = _padded_rows(g, split)  # dx's operand; one row and one column in, dW's:
+            gf = gp.reshape(n, o, -1)[:, :, row + 1:row + 1 + ho * row]  # its junk columns read zeros
+            xs = _tap_slices(_padded_rows(xd, split), ho)
+            dwt = np.empty((9, o, c), g.dtype)
 
-        def weight_grad_range(lo, hi):
-            ops, row = operands(lo, hi)
-            gp = g[lo:hi]
-            if row != wo:  # zero under the junk columns
-                gp = np.zeros((hi - lo, o, ho, row), g.dtype)
-                gp[..., :wo] = g[lo:hi]
-            gp = gp.reshape(hi - lo, o, ho * row)
-            for t, xs in enumerate(ops):
-                np.matmul(gp, xs.transpose(0, 2, 1), out=dws[lo:hi, t])
+            def weight_grad_taps(lo, hi):
+                buf = np.empty((n, o, c), g.dtype)
+                for t in range(lo, hi):
+                    np.matmul(gf, xs[t].transpose(0, 2, 1), out=buf)
+                    _image_sum(buf, dwt[t])
 
-        _over_ranges(n, weight_grad_range, split)
-        # image by image, in order, as a serial loop adds
-        dw = np.add.reduce(dws, axis=0).transpose(1, 2, 0).reshape(o, c, kh, kw)
-        dws = None  # spent, like each range's operands; free it before dx
+            _over_ranges(9, weight_grad_taps, split)
+            xs = None  # free the padded input before dx
+            dw = dwt.transpose(1, 2, 0).reshape(o, c, kh, kw)
+        else:
+            dws = np.empty((n, o * ckk), g.dtype)
+
+            def weight_grad_range(lo, hi):
+                (cols,), _ = operands(lo, hi)
+                np.matmul(g[lo:hi].reshape(hi - lo, o, ho * wo), cols.transpose(0, 2, 1),
+                          out=dws[lo:hi].reshape(hi - lo, o, ckk))
+
+            _over_ranges(n, weight_grad_range, split)
+            dw = np.empty(o * ckk, g.dtype)
+            _over_ranges(o * ckk, lambda lo, hi: _image_sum(dws[:, lo:hi], dw[lo:hi]), split)
+            dws = None  # spent, like each range's columns; free it before dx
+            dw = dw.reshape(o, c, kh, kw)
         if not x._live:
             return None, dw, db
         if shifted:  # correlate g, padded by one, with the flipped taps transposed
             flipped = _weight_taps(wd)[::-1].transpose(0, 2, 1)  # views BLAS reads as transposed
-            dxr = np.empty((n, c, h, width + 2), g.dtype)  # rows of g's padded width
+            dxr = np.empty((n, c, h, row), g.dtype)  # rows of g's padded width
 
             def input_grad_range(lo, hi):
-                out = dxr[lo:hi].reshape(hi - lo, c, h * (width + 2))
-                _tap_sum(flipped, _tap_slices(_padded_rows(g[lo:hi]), h), out)
+                out = dxr[lo:hi].reshape(hi - lo, c, h * row)
+                _tap_sum(flipped, _tap_slices(gp[lo:hi], h), out)
 
             _over_ranges(n, input_grad_range, split)
             return dxr[..., :width], dw, db
@@ -312,13 +351,15 @@ def _bn_forward_range(xs, stats, gd, bd, eps, relu: bool, out=None):
     return y, mu, var, inv
 
 
-def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool):
+def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool, out=None):
     """(y, mean, inv): y = gamma * x-hat + beta (then the ReLU if `relu`) in
-    one fresh array, and the per-channel statistics it used.  Train mode
-    advances the running statistics by their EMA.  From `_SPLIT_BN` elements
-    on, one channel range per CPU.  A per-channel reduction over two or more
-    channels has the bits of the whole array's; numpy reduces a single
-    channel in another order, so every range holds at least two."""
+    `out` or one fresh array, and the per-channel statistics it used.  Train
+    mode advances the running statistics by their EMA.  From `_SPLIT_BN`
+    elements on, one channel range per CPU, each written in place; below,
+    one fresh array, copied into `out` if given.  A per-channel reduction
+    over two or more channels has the bits of the whole array's; numpy
+    reduces a single channel in another order, so every range holds at
+    least two."""
     if mode not in ("train", "eval"):
         raise ShapeError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     if xd.ndim != 4:
@@ -329,12 +370,18 @@ def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool):
         raise ShapeError(f"batch_norm channel mismatch: input {c}, params {gd.shape[0]}")
     if mode == "train" and n * h * w <= 1:
         raise ShapeError("batch_norm train mode needs batch*height*width > 1 per channel")
+    if out is not None and (out.shape != xd.shape or out.dtype != xd.dtype):
+        raise ShapeError(f"batch_norm out {tag(out)}{list(out.shape)} is not the input's "
+                         f"{tag(xd)}{list(xd.shape)}")
     stats = None if mode == "train" else (p.running_mean, p.running_var)
     eps = xd.dtype.type(p.epsilon)
     if xd.size < _SPLIT_BN:
         y, mu, var, inv = _bn_forward_range(xd, stats, gd, bd, eps, relu)
+        if out is not None:  # into a channel slice, these ufuncs ran about 2x slower at desk scale
+            np.copyto(out, y)
+            y = out
     else:
-        y = np.empty(xd.shape, xd.dtype)
+        y = np.empty(xd.shape, xd.dtype) if out is None else out
 
         def channel_range(lo, hi):
             s = slice(lo, hi)
@@ -418,15 +465,17 @@ def batch_norm(x: Variable, p: BatchNormParams, mode: str) -> Variable:
                   lambda g: _bn_backward(g, None, xd, mu, inv, gd, mode))
 
 
-def batch_norm_relu(x: Variable, p: BatchNormParams, mode: str) -> Variable:
-    """`relu(batch_norm(x, p, mode))` as one op, bit for bit.
+def batch_norm_relu(x: Variable, p: BatchNormParams, mode: str, out=None) -> Variable:
+    """`relu(batch_norm(x, p, mode))` as one op, bit for bit, written into
+    `out` (an array of x's shape and dtype, such as a channel slice of a
+    larger buffer) if given, else into a fresh array.
 
     The batch-norm output is never kept: the forward applies the ReLU in the
     same buffer, and the backward rebuilds x-hat from x and the ReLU mask
     from its own output (y > 0 exactly where the batch-norm output is).
     """
     xd, gd = x.value, p.gamma.value
-    y, mu, inv = _bn_forward(xd, p, mode, relu=True)
+    y, mu, inv = _bn_forward(xd, p, mode, relu=True, out=out)
     return record("batch_norm_relu", y, (x, p.gamma, p.beta),
                   lambda g: _bn_backward(g, y, xd, mu, inv, gd, mode))
 

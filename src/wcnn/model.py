@@ -13,7 +13,9 @@ optional embedding layer, and a fully connected classifier.
 Every convolution (down, proj, conv<b>) is one block: conv with padding k // 2,
 then batch norm and ReLU as the one tape op `layers.batch_norm_relu`.
 `_add_block` declares it into the one registry `Model.blocks`, which
-`forward`, `Model.buffers` and `load_model` all walk.
+`forward`, `Model.buffers` and `load_model` all walk.  A stage's down and
+proj blocks write their outputs into the channels of one stage buffer, so
+its concatenation copies nothing.
 
 The analysis filters are fixed and contribute zero trainable parameters;
 `param_count` walks only the registered parameter variables, and the tests
@@ -192,9 +194,9 @@ def build(config: WaveletCnnConfig) -> Model:
     return model
 
 
-def _cbr(model: Model, h: ad.Variable, name: str, mode: str) -> ad.Variable:
+def _cbr(model: Model, h: ad.Variable, name: str, mode: str, out=None) -> ad.Variable:
     conv, bn = model.blocks[name]
-    return L.batch_norm_relu(L.conv2d(h, conv), bn, mode)
+    return L.batch_norm_relu(L.conv2d(h, conv), bn, mode, out)
 
 
 def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
@@ -219,12 +221,15 @@ def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
         stacks = W.decompose_variables(x, cfg.levels)
 
     h = x
-    for t in range(1, cfg.levels + 1):
+    for t, c in enumerate(cfg.resolved_channels(), 1):
         stage = f"stage{t}"
-        h = _cbr(model, h, f"{stage}.down", mode)
-        if stacks is not None:
-            proj = _cbr(model, stacks[t - 1], f"{stage}.proj", mode)
-            h = ad.concat_channels([h, proj])
+        if stacks is None:
+            h = _cbr(model, h, f"{stage}.down", mode)
+        else:  # down and proj write their channels of one stage buffer, which the concat records
+            extent = cfg.input_size >> t
+            buf = np.empty((shape[0], c + cfg.proj_width(c), extent, extent), x.value.dtype)
+            h = ad.concat_channels([_cbr(model, h, f"{stage}.down", mode, buf[:, :c]),
+                                    _cbr(model, stacks[t - 1], f"{stage}.proj", mode, buf[:, c:])])
         for b in range(1, cfg.blocks_per_stage + 1):
             h = _cbr(model, h, f"{stage}.conv{b}", mode)
 

@@ -165,8 +165,9 @@ def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
     correct2 = 1.0 - b2**t
     for name, p in params.items():
         if name not in state.m:
-            state.m[name] = np.zeros_like(p.value)
-            state.v[name] = np.zeros_like(p.value)
+            # np.zeros takes pages the allocator already zeroed; zeros_like writes every one
+            state.m[name] = np.zeros(p.value.shape, p.value.dtype)
+            state.v[name] = np.zeros(p.value.shape, p.value.dtype)
         pv, g, m, v = p.value, grads[name], state.m[name], state.v[name]
         dt = pv.dtype
         hyper = (b1, b2, correct1, correct2, dt.type(state.lr), dt.type(state.epsilon))

@@ -104,6 +104,20 @@ def test_concat_channels_and_offsets():
             ad.concat_channels(rank3)
 
 
+def test_concat_channels_records_the_array_its_parts_tile():
+    buf = np.arange(40.0).reshape(2, 5, 2, 2).copy()
+    assert ad.concat_channels([ad.Variable(buf[:, :2]), ad.Variable(buf[:, 2:])]).value is buf
+    # out of order, with a gap, overlapping, short of the whole array, or
+    # slices of a view: copied
+    view = np.arange(40.0).reshape(2, 5, 2, 2)
+    for cut in ([view[:, :2], view[:, 2:]], [buf[:, 2:], buf[:, :2]], [buf[:, :2], buf[:, 3:]], [buf[:, :3], buf[:, 2:]],
+                [buf[:, :2], buf[:, 2:4]], [buf[:1, :2], buf[:1, 2:]],
+                [buf[:, :2, :1], buf[:, 2:, :1]]):
+        value = ad.concat_channels([ad.Variable(part) for part in cut]).value
+        assert not np.shares_memory(value, buf)
+        assert np.array_equal(value, np.concatenate(cut, axis=1))
+
+
 def test_concat_channels_backward_splits():
     rng = np.random.default_rng(5)
     a = ad.Variable(Tensor(rng.standard_normal((1, 2, 2, 2))), requires_grad=True)

@@ -316,10 +316,12 @@ def _conv2d_serial(xd, wd, bd, s, pad, g):
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize("k,s,pad", CONV_KINDS)
 def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, pad, dtype):
-    # a gate of 0 splits every batch into min(n, 3) uneven ranges on the pool,
-    # a gate of inf runs one range on the calling thread; both must give the
-    # bits of the whole-batch arithmetic
-    monkeypatch.setattr(L, "_CPUS", 3)
+    # a gate of inf runs one range on the calling thread; a gate of 0 splits
+    # the work into one uneven range per CPU on the pool: images (forward,
+    # dx, im2col dW), the nine taps (nine-tap dW), elements (the im2col dW's
+    # image sum) or channels (db, two or more each).  At every CPU count, up
+    # to more ranges than there are taps, all must give the bits of the
+    # whole-batch arithmetic
     rng = np.random.default_rng(18)
     big = rng.standard_normal((7, 6, 9, 16))
     views = {  # non-owning inputs, as the subband stacks and sliced batches are
@@ -336,12 +338,33 @@ def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, p
         p = L.Conv2dParams(var(w0, True, dtype), var(b0, True, dtype), stride=s)
         g = g.astype(x.value.dtype)
         want = _conv2d_serial(x.value, p.weight.value, p.bias.value, s, pad, g)
-        for gate in (np.inf, 0.0):
+        for gate, cpus in ((np.inf, 3), *((0.0, cpus) for cpus in (2, 3, 4, 9, 10))):
             monkeypatch.setattr(L, "_SPLIT_FLOP", gate)
+            monkeypatch.setattr(L, "_CPUS", cpus)
             y = L.conv2d(x, p)
             got = (y.value, *y._backward_fn(g))
             for name, a, b in zip(("y", "dx", "dw", "db"), got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b), f"{name} n={n} {kind} {gate}"
+                assert a.dtype == b.dtype and np.array_equal(a, b), \
+                    f"{name} n={n} {kind} gate={gate} cpus={cpus}"
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("o,k,gate", [(3, 1, 0.0), (1, 3, 0.0), (1, 3, np.inf)])
+def test_conv2d_weight_image_sum_is_in_image_order_for_lone_elements(monkeypatch, o, k, gate, dtype):
+    # numpy sums the images of a lone element pairwise from eight on, not one
+    # by one: three 1x1 weights on three CPUs are three one-element ranges of
+    # the image sum, and a nine-tap conv with one channel in and out has
+    # one-element taps, split or not.  Each must add its images in order
+    monkeypatch.setattr(L, "_SPLIT_FLOP", gate)
+    monkeypatch.setattr(L, "_CPUS", 3)
+    rng = np.random.default_rng(19)
+    scale = np.logspace(0, 7, 9)[:, None, None, None]  # rounding that depends on the order
+    x = var(rng.standard_normal((9, 1, 4, 4)) * scale, requires_grad=True, dtype=dtype)
+    p = L.Conv2dParams(var(rng.standard_normal((o, 1, k, k)), True, dtype),
+                       var(np.zeros(o), True, dtype))
+    g = rng.standard_normal((9, o, 4, 4)).astype(x.value.dtype)
+    want = _conv2d_serial(x.value, p.weight.value, p.bias.value, 1, k // 2, g)[2]
+    assert np.array_equal(L.conv2d(x, p)._backward_fn(g)[1], want)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -690,7 +713,8 @@ def test_batch_norm_channel_ranges_are_bit_identical_to_one_range(monkeypatch, o
     # a gate of 0 splits every batch into min(c // 2, 3) channel ranges of at
     # least two channels on the pool (fewer than four channels stay one
     # range), a gate of inf runs one range on the calling thread; both must
-    # give the bits of the whole-array arithmetic
+    # give the bits of the whole-array arithmetic, and so must a BN-ReLU
+    # written into channels of a wider buffer, as the model's stage buffers
     monkeypatch.setattr(L, "_CPUS", 3)
     ranges = []
     pool_map = L._POOL.map
@@ -710,17 +734,30 @@ def test_batch_norm_channel_ranges_are_bit_identical_to_one_range(monkeypatch, o
         rm, rv = np.linspace(-0.2, 0.3, c, dtype=dtype), np.linspace(0.5, 2.0, c, dtype=dtype)
         g = rng.standard_normal(x.value.shape).astype(dtype)
         want = _bn_serial(x.value, gd, bd, rm, rv, mode, op is L.batch_norm_relu, g)
-        for gate in (np.inf, 0.0):
+        intos = (False, True) if op is L.batch_norm_relu else (False,)
+        for gate, into in itertools.product((np.inf, 0.0), intos):
             monkeypatch.setattr(L, "_SPLIT_BN", gate)
             ranges.clear()
             p = L.BatchNormParams(ad.Variable(gd.copy(), True), ad.Variable(bd.copy(), True),
                                   running_mean=rm.copy(), running_var=rv.copy())
-            y = op(x, p, mode)
+            if into:
+                out = np.empty((5, c + 3, 6, 7), dtype)[:, 1:1 + c]
+                y = op(x, p, mode, out)
+                assert y.value is out
+            else:
+                y = op(x, p, mode)
             got = (y.value, *y._backward_fn(g), p.running_mean, p.running_var)
             names = ("y", "dx", "dgamma", "dbeta", "running_mean", "running_var")
             for name, a, b in zip(names, got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b), f"{name} c={c} {kind} {gate}"
             assert ranges == ([min(c // 2, 3)] * 2 if gate == 0 and c >= 4 else []), (c, gate)
+
+
+def test_batch_norm_relu_rejects_an_out_unlike_its_input():
+    x = var(np.ones((2, 3, 4, 4)))
+    for out in (np.empty((2, 4, 4, 4)), np.empty((2, 3, 4, 4), np.float32)):
+        with pytest.raises(ShapeError):
+            L.batch_norm_relu(x, bn_params(3), "train", out)
 
 
 def test_batch_norm_gradcheck_over_channel_ranges(monkeypatch):

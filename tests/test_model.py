@@ -216,6 +216,45 @@ def test_end_to_end_gradient_subset():
     assert err < 1e-5
 
 
+def test_stage_concat_is_written_in_place_with_the_bits_of_a_copying_concat(monkeypatch):
+    # each stage's down and proj outputs are channels of the concat's value,
+    # and the logits, every gradient and the running statistics equal those
+    # of a forward whose concat copies its parts with np.concatenate
+    cfg = tiny_config(levels=3, channels=(4, 6, 8), blocks_per_stage=1)
+    rng = np.random.default_rng(6)
+    batch, labels = rng.standard_normal((2, 3, 32, 32)), np.array([0, 2])
+
+    def step():
+        model = M.build(cfg)
+        logits = M.forward(model, batch, mode="train")
+        ad.backward(L.softmax_cross_entropy(logits, labels))
+        return [logits.value, *(p.grad for p in model.params.values()),
+                *model.buffers().values()]
+
+    def copying(parts):
+        value = np.concatenate([p.value for p in parts], axis=1)
+        cuts = np.cumsum([p.value.shape[1] for p in parts])[:-1]
+        return ad.record("concat_channels", value, tuple(parts),
+                         lambda g: tuple(np.split(g, cuts, axis=1)))
+
+    concats = []
+    in_place = ad.concat_channels
+
+    def spy(parts):
+        out = in_place(parts)
+        concats.append((out.value, [p.value for p in parts]))
+        return out
+
+    monkeypatch.setattr(ad, "concat_channels", spy)
+    got = step()
+    assert len(concats) == cfg.levels
+    for value, parts in concats:
+        assert all(part.base is value for part in parts)
+    monkeypatch.setattr(ad, "concat_channels", copying)
+    for a, b in zip(got, step(), strict=True):
+        assert np.array_equal(a, b)
+
+
 # --- checkpointing -------------------------------------------------------------------
 
 

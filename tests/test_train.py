@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,26 @@ def test_desk_step_submits_nothing_to_the_pool(monkeypatch):
     ad.backward(L.softmax_cross_entropy(logits, rng.integers(0, 6, 16)))
     TR.adam_step(model.params, TR.AdamState())
     M.forward(model, batch, mode="eval")  # `evaluate`'s default batch
+
+
+def test_paper_train_step_peak_memory(monkeypatch):
+    # one training step of the default 224-px f32 model on a batch of 4, as
+    # `bench/workloads.py`'s paper-train runs it, traced from after `build`:
+    # the nine-tap convs form dW one tap at a time, with no per-image buffer,
+    # and each stage's concat is written in place, so its arrays peak under
+    # 260 MB (296 MB with both copies).  Two CPUs fix the tap ranges in flight
+    monkeypatch.setattr(L, "_CPUS", 2)
+    model = M.build(M.WaveletCnnConfig())
+    rng = np.random.default_rng(25)
+    records = [ImageRecord(rng.random((3, 224, 224)), (i,), f"r{i}") for i in range(4)]
+    cfg = TR.TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=0, augment=True)
+    tracemalloc.start()
+    try:
+        TR.train(model, records, [], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 260e6, f"{peak / 1e6:.1f} MB"
 
 
 def scalar_adam_reference(theta, lr, steps):
