@@ -19,6 +19,14 @@ level.
 
 Inputs whose extents do not divide by 2^levels are rejected rather than
 padded, so subband extents are always exactly input/2^level.
+
+Each butterfly forms its two products once and writes its sum and
+difference into arrays the caller gives: the pyramid, the reconstruction
+and the model's subband stacks are allocated once, and each level writes
+into them.  From `_SPLIT_HAAR` elements on, the recursion runs one range of
+the leading (image) axis per CPU through `layers._over_ranges`.  Every
+output element's arithmetic is the same in any range, so the bits are the
+same at any CPU count.
 """
 
 from __future__ import annotations
@@ -28,9 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import layers as L
 from .tensor import ShapeError, Tensor, as_array
 
 _S = 1.0 / float(np.sqrt(2.0))
+_SPLIT_HAAR = 2**19  # elements; two image ranges lost below 3e5 (f32), tied at 4.5e5, won 1.3-1.9x from 6e5
 
 # the analysis taps, as kernels for `generalized_conv_pool`
 HAAR_LOWPASS = (_S, _S)
@@ -96,33 +106,44 @@ def generalized_conv_pool(x, kernel, p: int) -> Tensor:
 # --- Haar analysis / synthesis -------------------------------------------------
 
 
-def _butterfly(a, b):
-    """The Haar pair on matching samples: analysis of (even, odd), synthesis of (lo, hi)."""
-    return a * _S + b * _S, a * _S - b * _S
+def _butterfly(a, b, lo=None, hi=None):
+    """The Haar pair on matching samples: analysis of (even, odd), synthesis of (lo, hi).
+
+    Returns (a*s + b*s, a*s - b*s), forming each product once, written into
+    `lo` and `hi` when given; otherwise the difference overwrites a*s.
+    """
+    sa, sb = a * _S, b * _S
+    lo = np.add(sa, sb, out=lo)
+    return lo, np.subtract(sa, sb, out=sa if hi is None else hi)
 
 
-def _analysis(x: np.ndarray):
-    """One level on the trailing two axes, width then height: (LL, LH, HL, HH)."""
+def _analysis(x: np.ndarray, ll=None, lh=None, hl=None, hh=None):
+    """One level on the trailing two axes, width then height: (LL, LH, HL, HH),
+    each written into its array when given."""
     lo, hi = _butterfly(x[..., 0::2], x[..., 1::2])
-    ll, hl = _butterfly(lo[..., 0::2, :], lo[..., 1::2, :])
-    lh, hh = _butterfly(hi[..., 0::2, :], hi[..., 1::2, :])
+    ll, hl = _butterfly(lo[..., 0::2, :], lo[..., 1::2, :], ll, hl)
+    lh, hh = _butterfly(hi[..., 0::2, :], hi[..., 1::2, :], lh, hh)
     return ll, lh, hl, hh
 
 
-def _synthesis(ll, lh, hl, hh) -> np.ndarray:
-    """Inverse of `_analysis`; the Haar matrix is orthonormal, so it is its own inverse."""
+def _synthesis(ll, lh, hl, hh, out=None) -> np.ndarray:
+    """Inverse of `_analysis`, written into `out` when given; the Haar matrix is
+    orthonormal, so it is its own inverse."""
     *n, h, w = ll.shape
     lo, hi = np.empty((*n, 2 * h, w), ll.dtype), np.empty((*n, 2 * h, w), ll.dtype)
-    out = np.empty((*n, 2 * h, 2 * w), ll.dtype)
-    lo[..., 0::2, :], lo[..., 1::2, :] = _butterfly(ll, hl)
-    hi[..., 0::2, :], hi[..., 1::2, :] = _butterfly(lh, hh)
-    out[..., 0::2], out[..., 1::2] = _butterfly(lo, hi)
+    if out is None:
+        out = np.empty((*n, 2 * h, 2 * w), ll.dtype)
+    _butterfly(ll, hl, lo[..., 0::2, :], lo[..., 1::2, :])
+    _butterfly(lh, hh, hi[..., 0::2, :], hi[..., 1::2, :])
+    _butterfly(lo, hi, out[..., 0::2], out[..., 1::2])
     return out
 
 
 def check_divisible(shape, levels: int):
     if levels < 1:
         raise ShapeError(f"levels must be >= 1, got {levels}")
+    if len(shape) < 2:
+        raise ShapeError(f"the transform needs height and width axes, got rank {len(shape)}")
     h, w = shape[-2], shape[-1]
     factor = 1 << levels
     if min(h, w) < factor:  # 0 and negative extents are multiples of 2^L too
@@ -137,39 +158,63 @@ def check_divisible(shape, levels: int):
         )
 
 
-def _analyses(x: np.ndarray, levels: int):
-    """Check the extent, then yield (LL, LH, HL, HH) per level, each analysing the last LL."""
-    check_divisible(x.shape, levels)
-    low = x
-    for _ in range(levels):
-        low, lh, hl, hh = _analysis(low)
-        yield low, lh, hl, hh
+def _over_images(x: np.ndarray, fn):
+    """fn(lo, hi) over ranges of the leading (image) axis, one per CPU from
+    `_SPLIT_HAAR` elements on.  A rank-2 array is one image: its one range,
+    (0, height), slices every array whole."""
+    L._over_ranges(len(x), fn, x.ndim > 2 and x.size >= _SPLIT_HAAR)
+
+
+def _analyses(x: np.ndarray, outs) -> None:
+    """The analysis recursion into `outs`, one (LL, LH, HL, HH) tuple of
+    arrays per level, each analysing the last LL; a None LL is a temporary."""
+    def images(lo, hi):
+        low = x[lo:hi]
+        for ll, *details in outs:
+            low, *_ = _analysis(low, None if ll is None else ll[lo:hi], *(d[lo:hi] for d in details))
+
+    _over_images(x, images)
 
 
 def decompose(image, levels: int) -> SubbandPyramid:
     """Recursive analysis: split off detail triples, recurse on the low band."""
     image = as_array(image)
-    detail: list[tuple[Tensor, Tensor, Tensor]] = []
-    for low, lh, hl, hh in _analyses(image, levels):
-        detail.append((Tensor(lh), Tensor(hl), Tensor(hh)))
-    return SubbandPyramid(detail, Tensor(low), image.shape)
+    check_divisible(image.shape, levels)
+    *lead, h, w = image.shape
+    bands = [tuple(np.empty((*lead, h >> t, w >> t), image.dtype) for _ in range(3))
+             for t in range(1, levels + 1)]
+    low = np.empty((*lead, h >> levels, w >> levels), image.dtype)
+    _analyses(image, [(None, *b) for b in bands[:-1]] + [(low, *bands[-1])])
+    return SubbandPyramid([tuple(map(Tensor, b)) for b in bands], Tensor(low), image.shape)
 
 
 def reconstruct(pyramid: SubbandPyramid) -> Tensor:
     """Exact inverse of `decompose`."""
     low = pyramid.lowpass.data
-    for lh, hl, hh in reversed(pyramid.levels):
-        if not low.shape == lh.shape == hl.shape == hh.shape:
+    details = [tuple(b.data for b in bands) for bands in reversed(pyramid.levels)]
+    shape = low.shape
+    for lh, hl, hh in details:
+        if not shape == lh.shape == hl.shape == hh.shape:
             raise ShapeError(
                 f"malformed pyramid: detail shapes {lh.shape}, {hl.shape}, {hh.shape} "
-                f"do not match low band {low.shape}"
+                f"do not match low band {shape}"
             )
-        low = _synthesis(low, lh.data, hl.data, hh.data)
-    if low.shape != pyramid.source_shape:
+        shape = (*shape[:-2], 2 * shape[-2], 2 * shape[-1])
+    if shape != pyramid.source_shape:
         raise ShapeError(
-            f"malformed pyramid: reconstructed {low.shape}, expected {pyramid.source_shape}"
+            f"malformed pyramid: reconstructed {shape}, expected {pyramid.source_shape}"
         )
-    return Tensor(low)
+    if not details:
+        return Tensor(low)
+    out = np.empty(shape, low.dtype)
+
+    def images(lo, hi):
+        up = low[lo:hi]
+        for t, bands in enumerate(details, start=1):
+            up = _synthesis(up, *(b[lo:hi] for b in bands), out[lo:hi] if t == len(details) else None)
+
+    _over_images(out, images)
+    return Tensor(out)
 
 
 def cnn_reduction(x, kernels) -> Tensor:
@@ -199,19 +244,18 @@ def decompose_variables(x: ad.Variable, levels: int) -> list[ad.Variable]:
     """
     if x.value.ndim != 4:
         raise ShapeError(f"decompose_variables expects NCHW input, got rank {x.value.ndim}")
-    c = x.value.shape[1]
+    n, c, h, w = x.value.shape
+    check_divisible(x.value.shape, levels)
+    stacks = [np.empty((n, 3 * c, h >> t, w >> t), x.value.dtype) for t in range(1, levels + 1)]
+    _analyses(x.value, [(None, s[:, :c], s[:, c:2 * c], s[:, 2 * c:]) for s in stacks])
 
-    stacks: list[ad.Variable] = []
-    for t, (_, lh, hl, hh) in enumerate(_analyses(x.value, levels), start=1):
-        stack = np.concatenate([lh, hl, hh], axis=1)
+    def backward_fn(g, t):
+        gl, gh, gg = g[:, :c], g[:, c:2 * c], g[:, 2 * c:]
+        up = _synthesis(np.zeros_like(gl), gl, gh, gg)
+        for _ in range(t - 1):
+            z = np.zeros_like(up)
+            up = _synthesis(up, z, z, z)
+        return (up,)
 
-        def backward_fn(g, t=t):
-            gl, gh, gg = g[:, :c], g[:, c:2 * c], g[:, 2 * c:]
-            up = _synthesis(np.zeros_like(gl), gl, gh, gg)
-            for _ in range(t - 1):
-                z = np.zeros_like(up)
-                up = _synthesis(up, z, z, z)
-            return (up,)
-
-        stacks.append(ad.record(f"subbands_level{t}", stack, (x,), backward_fn))
-    return stacks
+    return [ad.record(f"subbands_level{t}", stack, (x,), lambda g, t=t: backward_fn(g, t))
+            for t, stack in enumerate(stacks, start=1)]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcnn import autodiff as ad
 from wcnn import layers as L
 from wcnn import wavelet as W
-from wcnn.tensor import ShapeError, Tensor
+from wcnn.tensor import ShapeError, Tensor, as_array
 
 
 def rel_err(a, b):
@@ -172,6 +174,15 @@ def test_zero_pyramid_reconstructs_zero():
     assert np.max(np.abs(W.reconstruct(pyr).data)) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(), (8,)])
+def test_rank_below_two_rejected(shape):
+    x = np.zeros(shape)
+    for call in (lambda: W.decompose(Tensor(x), 1),
+                 lambda: W.decompose_variables(ad.Variable(Tensor(x)), 1)):
+        with pytest.raises(ShapeError, match=f"rank {len(shape)}$"):
+            call()
+
+
 def test_reconstruct_rejects_malformed_pyramid():
     pyr = W.decompose(Tensor(np.zeros((1, 1, 8, 8))), 2)
     lh, hl, hh = pyr.levels[0]
@@ -285,3 +296,112 @@ def test_decompose_variables_finite_differences():
         return loss
 
     assert ad.finite_difference_check(f, Tensor(x), eps=1e-5) < 1e-6
+
+
+# --- the in-place, image-split transform against the unsplit one -------------------
+#
+# The oracle is the transform before it wrote into preallocated arrays and ran
+# over image ranges: each butterfly forms its products twice and returns new
+# arrays, synthesis copies them into place, and the subband stacks are
+# concatenated.  The same products meet the same add and subtract, so every
+# band must match it bit for bit.
+
+
+def _butterfly_ref(a, b):
+    return a * W._S + b * W._S, a * W._S - b * W._S
+
+
+def _analysis_ref(x):
+    lo, hi = _butterfly_ref(x[..., 0::2], x[..., 1::2])
+    ll, hl = _butterfly_ref(lo[..., 0::2, :], lo[..., 1::2, :])
+    lh, hh = _butterfly_ref(hi[..., 0::2, :], hi[..., 1::2, :])
+    return ll, lh, hl, hh
+
+
+def _synthesis_ref(ll, lh, hl, hh):
+    *n, h, w = ll.shape
+    lo, hi = np.empty((*n, 2 * h, w), ll.dtype), np.empty((*n, 2 * h, w), ll.dtype)
+    out = np.empty((*n, 2 * h, 2 * w), ll.dtype)
+    lo[..., 0::2, :], lo[..., 1::2, :] = _butterfly_ref(ll, hl)
+    hi[..., 0::2, :], hi[..., 1::2, :] = _butterfly_ref(lh, hh)
+    out[..., 0::2], out[..., 1::2] = _butterfly_ref(lo, hi)
+    return out
+
+
+def _transform_reference(x, levels):
+    """Per-level (LH, HL, HH), the low band, the reconstruction and, for NCHW
+    input, the subband stacks, all from the oracle."""
+    low, details = x, []
+    for _ in range(levels):
+        low, *bands = _analysis_ref(low)
+        details.append(bands)
+    back = low
+    for bands in reversed(details):
+        back = _synthesis_ref(back, *bands)
+    stacks = [np.concatenate(b, axis=1) for b in details] if x.ndim == 4 else []
+    return [a for b in details for a in b] + [low, back] + stacks
+
+
+def _transform(x, levels):
+    """`_transform_reference`'s arrays from `decompose`, `reconstruct` and
+    `decompose_variables`."""
+    pyr = W.decompose(Tensor(x), levels)
+    back = W.reconstruct(pyr).data
+    stacks = [s.value for s in W.decompose_variables(ad.Variable(x), levels)] if x.ndim == 4 else []
+    return [b.data for bands in pyr.levels for b in bands] + [pyr.lowpass.data, back] + stacks
+
+
+def _assert_bits(got, want, where):
+    assert len(got) == len(want), where
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), f"{where}, array {i}"
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (8,), (1, 2), (5, 2), (8, 2)])
+def test_transform_matches_the_unsplit_oracle_at_any_cpu_count(monkeypatch, lead, dtype):
+    # the gate forced to 0 splits every batch of two or more images into one
+    # range per CPU; rank 2 is one image and never splits
+    x = as_array(np.random.default_rng(20).standard_normal((*lead, 16, 24)), dtype)
+    want = _transform_reference(x, 3)
+    ranges, pool_map = [], L._POOL.map
+
+    def counted_map(fn, starts, stops):
+        ranges.append(len(starts))
+        return pool_map(fn, starts, stops)
+
+    monkeypatch.setattr(L._POOL, "map", counted_map)
+    monkeypatch.setattr(W, "_SPLIT_HAAR", 0)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(L, "_CPUS", cpus)
+        ranges.clear()
+        _assert_bits(_transform(x, 3), want, f"cpus={cpus}")
+        n = lead[0] if lead else 1
+        assert set(ranges) == ({min(n, cpus)} if min(n, cpus) > 1 else set()), f"cpus={cpus}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_transform_generated_shapes_match_the_oracle(data):
+    levels = data.draw(st.integers(1, 3), label="levels")
+    lead = data.draw(st.lists(st.integers(1, 6), max_size=2), label="leading axes")
+    extent = [data.draw(st.integers(1, 3), label=name) << levels for name in ("h", "w")]
+    dtype = data.draw(st.sampled_from(["f32", "f64"]), label="dtype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = as_array(rng.standard_normal((*lead, *extent)), dtype)
+    want = _transform_reference(x, levels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(L, "_CPUS", data.draw(st.integers(1, 4), label="cpus"))
+        for gate in (np.inf, 0):
+            mp.setattr(W, "_SPLIT_HAAR", gate)
+            _assert_bits(_transform(x, levels), want, f"gate={gate}")
+
+
+def test_butterfly_writes_into_given_arrays():
+    a, b = np.array([3.0, -1.0]), np.array([1.0, 2.0])
+    lo, hi = np.empty(2), np.empty(2)
+    got = W._butterfly(a, b, lo, hi)
+    assert got[0] is lo and got[1] is hi
+    want = _butterfly_ref(a, b)
+    assert np.array_equal(lo, want[0]) and np.array_equal(hi, want[1])
+    assert a.tolist() == [3.0, -1.0] and b.tolist() == [1.0, 2.0]
