@@ -28,8 +28,8 @@ from . import runconfig as RC
 from .schema import get_value, to_items
 from .tensor import DTYPES, ShapeError, Tensor, as_array, save_wtns, write_atomic
 
-USAGE_ERRORS = (RC.ConfigError, ShapeError, D.ManifestError, D.PnmError,
-                M.CheckpointError, FileNotFoundError)
+USAGE_ERRORS = (RC.ConfigError, ShapeError, D.ManifestError, D.PnmError, M.CheckpointError,
+                FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 NUMERIC_ERRORS = (TR.NonFiniteLossError, TR.NonFiniteGradientError, M.NonFiniteModelError)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .seeding import SYNTH, stream_rng
-from .tensor import ShapeError, write_atomic
+from .tensor import ShapeError, read_text, write_atomic
 
 
 class PnmError(ValueError):
@@ -149,7 +149,7 @@ HEADER = ("path", "labels", "group", "split")
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, ManifestError).splitlines()
     if not lines or tuple(lines[0].split("\t")) != HEADER:
         raise ManifestError(f"{path}: first line must be {chr(9).join(HEADER)!r}")
     records: list[ManifestRecord] = []

@@ -9,10 +9,10 @@ stage: convolve, then keep every second sample) and 1x1 at stride 1 (the
 subband projections).  Each is zero-padded by k // 2, so stride 1 keeps the
 spatial extent and stride 2 halves it, rounding up.
 
-`conv2d` is one tap sum, two operand layouts and two dx methods.  The
-forward is y = sum_t W_t @ X_t + b, and tap t of dW is the sum over images
-of g @ X_t^T; only the operands X_t differ.  A 3x3 stride-1 conv, most of
-the backbone, has nine taps (the low-memory kn2row of
+`conv2d` is one tap sum, two forward operand layouts, one dW method and two
+dx methods.  The forward is y = sum_t W_t @ X_t + b, and tap t of dW is the
+sum over images of g @ X_t^T; only the operands X_t differ.  A 3x3 stride-1
+conv, most of the backbone, has nine taps (the low-memory kn2row of
 Anderson et al., arXiv:1709.03395): with each image's zero-padded rows laid
 end to end, tap (i, j) is the contiguous slice that starts i*row + j further
 on, so BLAS reads the input in place and the two junk columns per output row
@@ -22,31 +22,33 @@ conv, but not the 7x7 maps of 512 channels that end the 224-px model.  Every
 other conv has one tap, the weights [o, c*k*k] against the image unrolled
 channel-major (Caffe-style im2col) into columns [n, c*k*k, ho*wo], which for
 a 1x1 kernel are the input itself, viewed as is; its GEMM writes the NCHW
-output in place.  No operands are kept: the backward rebuilds them from the
-input, which the tape holds anyway, to form dW.  The nine-tap dW is formed
-one tap at a time, each a GEMM per image into one [n, o, c] buffer whose
-images are then added in order; its g operand is a view into the padded g
-that its dx reads too.  The one-tap dW keeps a per-image buffer [n, o, c*k*k]
-and adds its images in order as well.  dx is the nine-tap sum again, the
+output in place.  No operands are kept: the backward rebuilds dW's from the
+input, which the tape holds anyway.  Every dW is formed one tap at a time,
+each a GEMM per image into one [n, o, c] buffer whose images are then added
+in order, so no per-image buffer holds all taps.  A 1x1 kernel's one tap is
+the input itself; a 3x3 stride-1 conv reads the nine slices of the padded
+rows, whichever kernel its forward ran, against a view into the padded g
+that the nine-tap dx reads too; a 3x3 stride-2 conv copies every second
+sample of one tap's window at a time.  dx is the nine-tap sum again, the
 output gradient correlated with the flipped, transposed taps, which builds no
 columns and scatters nothing; or, for im2col, the input-gradient columns
 scattered back one contiguous per-tap block at a time.
 
 A conv of `_SPLIT_FLOP` forward FLOPs or more runs on a thread pool, one
-range per CPU: of images for the forward, dx and the one-tap dW, of taps for
-the nine-tap dW, of weights for the one-tap dW's image sum, and of channels,
-two or more each, for db.  No split changes any output element's arithmetic,
-so bits match at any CPU count.  A split of a GEMM's rows or columns would
-not: BLAS may block a part other than the whole.
+range per CPU: of images for the forward and dx, of taps for dW, and of
+channels, two or more each, for db.  No split changes any output element's
+arithmetic, so bits match at any CPU count.  A split of a GEMM's rows or
+columns would not: BLAS may block a part other than the whole.
 
 A model block is `conv2d` then `batch_norm_relu`, one op that keeps no
 batch-norm output and bit-matches `relu(batch_norm(...))`.  `batch_norm` and
 `relu` stay as its reference and gradient-check oracle; `relu` also follows
 the optional embedding layer.  A batch norm of `_SPLIT_BN` elements or more
-runs one channel range per CPU on the same pool, forward and backward.  A
-range holds at least two channels, which numpy reduces in the same order as
-the whole array, so its bits too match at any CPU count.  `_over_ranges` is
-the one split helper; `train.adam_step` uses it as well.
+runs one channel range per CPU on the same pool, forward and backward; a
+smaller one runs the same code as one range.  A range holds at least two
+channels, which numpy reduces in the same order as the whole array, so its
+bits too match at any CPU count.  `_over_ranges` is the one split helper;
+`train.adam_step` uses it as well.
 """
 
 from __future__ import annotations
@@ -183,15 +185,17 @@ def _weight_taps(wd: np.ndarray) -> np.ndarray:
 
 
 def conv2d(x: Variable, p: Conv2dParams) -> Variable:
-    """2-D convolution over NCHW input: one tap sum, two operand layouts, two dx methods.
+    """2-D convolution over NCHW input: one tap sum, two forward operand layouts, one
+    dW method, two dx methods.
 
     Every kind pads by k // 2, so the output extent per axis is
     ceil(in / stride): stride 1 keeps the shape, stride 2 halves it (rounding
     up).  y = sum_t W_t @ X_t + b and dW_t = sum over images of g @ X_t^T,
-    where the operands X_t are the nine shifted slices of the padded rows or
-    the one im2col column matrix.  The backward closure keeps x, and no
-    operands and no tap copy: it rebuilds the operands from x for dW and
-    drops them before dx.  So x must not change in place before the backward.
+    where the forward's operands X_t are the nine shifted slices of the
+    padded rows or the one im2col column matrix, and dW's are x's taps, one
+    at a time.  The backward closure keeps x, and no operands and no tap
+    copy: it rebuilds dW's operands from x and drops them before dx.  So x
+    must not change in place before the backward.
     """
     xd = x.value
     if xd.ndim != 4:
@@ -211,26 +215,21 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
     split = 2.0 * n * o * ckk * ho * wo >= _SPLIT_FLOP  # forward FLOPs
     shifted = kh == 3 and s == 1 and n * ho * wo >= o  # the columns outweigh the weights
 
-    def operands(lo, hi):
-        """(per-tap operands, row) of images lo..hi-1: for a 1x1 kernel the
-        input itself, viewed as columns [m, c, h*w]; the nine tap slices of the
-        padded rows; or the one unrolled column matrix [m, c*9, ho*wo]."""
-        m = hi - lo
-        if kh == 1:
-            return [xd[lo:hi].reshape(m, c, h * width)], wo
-        xp = _padded_rows(xd[lo:hi])
-        if shifted:
-            return _tap_slices(xp, ho), width + 2
-        win = sliding_window_view(xp[:, :, :h + 2], (3, 3), axis=(2, 3))[:, :, ::s, ::s]
-        cols = np.empty((m, ckk, ho * wo), xd.dtype)
-        np.copyto(cols.reshape(m, c, 3, 3, ho, wo), win.transpose(0, 1, 4, 5, 2, 3))
-        return [cols], wo
-
     taps = _weight_taps(wd) if shifted else wd.reshape(1, o, ckk)
     y = np.empty((n, o, ho, wo), xd.dtype)
 
     def forward_range(lo, hi):
-        ops, row = operands(lo, hi)
+        # the operands of images lo..hi-1, each with `row` columns per output row
+        m = hi - lo
+        if kh == 1:  # the input itself, viewed as columns [m, c, h*w]
+            ops, row = [xd[lo:hi].reshape(m, c, h * width)], wo
+        elif shifted:  # the nine tap slices of the padded rows
+            ops, row = _tap_slices(_padded_rows(xd[lo:hi]), ho), width + 2
+        else:  # the one unrolled column matrix [m, c*9, ho*wo]
+            xp = _padded_rows(xd[lo:hi])[:, :, :h + 2]
+            win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::s, ::s]
+            ops, row = [np.empty((m, ckk, ho * wo), xd.dtype)], wo
+            np.copyto(ops[0].reshape(m, c, 3, 3, ho, wo), win.transpose(0, 1, 4, 5, 2, 3))
         # the GEMM writes y in place unless junk columns follow each output row
         yf = y[lo:hi].reshape(hi - lo, o, ho * wo) if row == wo else \
             np.empty((hi - lo, o, ho * row), xd.dtype)
@@ -242,35 +241,28 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
     def backward_fn(g):
         db = np.empty(o, g.dtype)
         _over_ranges(o, lambda lo, hi: g[:, lo:hi].sum(axis=(0, 2, 3), out=db[lo:hi]), split, 2)
-        if shifted:
+        # dW's taps X_t, each read against g laid out as its columns
+        if kh == 1:  # the one tap is x itself
+            gm, xs = g.reshape(n, o, ho * wo), [xd]
+        elif s == 1:  # the nine slices of the padded rows, whichever kernel the forward ran
             row = width + 2
-            gp = _padded_rows(g, split)  # dx's operand; one row and one column in, dW's:
-            gf = gp.reshape(n, o, -1)[:, :, row + 1:row + 1 + ho * row]  # its junk columns read zeros
+            gp = _padded_rows(g, split)  # the nine-tap dx's operand; one row and one column in,
+            gm = gp.reshape(n, o, -1)[:, :, row + 1:row + 1 + ho * row]  # dW's: junk columns zero
             xs = _tap_slices(_padded_rows(xd, split), ho)
-            dwt = np.empty((9, o, c), g.dtype)
+        else:  # every second sample of each tap's window, copied one tap at a time below
+            gm, xp = g.reshape(n, o, ho * wo), _padded_rows(xd, split)
+            xs = [xp[:, :, i:i + 2 * ho:2, j:j + 2 * wo:2] for i in range(3) for j in range(3)]
+        dwt = np.empty((kh * kw, o, c), g.dtype)
 
-            def weight_grad_taps(lo, hi):
-                buf = np.empty((n, o, c), g.dtype)
-                for t in range(lo, hi):
-                    np.matmul(gf, xs[t].transpose(0, 2, 1), out=buf)
-                    _image_sum(buf, dwt[t])
+        def weight_grad_taps(lo, hi):
+            buf = np.empty((n, o, c), g.dtype)
+            for t in range(lo, hi):
+                np.matmul(gm, xs[t].reshape(n, c, -1).transpose(0, 2, 1), out=buf)
+                _image_sum(buf, dwt[t])
 
-            _over_ranges(9, weight_grad_taps, split)
-            xs = None  # free the padded input before dx
-            dw = dwt.transpose(1, 2, 0).reshape(o, c, kh, kw)
-        else:
-            dws = np.empty((n, o * ckk), g.dtype)
-
-            def weight_grad_range(lo, hi):
-                (cols,), _ = operands(lo, hi)
-                np.matmul(g[lo:hi].reshape(hi - lo, o, ho * wo), cols.transpose(0, 2, 1),
-                          out=dws[lo:hi].reshape(hi - lo, o, ckk))
-
-            _over_ranges(n, weight_grad_range, split)
-            dw = np.empty(o * ckk, g.dtype)
-            _over_ranges(o * ckk, lambda lo, hi: _image_sum(dws[:, lo:hi], dw[lo:hi]), split)
-            dws = None  # spent, like each range's columns; free it before dx
-            dw = dw.reshape(o, c, kh, kw)
+        _over_ranges(kh * kw, weight_grad_taps, split)
+        xs = xp = None  # free the padded input before dx
+        dw = dwt.transpose(1, 2, 0).reshape(o, c, kh, kw)
         if not x._live:
             return None, dw, db
         if shifted:  # correlate g, padded by one, with the flipped taps transposed
@@ -356,10 +348,10 @@ def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool, out=N
     `out` or one fresh array, and the per-channel statistics it used.  Train
     mode advances the running statistics by their EMA.  From `_SPLIT_BN`
     elements on, one channel range per CPU, each written in place; below,
-    one fresh array, copied into `out` if given.  A per-channel reduction
-    over two or more channels has the bits of the whole array's; numpy
-    reduces a single channel in another order, so every range holds at
-    least two."""
+    one range, into a fresh array copied into `out` if given.  A per-channel
+    reduction over two or more channels has the bits of the whole array's;
+    numpy reduces a single channel in another order, so every range holds
+    at least two."""
     if mode not in ("train", "eval"):
         raise ShapeError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     if xd.ndim != 4:
@@ -375,20 +367,20 @@ def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool, out=N
                          f"{tag(xd)}{list(xd.shape)}")
     stats = None if mode == "train" else (p.running_mean, p.running_var)
     eps = xd.dtype.type(p.epsilon)
-    if xd.size < _SPLIT_BN:
-        y, mu, var, inv = _bn_forward_range(xd, stats, gd, bd, eps, relu)
-        if out is not None:  # into a channel slice, these ufuncs ran about 2x slower at desk scale
-            np.copyto(out, y)
-            y = out
-    else:
-        y = np.empty(xd.shape, xd.dtype) if out is None else out
+    split = xd.size >= _SPLIT_BN
+    # one range writes a fresh array, then copies it into `out`: into a channel
+    # slice of a larger buffer, these ufuncs ran about 2x slower at desk scale
+    y = out if split and out is not None else np.empty(xd.shape, xd.dtype)
 
-        def channel_range(lo, hi):
-            s = slice(lo, hi)
-            part = None if stats is None else (stats[0][s], stats[1][s])
-            return _bn_forward_range(xd[:, s], part, gd[s], bd[s], eps, relu, y[:, s])[1:]
+    def channel_range(lo, hi):
+        s = slice(lo, hi)
+        part = None if stats is None else (stats[0][s], stats[1][s])
+        return _bn_forward_range(xd[:, s], part, gd[s], bd[s], eps, relu, y[:, s])[1:]
 
-        mu, var, inv = map(np.concatenate, zip(*_over_ranges(c, channel_range, least=2)))
+    mu, var, inv = map(np.concatenate, zip(*_over_ranges(c, channel_range, split, 2)))
+    if out is not None and y is not out:
+        np.copyto(out, y)
+        y = out
     if stats is None:
         mom = xd.dtype.type(p.momentum)
         p.running_mean = (1 - mom) * p.running_mean + mom * mu
@@ -434,8 +426,6 @@ def _bn_backward(g, y, xd, mu, inv, gd, mode: str):
     """(dx, dgamma, dbeta) from g = dL/d(output): g itself for `batch_norm`
     (y is None), g through the ReLU mask y > 0 for `batch_norm_relu`.  dx is
     one fresh array; from `_SPLIT_BN` elements on, one channel range per CPU."""
-    if g.size < _SPLIT_BN:
-        return _bn_backward_range(g.copy() if y is None else g * (y > 0), xd, mu, inv, gd, mode)
     dx = np.empty(g.shape, g.dtype)
 
     def channel_range(lo, hi):
@@ -446,7 +436,8 @@ def _bn_backward(g, y, xd, mu, inv, gd, mode: str):
             np.multiply(g[:, s], y[:, s] > 0, out=dx[:, s])
         return _bn_backward_range(dx[:, s], xd[:, s], mu[s], inv[s], gd[s], mode)[1:]
 
-    dgamma, dbeta = map(np.concatenate, zip(*_over_ranges(g.shape[1], channel_range, least=2)))
+    dgamma, dbeta = map(np.concatenate,
+                        zip(*_over_ranges(g.shape[1], channel_range, g.size >= _SPLIT_BN, 2)))
     return dx, dgamma, dbeta
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .model import WaveletCnnConfig
 from .schema import ConfigError, field_keys, from_items, parse_config_text
+from .tensor import read_text
 from .train import TrainConfig
 
 
@@ -27,7 +28,7 @@ def load_config(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), str(path))
+    return parse_config_text(read_text(path, ConfigError), str(path))
 
 
 def apply_overrides(cfg: dict[str, str], overrides) -> dict[str, str]:

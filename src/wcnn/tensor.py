@@ -12,7 +12,8 @@ which owns its arrays.
 One little-endian codec (`shape_fields`/`parse_shape_fields`,
 `encode`/`decode`) is the payload encoding of both WTNS1 tensor files and
 WCNN1 checkpoints; malformed fields or short payloads raise `ShapeError`.
-Every file the library writes goes through `write_atomic`.
+Every file the library writes goes through `write_atomic`; its text files
+are read through `read_text`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import contextlib
 import math
 import os
 import uuid
+from pathlib import Path
 
 import numpy as np
 
@@ -134,6 +136,14 @@ def write_atomic(path, *chunks: bytes) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of `path`; `error` naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 # --- WTNS1 raw tensor file format ------------------------------------------

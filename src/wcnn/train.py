@@ -79,12 +79,14 @@ class TrainConfig:
             raise ShapeError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_resize(self, input_size: int) -> int:
-        """The augmentation's resize target; a set resize_to must lie in
-        [input_size, MAX_SYNTH_SIZE], so the crop fits and the resize stays bounded."""
-        if self.resize_to and not input_size <= self.resize_to <= MAX_SYNTH_SIZE:
+        """The augmentation's resize target, resize_to if set, else the
+        default; either must lie in [input_size, MAX_SYNTH_SIZE], so the crop
+        fits and the resize stays bounded."""
+        target = self.resize_to or input_size * 256 // 224
+        if not input_size <= target <= MAX_SYNTH_SIZE:
             raise ShapeError(f"resize_to must be 0 or in [{input_size}, {MAX_SYNTH_SIZE}], "
-                             f"got {self.resize_to}")
-        return self.resize_to if self.resize_to else input_size * 256 // 224
+                             f"got {self.resize_to} (target {target})")
+        return target
 
     def lr_at(self, epoch: int) -> float:
         """Constant by default; optional step decay every `lr_decay_every` epochs."""
@@ -171,6 +173,8 @@ def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
         pv, g, m, v = p.value, grads[name], state.m[name], state.v[name]
         dt = pv.dtype
         hyper = (b1, b2, correct1, correct2, dt.type(state.lr), dt.type(state.epsilon))
+        # one call per small array: through the blocked walk below, the desk model's 50
+        # parameters took 1.59-1.70 ms a step against 1.33-1.52 ms (medians, 2 vCPUs)
         if pv.size <= _ADAM_BLOCK:
             _adam_update(pv, g, m, v, np.empty_like(pv), np.empty_like(pv), *hyper)
             continue

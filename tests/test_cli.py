@@ -173,6 +173,31 @@ def test_decompose_sample_above_maxval_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "{dir}"],
+    ["eval", "{dir}", "--manifest", "{manifest}"],
+    ["eval", "{ckpt}", "--manifest", "{dir}"],
+    ["eval", "{ckpt}/m.wcnn", "--manifest", "{manifest}"],
+], ids=["decompose-dir", "eval-dir", "manifest-dir", "under-a-file"])
+def test_path_of_the_wrong_kind_exits_2(tmp_path, corpus, capsys, argv):
+    # a directory where a file belongs, or a file where a directory belongs
+    model = M.build(RC.model_config_from(RC.load_config(write_cfg(tmp_path, corpus))))
+    M.save_model(model, tmp_path / "m.wcnn")
+    paths = {"dir": tmp_path, "ckpt": tmp_path / "m.wcnn", "manifest": corpus / "manifest.tsv"}
+    argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("which", ["config", "manifest"])
+def test_file_not_in_utf8_exits_2_naming_it(tmp_path, corpus, capsys, which):
+    cfg = write_cfg(tmp_path, corpus)
+    bad = cfg if which == "config" else corpus / "manifest.tsv"
+    bad.write_bytes(b"# \xff\n" + bad.read_bytes())
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte 2)\n"
+
+
 def test_synth_deterministic(tmp_path, capsys):
     assert cli.main(["synth", "--out", str(tmp_path / "a"), "--classes", "2",
                      "--samples", "3", "--size", "16"]) == 0

@@ -291,12 +291,16 @@ def _shifted_taps_serial(xd, wd, bd, g):
 
 
 def _conv2d_serial(xd, wd, bd, s, pad, g):
-    """Whole-batch conv2d: the arithmetic every image range must repeat."""
+    """Whole-batch conv2d: the arithmetic every image range must repeat.  dW is
+    formed tap by tap and image by image in order, whichever kernel the
+    forward ran; a stride-1 3x3 conv reads its taps from the padded rows."""
     n, c, h, width = xd.shape
     o, _, kh, kw = wd.shape
     ho, wo = g.shape[2:]
-    if kh == 3 and s == 1 and n * ho * wo >= o:
-        return _shifted_taps_serial(xd, wd, bd, g)
+    if kh == 3 and s == 1:
+        shifted = _shifted_taps_serial(xd, wd, bd, g)
+        if n * ho * wo >= o:
+            return shifted
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
@@ -304,7 +308,17 @@ def _conv2d_serial(xd, wd, bd, s, pad, g):
     y = (wmat @ cols).reshape(n, o, ho, wo)
     y += bd[:, None, None]
     gm = g.reshape(n, o, ho * wo)
-    dw = sum(gm[i] @ cols[i].T for i in range(n)).reshape(o, c, kh, kw)
+    if kh == 3 and s == 1:
+        dw = shifted[2]
+    else:
+        dw = np.zeros((o, c, kh, kw), g.dtype)
+        for m in range(n):  # image by image, in order
+            dwm = np.empty_like(dw)
+            for i in range(kh):
+                for j in range(kw):
+                    xs = np.ascontiguousarray(win[m, :, :, :, i, j]).reshape(c, ho * wo)
+                    dwm[:, :, i, j] = gm[m] @ xs.T
+            dw += dwm
     dcols = (wmat.T @ gm).reshape(n, c, kh, kw, ho, wo)
     dxp = np.zeros(xp.shape, dtype=g.dtype)
     for i in range(kh):
@@ -313,14 +327,30 @@ def _conv2d_serial(xd, wd, bd, s, pad, g):
     return y, dxp[:, :, pad:pad + h, pad:pad + width], dw, g.sum(axis=(0, 2, 3))
 
 
+def _check_conv2d_ranges(monkeypatch, x0, w0, b0, g, s, dtype, label):
+    """conv2d's y, dx, dW and db on one range and on one uneven range per CPU
+    have the bits of the whole-batch arithmetic."""
+    x = var(x0, requires_grad=True, dtype=dtype)
+    p = L.Conv2dParams(var(w0, True, dtype), var(b0, True, dtype), stride=s)
+    g = g.astype(x.value.dtype)
+    want = _conv2d_serial(x.value, p.weight.value, p.bias.value, s, w0.shape[2] // 2, g)
+    for gate, cpus in ((np.inf, 3), *((0.0, cpus) for cpus in (2, 3, 4, 9, 10))):
+        monkeypatch.setattr(L, "_SPLIT_FLOP", gate)
+        monkeypatch.setattr(L, "_CPUS", cpus)
+        y = L.conv2d(x, p)
+        got = (y.value, *y._backward_fn(g))
+        for name, a, b in zip(("y", "dx", "dw", "db"), got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), \
+                f"{name} {label} gate={gate} cpus={cpus}"
+
+
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize("k,s,pad", CONV_KINDS)
 def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, pad, dtype):
     # a gate of inf runs one range on the calling thread; a gate of 0 splits
     # the work into one uneven range per CPU on the pool: images (forward,
-    # dx, im2col dW), the nine taps (nine-tap dW), elements (the im2col dW's
-    # image sum) or channels (db, two or more each).  At every CPU count, up
-    # to more ranges than there are taps, all must give the bits of the
+    # dx), taps (dW) or channels (db, two or more each).  At every CPU count,
+    # up to more ranges than there are taps, all must give the bits of the
     # whole-batch arithmetic
     rng = np.random.default_rng(18)
     big = rng.standard_normal((7, 6, 9, 16))
@@ -334,27 +364,21 @@ def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, p
         assert x0.shape == (n, 4, 9, 8) and (kind == "owned") == (x0.base is None)
         w0, b0 = rng.standard_normal((5, 4, k, k)), rng.standard_normal(5)
         g = rng.standard_normal((n, 5, (9 + 2 * pad - k) // s + 1, (8 + 2 * pad - k) // s + 1))
-        x = var(x0, requires_grad=True, dtype=dtype)
-        p = L.Conv2dParams(var(w0, True, dtype), var(b0, True, dtype), stride=s)
-        g = g.astype(x.value.dtype)
-        want = _conv2d_serial(x.value, p.weight.value, p.bias.value, s, pad, g)
-        for gate, cpus in ((np.inf, 3), *((0.0, cpus) for cpus in (2, 3, 4, 9, 10))):
-            monkeypatch.setattr(L, "_SPLIT_FLOP", gate)
-            monkeypatch.setattr(L, "_CPUS", cpus)
-            y = L.conv2d(x, p)
-            got = (y.value, *y._backward_fn(g))
-            for name, a, b in zip(("y", "dx", "dw", "db"), got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b), \
-                    f"{name} n={n} {kind} gate={gate} cpus={cpus}"
+        _check_conv2d_ranges(monkeypatch, x0, w0, b0, g, s, dtype, f"n={n} {kind}")
+    if s == 2:  # a stage-opening conv of desk size, where one GEMM over all nine
+        # taps' columns rounds otherwise than nine GEMMs of one tap each
+        x0, w0 = rng.standard_normal((16, 12, 16, 16)), rng.standard_normal((24, 12, 3, 3))
+        g = rng.standard_normal((16, 24, 8, 8))
+        _check_conv2d_ranges(monkeypatch, x0, w0, rng.standard_normal(24), g, s, dtype, "desk")
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize("o,k,gate", [(3, 1, 0.0), (1, 3, 0.0), (1, 3, np.inf)])
 def test_conv2d_weight_image_sum_is_in_image_order_for_lone_elements(monkeypatch, o, k, gate, dtype):
     # numpy sums the images of a lone element pairwise from eight on, not one
-    # by one: three 1x1 weights on three CPUs are three one-element ranges of
-    # the image sum, and a nine-tap conv with one channel in and out has
-    # one-element taps, split or not.  Each must add its images in order
+    # by one: a 3x3 conv with one channel in and out has one-element taps,
+    # split or not, and three 1x1 weights make one three-element tap.  Each
+    # must add its images in order
     monkeypatch.setattr(L, "_SPLIT_FLOP", gate)
     monkeypatch.setattr(L, "_CPUS", 3)
     rng = np.random.default_rng(19)

@@ -173,8 +173,8 @@ def test_desk_step_submits_nothing_to_the_pool(monkeypatch):
 def test_paper_train_step_peak_memory(monkeypatch):
     # one training step of the default 224-px f32 model on a batch of 4, as
     # `bench/workloads.py`'s paper-train runs it, traced from after `build`:
-    # the nine-tap convs form dW one tap at a time, with no per-image buffer,
-    # and each stage's concat is written in place, so its arrays peak under
+    # every conv forms dW one tap at a time, with no per-image buffer of all
+    # taps, and each stage's concat is written in place, so its arrays peak under
     # 260 MB (296 MB with both copies).  Two CPUs fix the tap ranges in flight
     monkeypatch.setattr(L, "_CPUS", 2)
     model = M.build(M.WaveletCnnConfig())
@@ -234,6 +234,15 @@ def test_gcn_standardizes():
     assert abs(out.std() - 1.0) < 1e-12
     again = TR.global_contrast_normalization(out)
     assert np.max(np.abs(again - out)) < 1e-10  # idempotent
+
+
+def test_resize_target_is_bounded_whether_set_or_default():
+    # the default, input_size * 256 // 224, is held to the bound a set resize_to is
+    assert TR.TrainConfig().resolved_resize(3584) == 4096
+    assert TR.TrainConfig(resize_to=4096).resolved_resize(224) == 4096
+    for resize_to, input_size in ((0, 3585), (0, 8192), (4097, 224), (223, 224)):
+        with pytest.raises(ShapeError, match=r"resize_to must be 0 or in \[\d+, 4096\]"):
+            TR.TrainConfig(resize_to=resize_to).resolved_resize(input_size)
 
 
 def test_bilinear_resize_constant():
