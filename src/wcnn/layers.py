@@ -327,10 +327,10 @@ def _bn_forward_range(xs, stats, gd, bd, eps, relu: bool, out=None):
     statistics it used, inv = 1/sqrt(var + eps).  `stats` is the (mean, var)
     to use, or None for the batch's own (train mode)."""
     if stats is None:
-        mu = xs.mean(axis=_AXES)
+        count = xs.size // xs.shape[1]
+        mu = np.add.reduce(xs, axis=_AXES) / count  # the bits of xs.mean, without its wrapper
         y = np.subtract(xs, mu[_C], out=out)  # x - mean once: the variance and x-hat share it
-        n, _, h, w = xs.shape
-        var = np.multiply(y, y).sum(axis=_AXES) / (n * h * w)  # the bits of xs.var
+        var = np.add.reduce(np.multiply(y, y), axis=_AXES) / count  # the bits of xs.var
     else:
         mu, var = stats
         y = np.subtract(xs, mu[_C], out=out)
@@ -343,12 +343,19 @@ def _bn_forward_range(xs, stats, gd, bd, eps, relu: bool, out=None):
     return y, mu, var, inv
 
 
+def _joined(parts: list) -> tuple:
+    """The per-channel vectors of each channel range, joined in range order;
+    one range's are returned as they are."""
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
 def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool, out=None):
-    """(y, mean, inv): y = gamma * x-hat + beta (then the ReLU if `relu`) in
-    `out` or one fresh array, and the per-channel statistics it used.  Train
-    mode advances the running statistics by their EMA.  From `_SPLIT_BN`
-    elements on, one channel range per CPU, each written in place; below,
-    one range, into a fresh array copied into `out` if given.  A per-channel
+    """(y, mean, inv): y = gamma * x-hat + beta (then the ReLU if `relu`),
+    and the per-channel statistics it used; `out`, if given, ends up holding
+    y.  Train mode advances the running statistics by their EMA.  From
+    `_SPLIT_BN` elements on, one channel range per CPU, each written in place
+    into `out` (then y is `out`) or one fresh array; below, one range, into a
+    fresh contiguous array that is y and is copied into `out`.  A per-channel
     reduction over two or more channels has the bits of the whole array's;
     numpy reduces a single channel in another order, so every range holds
     at least two."""
@@ -377,10 +384,9 @@ def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool, out=N
         part = None if stats is None else (stats[0][s], stats[1][s])
         return _bn_forward_range(xd[:, s], part, gd[s], bd[s], eps, relu, y[:, s])[1:]
 
-    mu, var, inv = map(np.concatenate, zip(*_over_ranges(c, channel_range, split, 2)))
+    mu, var, inv = _joined(_over_ranges(c, channel_range, split, 2))
     if out is not None and y is not out:
         np.copyto(out, y)
-        y = out
     if stats is None:
         mom = xd.dtype.type(p.momentum)
         p.running_mean = (1 - mom) * p.running_mean + mom * mu
@@ -408,15 +414,16 @@ def _bn_backward_range(gy, xs, mu, inv, gd, mode: str):
     operation for operation in this order, so the bits equal those of the
     expression as written.
     """
-    dbeta = gy.sum(axis=_AXES)
+    dbeta = np.add.reduce(gy, axis=_AXES)
     xhat = _bn_normalize(xs, mu, inv)
     prod = gy * xhat
-    dgamma = prod.sum(axis=_AXES)
+    dgamma = np.add.reduce(prod, axis=_AXES)
     if mode == "eval":  # fixed statistics: dx is gy scaled per channel
         return np.multiply(gy, (gd * inv)[_C], out=gy), dgamma, dbeta
+    count = xs.size // xs.shape[1]
     dxhat = np.multiply(gy, gd[_C], out=gy)
-    m2 = np.multiply(dxhat, xhat, out=prod).mean(axis=_AXES)
-    dx = np.subtract(dxhat, dxhat.mean(axis=_AXES)[_C], out=dxhat)
+    m2 = np.add.reduce(np.multiply(dxhat, xhat, out=prod), axis=_AXES) / count
+    dx = np.subtract(dxhat, (np.add.reduce(dxhat, axis=_AXES) / count)[_C], out=dxhat)
     dx -= np.multiply(xhat, m2[_C], out=xhat)
     dx *= inv[_C]
     return dx, dgamma, dbeta
@@ -436,8 +443,7 @@ def _bn_backward(g, y, xd, mu, inv, gd, mode: str):
             np.multiply(g[:, s], y[:, s] > 0, out=dx[:, s])
         return _bn_backward_range(dx[:, s], xd[:, s], mu[s], inv[s], gd[s], mode)[1:]
 
-    dgamma, dbeta = map(np.concatenate,
-                        zip(*_over_ranges(g.shape[1], channel_range, g.size >= _SPLIT_BN, 2)))
+    dgamma, dbeta = _joined(_over_ranges(g.shape[1], channel_range, g.size >= _SPLIT_BN, 2))
     return dx, dgamma, dbeta
 
 
@@ -464,10 +470,13 @@ def batch_norm_relu(x: Variable, p: BatchNormParams, mode: str, out=None) -> Var
     The batch-norm output is never kept: the forward applies the ReLU in the
     same buffer, and the backward rebuilds x-hat from x and the ReLU mask
     from its own output (y > 0 exactly where the batch-norm output is).
+    Below `_SPLIT_BN` the mask comes from the contiguous array the forward
+    computed into, not from `out`: on a channel slice of a larger buffer the
+    comparison took about twice as long at desk scale.
     """
     xd, gd = x.value, p.gamma.value
     y, mu, inv = _bn_forward(xd, p, mode, relu=True, out=out)
-    return record("batch_norm_relu", y, (x, p.gamma, p.beta),
+    return record("batch_norm_relu", y if out is None else out, (x, p.gamma, p.beta),
                   lambda g: _bn_backward(g, y, xd, mu, inv, gd, mode))
 
 

@@ -1,13 +1,15 @@
 """Training recipe: Adam, contrast normalization, augmentation, epoch loop.
 
-Preprocessing order per sample: (optional) bilinear resize + random crop +
-random horizontal flip, then global contrast normalization.  The resize
-target defaults to input_size * 256 // 224, mirroring the full-scale
-256 -> 224 recipe at any desk scale.
+Preprocessing runs per batch: (optional) bilinear resize, one call per
+source shape, then each image's random crop and random horizontal flip,
+stacked; then global contrast normalization of the whole batch, each image
+by its own statistics.  The resize target defaults to input_size * 256 //
+224, mirroring the full-scale 256 -> 224 recipe at any desk scale.
 
 Adam's hyperparameters and their defaults are `TrainConfig`'s; they are
-echoed in every report header.  `adam_step` updates in place, a large
-parameter by row ranges on the conv pool (`layers._over_ranges`).  All
+echoed in every report header.  `adam_step` updates in place: the small
+parameters as one flat block per dtype, a large one by row ranges on the
+conv pool (`layers._over_ranges`).  All
 randomness flows from the single seed through per-(epoch, sample) streams,
 so runs are reproducible independent of batch size.  Two identical 64-bit
 runs produce bit-identical checkpoints when BLAS runs the same number of
@@ -106,7 +108,11 @@ _ADAM_BLOCK = 2**16
 
 @dataclass
 class AdamState:
-    """Adam's hyperparameters, step count and moments; the defaults are `TrainConfig`'s."""
+    """Adam's hyperparameters, step count and moments; the defaults are `TrainConfig`'s.
+
+    The moments of the parameters in a dtype's flat block (see `adam_step`)
+    are views into one flat array per moment, held with the block's names in
+    `flat`."""
 
     lr: float = TrainConfig.lr
     beta1: float = TrainConfig.beta1
@@ -115,6 +121,8 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    flat: dict[np.dtype, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False)
 
 
 def _adam_update(p, g, m, v, s1, s2, b1, b2, c1, c2, lr, eps) -> None:
@@ -138,6 +146,28 @@ def _adam_update(p, g, m, v, s1, s2, b1, b2, c1, c2, lr, eps) -> None:
     p -= s1
 
 
+def _flat_moments(state: AdamState, params: dict[str, ad.Variable], names: tuple[str, ...],
+                  dt: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The flat (m, v) of dtype dt's block, which holds `names` in this order.
+    A block held for other names is rebuilt, and every moment the state
+    has moves into the new block; the others start at zero."""
+    block = state.flat.get(dt)
+    if block is None or block[0] != names:
+        size = sum(params[n].value.size for n in names)
+        block = (names, np.zeros(size, dt), np.zeros(size, dt))
+        for moments, flat in ((state.m, block[1]), (state.v, block[2])):
+            at = 0
+            for n in names:
+                value = params[n].value
+                part = flat[at:at + value.size]
+                if n in moments:
+                    part[:] = moments[n].ravel()
+                moments[n] = part.reshape(value.shape)
+                at += value.size
+        state.flat[dt] = block
+    return block[1], block[2]
+
+
 def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
     """One bias-corrected moment update, in place on the parameter values and moments.
 
@@ -145,48 +175,66 @@ def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
     moments decay, and its value still moves by the decaying first moment.
     Only from a fresh state (zero moments) does such a step leave it put.
     Any non-finite gradient aborts the step before touching anything, naming
-    the offending parameter.
+    the first offending parameter in dict order.
 
     The arithmetic is elementwise, so any split of the elements keeps the
-    bits.  A parameter of more than `_ADAM_BLOCK` elements is walked in blocks
+    bits.  The parameters of at most `_ADAM_BLOCK` elements form one flat
+    block per dtype: their gradients and values are gathered into one array
+    each, updated by one call and the values written back, and their moments
+    live in the state's flat arrays.  A larger parameter is walked in blocks
     of leading-axis rows, with two scratch buffers per range, and from
     `_SPLIT_ADAM` elements on its rows split into one range per CPU on the
-    conv pool.  No buffer outlives the step.
+    conv pool.  Nothing but the moments outlives the step.
     """
-    grads: dict[str, np.ndarray] = {}
+    grads = {name: np.zeros_like(p.value) if p.grad is None else p.grad
+             for name, p in params.items()}
+    small: dict[np.dtype, list[str]] = {}
+    large = []
     for name, p in params.items():
-        g = np.zeros_like(p.value) if p.grad is None else p.grad
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(name)
-        grads[name] = g
+        if p.value.size <= _ADAM_BLOCK:
+            small.setdefault(p.value.dtype, []).append(name)
+        else:
+            large.append(name)
+    flat_grads = {dt: np.concatenate([grads[n].ravel() for n in names])
+                  for dt, names in small.items()}
+    if not all(np.isfinite(g).all() for g in [*flat_grads.values(), *map(grads.get, large)]):
+        raise NonFiniteGradientError(next(n for n, g in grads.items() if not np.isfinite(g).all()))
 
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     correct1 = 1.0 - b1**t
     correct2 = 1.0 - b2**t
-    for name, p in params.items():
+
+    def hyper(dt):
+        return b1, b2, correct1, correct2, dt.type(state.lr), dt.type(state.epsilon)
+
+    for dt, names in small.items():
+        m, v = _flat_moments(state, params, tuple(names), dt)
+        values = [params[n].value for n in names]
+        pv = np.concatenate([a.ravel() for a in values])
+        _adam_update(pv, flat_grads[dt], m, v, np.empty_like(pv), np.empty_like(pv), *hyper(dt))
+        at = 0
+        for a in values:
+            a[...] = pv[at:at + a.size].reshape(a.shape)
+            at += a.size
+
+    for name in large:
+        pv, g = params[name].value, grads[name]
         if name not in state.m:
             # np.zeros takes pages the allocator already zeroed; zeros_like writes every one
-            state.m[name] = np.zeros(p.value.shape, p.value.dtype)
-            state.v[name] = np.zeros(p.value.shape, p.value.dtype)
-        pv, g, m, v = p.value, grads[name], state.m[name], state.v[name]
-        dt = pv.dtype
-        hyper = (b1, b2, correct1, correct2, dt.type(state.lr), dt.type(state.epsilon))
-        # one call per small array: through the blocked walk below, the desk model's 50
-        # parameters took 1.59-1.70 ms a step against 1.33-1.52 ms (medians, 2 vCPUs)
-        if pv.size <= _ADAM_BLOCK:
-            _adam_update(pv, g, m, v, np.empty_like(pv), np.empty_like(pv), *hyper)
-            continue
+            state.m[name] = np.zeros(pv.shape, pv.dtype)
+            state.v[name] = np.zeros(pv.shape, pv.dtype)
+        m, v, h = state.m[name], state.v[name], hyper(pv.dtype)
         block = max(1, _ADAM_BLOCK * len(pv) // pv.size)  # rows
 
         def update(lo, hi):
-            s1 = np.empty((min(block, hi - lo), *pv.shape[1:]), dt)
+            s1 = np.empty((min(block, hi - lo), *pv.shape[1:]), pv.dtype)
             s2 = np.empty_like(s1)
             for at in range(lo, hi, block):
                 end = min(at + block, hi)
                 _adam_update(pv[at:end], g[at:end], m[at:end], v[at:end],
-                             s1[:end - at], s2[:end - at], *hyper)
+                             s1[:end - at], s2[:end - at], *h)
 
         L._over_ranges(len(pv), update, pv.size >= _SPLIT_ADAM)
 
@@ -194,20 +242,26 @@ def adam_step(params: dict[str, ad.Variable], state: AdamState) -> None:
 # --- preprocessing -------------------------------------------------------------
 
 
-def global_contrast_normalization(image: np.ndarray) -> np.ndarray:
-    """Per-image standardization: subtract the mean, divide by the deviation.
+def global_contrast_normalization(images: np.ndarray) -> np.ndarray:
+    """Per-image standardization of a stacked batch [n, ...]: subtract each
+    image's mean, divide by its deviation, in f64.
 
-    The deviation is floored at 1e-8 so constant images map to zeros.
+    The deviation is floored at 1e-8 so constant images map to zeros.  Each
+    image is reduced as one contiguous row, so its bits are those of the same
+    expression on a contiguous copy of that image alone.
     """
-    image = np.asarray(image, dtype=np.float64)
-    if image.size == 0:
-        raise ShapeError("cannot normalize an empty image")
-    return (image - image.mean()) / max(float(image.std()), 1e-8)
+    images = np.ascontiguousarray(images, dtype=np.float64)
+    if images.ndim < 2 or images.size == 0:
+        raise ShapeError(f"cannot normalize a batch of shape {images.shape}")
+    rows = images.reshape(len(images), -1)
+    mean = rows.mean(axis=1, keepdims=True)
+    dev = np.maximum(rows.std(axis=1, keepdims=True), 1e-8)
+    return ((rows - mean) / dev).reshape(images.shape)
 
 
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Channel-wise bilinear resize of a [c, h, w] image (pixel-center mapping)."""
-    c, h, w = image.shape
+def bilinear_resize(images: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize of the last two axes of [..., h, w] (pixel-center mapping)."""
+    h, w = images.shape[-2:]
     if out_h < 1 or out_w < 1:
         raise ShapeError("resize target must be positive")
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
@@ -216,35 +270,48 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
-    top = image[:, y0][:, :, x0] * (1 - wx) + image[:, y0][:, :, x1] * wx
-    bottom = image[:, y1][:, :, x0] * (1 - wx) + image[:, y1][:, :, x1] * wx
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)
+    y0, y1 = y0[:, None], y1[:, None]  # one gather of rows and columns per corner
+    top = images[..., y0, x0] * (1 - wx) + images[..., y0, x1] * wx
+    bottom = images[..., y1, x0] * (1 - wx) + images[..., y1, x1] * wx
     return top * (1 - wy) + bottom * wy
 
 
-def hflip(image: np.ndarray) -> np.ndarray:
-    return image[:, :, ::-1].copy()
-
-
-def augment(image: np.ndarray, rng: np.random.Generator, resize_to: int,
+def augment(images: list[np.ndarray], rngs: list[np.random.Generator], resize_to: int,
             crop_to: int, flip: bool) -> np.ndarray:
-    """Resize, uniformly random crop, and coin-flip horizontal mirror.
+    """Resize, uniformly random crop, and coin-flip horizontal mirror of a batch
+    of [c, h, w] images; the crops come back stacked [n, c, crop_to, crop_to].
 
-    Draw order is fixed (row offset, column offset, flip) so streams are part
-    of the reproducibility contract.  Crop offsets cover [0, resize-crop]
-    inclusive.
+    The batch is resized by `_stacked`, one call per source shape.  Image i
+    draws from its own stream rngs[i], in a fixed order (row offset, column
+    offset, flip), so streams are part of the reproducibility contract.
+    Crop offsets cover [0, resize-crop] inclusive.
     """
     if crop_to > resize_to:
         raise ShapeError(f"crop {crop_to} larger than resize target {resize_to}")
-    if image.shape[1] < 2 or image.shape[2] < 2:
+    if any(min(image.shape[1:]) < 2 for image in images):
         raise ShapeError("augment needs at least a 2x2 image")
-    out = bilinear_resize(image, resize_to, resize_to)
-    oy = int(rng.integers(0, resize_to - crop_to + 1))
-    ox = int(rng.integers(0, resize_to - crop_to + 1))
-    out = out[:, oy:oy + crop_to, ox:ox + crop_to]
-    if flip and rng.random() < 0.5:
-        out = hflip(out)
+    resized = _stacked(images, resize_to)
+    out = np.empty((*resized.shape[:2], crop_to, crop_to))
+    for i, rng in enumerate(rngs):
+        oy = int(rng.integers(0, resize_to - crop_to + 1))
+        ox = int(rng.integers(0, resize_to - crop_to + 1))
+        crop = resized[i, :, oy:oy + crop_to, ox:ox + crop_to]
+        out[i] = crop[:, :, ::-1] if flip and rng.random() < 0.5 else crop
+    return out
+
+
+def _stacked(images: list[np.ndarray], size: int) -> np.ndarray:
+    """The [c, h, w] images as one [n, c, size, size] batch; those of another
+    size are resized, by one call per source shape."""
+    groups: dict[tuple, list[int]] = {}
+    for i, image in enumerate(images):
+        groups.setdefault(image.shape, []).append(i)
+    out = np.empty((len(images), images[0].shape[0], size, size))
+    for shape, idx in groups.items():
+        group = np.stack([images[i] for i in idx])
+        out[idx] = group if shape[1:] == (size, size) else bilinear_resize(group, size, size)
     return out
 
 
@@ -274,13 +341,6 @@ class TrainReport:
         lines.append(f"# final_train_loss = {self.final_train_loss:.6f}")
         lines.append(f"# loss_monotone_after_warmup = {self.loss_monotone_after_warmup}")
         return "\n".join(lines) + "\n"
-
-
-def _prepare(img: np.ndarray, input_size: int) -> np.ndarray:
-    """Resize to `input_size` if the image is another size, then normalize its contrast."""
-    if img.shape[1] != input_size or img.shape[2] != input_size:
-        img = bilinear_resize(img, input_size, input_size)
-    return global_contrast_normalization(img)
 
 
 def _targets(records: list[ImageRecord], head: str, num_classes: int):
@@ -346,14 +406,13 @@ def train(model: M.Model, train_records: list[ImageRecord],
         order = stream_rng(cfg.seed, SHUFFLE, epoch).permutation(len(train_records))
         losses, correct, seen = [], 0, 0
         for batch_idx in iter_batches(order, cfg.batch_size):
-            images = []
-            for i in batch_idx:
-                img = train_records[i].pixels
-                if cfg.augment:
-                    rng = stream_rng(cfg.seed, AUGMENT, epoch, int(i))
-                    img = augment(img, rng, resize_to, input_size, cfg.flip)
-                images.append(_prepare(img, input_size))
-            batch = as_array(np.stack(images), mcfg.precision)
+            pixels = [train_records[i].pixels for i in batch_idx]
+            if cfg.augment:
+                rngs = [stream_rng(cfg.seed, AUGMENT, epoch, int(i)) for i in batch_idx]
+                images = augment(pixels, rngs, resize_to, input_size, cfg.flip)
+            else:
+                images = _stacked(pixels, input_size)
+            batch = as_array(global_contrast_normalization(images), mcfg.precision)
             logits = M.forward(model, batch, mode="train")
             batch_targets = targets[batch_idx]
             if head == "softmax":
@@ -416,8 +475,9 @@ def evaluate(model: M.Model, records: list[ImageRecord], batch_size: int = 32) -
     outputs = []
     for at in range(0, len(records), batch_size):
         chunk = records[at:at + batch_size]
-        images = [_prepare(r.pixels, mcfg.input_size) for r in chunk]
-        logits = M.forward(model, as_array(np.stack(images), mcfg.precision), mode="eval")
+        images = _stacked([r.pixels for r in chunk], mcfg.input_size)
+        batch = as_array(global_contrast_normalization(images), mcfg.precision)
+        logits = M.forward(model, batch, mode="eval")
         outputs.append(logits.value)
     logits = np.concatenate(outputs, axis=0)
 

@@ -656,7 +656,9 @@ def _bn_relu_step(op, x0, g0, b0, r, mode):
     return out, p.running_mean, p.running_var, x.grad, gamma.grad, beta.grad
 
 
-@pytest.mark.parametrize("shape", [(16, 12, 16, 16), (4, 64, 28, 28)])
+# the three desk stages' batch-norm inputs, and one wider map
+@pytest.mark.parametrize("shape", [(16, 12, 16, 16), (16, 24, 8, 8), (16, 32, 4, 4),
+                                   (4, 64, 28, 28)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_batch_norm_relu_is_bit_identical_to_relu_of_batch_norm(shape, dtype, mode):

@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -88,24 +89,30 @@ def test_adam_nonfinite_gradient_aborts():
 
 @pytest.mark.parametrize("split", [np.inf, 0])
 def test_adam_nonfinite_last_gradient_touches_nothing(monkeypatch, split):
+    # a block of 4 elements leaves s (3 elements) the one parameter of the flat
+    # block and walks a, b and c (12 each) by rows; the error names the first
+    # offending parameter in dict order, whichever kind it is
     monkeypatch.setattr(TR, "_SPLIT_ADAM", split)
     monkeypatch.setattr(TR, "_ADAM_BLOCK", 4)
-    params = {name: make_param(np.arange(12.0).reshape(6, 2) + i, name)
-              for i, name in enumerate("abc")}
-    for p in params.values():
-        p.grad = np.full((6, 2), 0.5)
-    state = TR.AdamState(lr=0.1)
-    TR.adam_step(params, state)  # so the moments are nonzero
-    params["c"].grad = np.full((6, 2), 0.25)
-    params["c"].grad[5, 1] = np.nan
-    before = {name: (p.value.copy(), state.m[name].copy(), state.v[name].copy())
-              for name, p in params.items()}
-    with pytest.raises(TR.NonFiniteGradientError, match="'c'"):
-        TR.adam_step(params, state)
-    assert state.step == 1
-    for name, p in params.items():
-        for a, b in zip((p.value, state.m[name], state.v[name]), before[name]):
-            assert np.array_equal(a, b), name
+    for nans, first in ((("c",), "c"), (("s",), "s"), (("a", "s"), "a"), (("s", "c"), "s")):
+        values = {"a": np.arange(12.0).reshape(6, 2), "s": np.array([1.0, -2.0, 3.0]),
+                  "b": np.arange(12.0).reshape(6, 2) + 1, "c": np.arange(12.0).reshape(6, 2) + 2}
+        params = {name: make_param(v, name) for name, v in values.items()}
+        for p in params.values():
+            p.grad = np.full(p.value.shape, 0.5)
+        state = TR.AdamState(lr=0.1)
+        TR.adam_step(params, state)  # so the moments are nonzero
+        for name in nans:
+            params[name].grad = np.full(params[name].value.shape, 0.25)
+            params[name].grad.flat[-1] = np.nan
+        before = {name: (p.value.copy(), state.m[name].copy(), state.v[name].copy())
+                  for name, p in params.items()}
+        with pytest.raises(TR.NonFiniteGradientError, match=f"'{first}'"):
+            TR.adam_step(params, state)
+        assert state.step == 1
+        for name, p in params.items():
+            for a, b in zip((p.value, state.m[name], state.v[name]), before[name]):
+                assert np.array_equal(a, b), (nans, name)
 
 
 def _adam_reference(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -121,53 +128,102 @@ def _adam_reference(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_ranges_are_bit_identical_to_the_whole_array_expression(monkeypatch, dtype):
-    # a gate of 0 splits every parameter's rows into min(rows, 3) ranges on
-    # the pool; a block of 8 elements walks them one or two rows at a time,
-    # with a short last block; a gate of inf and a large block make one call
+    # a gate of 0 splits every large parameter's rows into min(rows, 3) ranges
+    # on the pool; a block of 8 elements walks them one or two rows at a time,
+    # with a short last block, and leaves bias, frozen, scalar and late in the
+    # flat block; a gate of inf and a large block make one flat call
     monkeypatch.setattr(L, "_CPUS", 3)
-    shapes = {"conv": (5, 4, 3, 3), "fc": (6, 7), "tall": (11, 4), "bias": (5,), "scalar": ()}
+    shapes = {"conv": (5, 4, 3, 3), "fc": (6, 7), "late": (2, 3), "tall": (11, 4), "bias": (5,),
+              "frozen": (3,), "scalar": ()}
     start = {k: np.random.default_rng(22).standard_normal(s).astype(dtype)
              for k, s in shapes.items()}
     for split, block in ((np.inf, 2**16), (0, 8), (0, 2**16), (np.inf, 8)):
         monkeypatch.setattr(TR, "_SPLIT_ADAM", split)
         monkeypatch.setattr(TR, "_ADAM_BLOCK", block)
         rng = np.random.default_rng(23)
-        params = {k: ad.Variable(a.copy(), requires_grad=True) for k, a in start.items()}
+        params = {k: ad.Variable(a.copy(), requires_grad=True) for k, a in start.items()
+                  if k != "late"}
         want = {k: (a, np.zeros_like(a), np.zeros_like(a)) for k, a in start.items()}
         state = TR.AdamState(lr=0.01)
         for t in range(1, 5):
+            if t == 2:  # a name joins mid-dict: the flat block regroups, keeping every moment
+                params = {k: params[k] if k in params else ad.Variable(start[k].copy(), True)
+                          for k in shapes}
             for k, p in params.items():
                 p.grad = rng.standard_normal(shapes[k]).astype(dtype)
+            params["frozen"].grad = None  # a zero gradient
             # a transposed view, as a conv weight gradient from the tap sum is
             grad = rng.standard_normal((4, 5, 3, 3)).astype(dtype)
             params["conv"].grad = grad.transpose(1, 0, 2, 3)
             assert not params["conv"].grad.flags.c_contiguous
             TR.adam_step(params, state)
             for k, p in params.items():
-                want[k] = _adam_reference(*want[k][:1], p.grad, *want[k][1:], t, lr=0.01)
+                g = np.zeros_like(p.value) if p.grad is None else p.grad
+                want[k] = _adam_reference(want[k][0], g, *want[k][1:], t, lr=0.01)
                 got = (p.value, state.m[k], state.v[k])
                 for name, a, b in zip(("p", "m", "v"), got, want[k]):
                     assert a.dtype == dtype and np.array_equal(a, b), (name, k, t, split, block)
 
 
-def test_desk_step_submits_nothing_to_the_pool(monkeypatch):
-    # at the default gates every conv, batch norm and Adam update of the desk
-    # configuration (README, `bench/workloads.py`) runs inline: a hand-off to
-    # the pool costs more than these small arrays save
+@pytest.fixture
+def refusing_pool(monkeypatch):
+    """The conv pool, made to fail on any submission."""
     def refuse(*args, **kwargs):
         raise AssertionError("desk-scale work was submitted to the pool")
 
     monkeypatch.setattr(L._POOL, "map", refuse)
     monkeypatch.setattr(L._POOL, "submit", refuse)
-    cfg = M.WaveletCnnConfig(levels=3, input_size=32, input_channels=1, channels=(12, 24, 32),
-                             num_classes=6, precision="f32")
-    model = M.build(cfg)
+
+
+# the desk configuration of the README and `bench/workloads.py`
+DESK = M.WaveletCnnConfig(levels=3, input_size=32, input_channels=1, channels=(12, 24, 32),
+                          num_classes=6, precision="f32")
+
+
+def test_desk_step_submits_nothing_to_the_pool(refusing_pool):
+    # at the default gates every conv, batch norm and Adam update of the desk
+    # configuration runs inline: a hand-off to the pool costs more than these
+    # small arrays save
+    model = M.build(DESK)
     rng = np.random.default_rng(24)
     batch = as_array(rng.standard_normal((32, 1, 32, 32)), "f32")
     logits = M.forward(model, batch[:16], mode="train")
     ad.backward(L.softmax_cross_entropy(logits, rng.integers(0, 6, 16)))
     TR.adam_step(model.params, TR.AdamState())
     M.forward(model, batch, mode="eval")  # `evaluate`'s default batch
+
+
+def test_desk_training_is_batched_and_inline(monkeypatch, refusing_pool):
+    # a 2-epoch desk run with augmentation and per-epoch eval, over images of
+    # two source sizes: each batch is resized once per source shape and
+    # normalized once, each eval chunk normalized once (and resized where its
+    # images are not 32 px), and every Adam step is one flat call, because no
+    # desk parameter is larger than a block
+    calls = collections.Counter()
+    for name in ("bilinear_resize", "global_contrast_normalization", "_adam_update"):
+        def counted(*args, _name=name, _fn=getattr(TR, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(TR, name, counted)
+    rng = np.random.default_rng(26)
+    records = [ImageRecord(rng.random((1, size, size)), (i % 6,), f"r{i}")
+               for i, size in enumerate([32, 32, 40] * 10)]
+    train_set, eval_set = records[:20], records[20:]
+    model = M.build(DESK)
+    assert all(p.value.size <= TR._ADAM_BLOCK for p in model.params.values())
+    cfg = TR.TrainConfig(epochs=2, batch_size=8, seed=0, augment=True, eval_every=1)
+    TR.train(model, train_set, eval_set, cfg)
+
+    steps = resizes = 0
+    for epoch in range(cfg.epochs):
+        order = stream_rng(cfg.seed, SHUFFLE, epoch).permutation(len(train_set))
+        for idx in TR.iter_batches(order, cfg.batch_size):
+            steps += 1
+            resizes += len({train_set[i].pixels.shape for i in idx})
+    chunks = [eval_set[at:at + cfg.batch_size] for at in range(0, len(eval_set), cfg.batch_size)]
+    resizes += cfg.epochs * sum(any(r.pixels.shape[1] != 32 for r in c) for c in chunks)
+    assert calls == {"bilinear_resize": resizes, "_adam_update": steps,
+                     "global_contrast_normalization": steps + cfg.epochs * len(chunks)}
 
 
 def test_paper_train_step_peak_memory(monkeypatch):
@@ -228,7 +284,7 @@ def test_gcn_constant_image_is_zero():
 
 def test_gcn_standardizes():
     rng = np.random.default_rng(0)
-    img = rng.random((3, 8, 8))
+    img = rng.random((1, 3, 8, 8))
     out = TR.global_contrast_normalization(img)
     assert abs(out.mean()) < 1e-12
     assert abs(out.std() - 1.0) < 1e-12
@@ -245,16 +301,65 @@ def test_resize_target_is_bounded_whether_set_or_default():
             TR.TrainConfig(resize_to=resize_to).resolved_resize(input_size)
 
 
+def _resize_reference(image, out_h, out_w):
+    """Bilinear resize of one [c, h, w] image, the per-image expression the
+    batched `bilinear_resize` must repeat."""
+    c, h, w = image.shape
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
+    top = image[:, y0][:, :, x0] * (1 - wx) + image[:, y0][:, :, x1] * wx
+    bottom = image[:, y1][:, :, x0] * (1 - wx) + image[:, y1][:, :, x1] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def _gcn_reference(image):
+    image = np.ascontiguousarray(image)
+    return (image - image.mean()) / max(float(image.std()), 1e-8)
+
+
+@pytest.mark.parametrize("channels, crop, resize, sizes, n", [
+    (1, 32, 36, (32,), 6), (3, 32, 40, (32,), 6), (3, 224, 256, (224,), 4),
+    (1, 32, 36, (32, 48), 3)])
+def test_batched_preprocessing_matches_the_per_image_expressions(channels, crop, resize, sizes, n):
+    # image by image: resize, crop and flip from the image's own stream, then
+    # normalize a contiguous copy, cast to either precision
+    rng = np.random.default_rng(channels + crop + resize + len(sizes))
+    images = [rng.random((channels, s, s)) for _ in range(n) for s in sizes]
+
+    def streams():
+        return [np.random.default_rng([27, i]) for i in range(len(images))]
+
+    want, flips = [], set()
+    for image, stream in zip(images, streams()):
+        out = _resize_reference(image, resize, resize)
+        oy = int(stream.integers(0, resize - crop + 1))
+        ox = int(stream.integers(0, resize - crop + 1))
+        out = out[:, oy:oy + crop, ox:ox + crop]
+        flips.add(flip := stream.random() < 0.5)
+        want.append(_gcn_reference(out[:, :, ::-1] if flip else out))
+    assert flips == {False, True}
+    augmented = TR.global_contrast_normalization(TR.augment(images, streams(), resize, crop, True))
+    # without augmentation, as `evaluate` prepares a chunk: resized only where needed
+    plain = TR.global_contrast_normalization(TR._stacked(images, crop))
+    want_plain = [_gcn_reference(image if image.shape[1] == crop else
+                                 _resize_reference(image, crop, crop)) for image in images]
+    for precision in ("f32", "f64"):
+        for got, expected in ((augmented, want), (plain, want_plain)):
+            got = as_array(got, precision)
+            for i, w in enumerate(expected):
+                assert np.array_equal(got[i], as_array(w, precision)), (i, precision)
+
+
 def test_bilinear_resize_constant():
     out = TR.bilinear_resize(np.full((1, 5, 7), 0.3), 12, 9)
     assert out.shape == (1, 12, 9)
     assert np.max(np.abs(out - 0.3)) < 1e-12
-
-
-def test_hflip_involution():
-    rng = np.random.default_rng(1)
-    img = rng.random((3, 4, 4))
-    assert np.array_equal(TR.hflip(TR.hflip(img)), img)
 
 
 def test_augment_crop_offsets_cover_range():
@@ -264,7 +369,8 @@ def test_augment_crop_offsets_cover_range():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         oy = int(rng.integers(0, 3))  # the draw augment() makes first
-        out = TR.augment(img, np.random.default_rng(seed), resize_to=8, crop_to=6, flip=False)
+        out, = TR.augment([img], [np.random.default_rng(seed)], resize_to=8, crop_to=6,
+                          flip=False)
         assert out.shape == (1, 6, 6)
         seen.add(oy)
     assert seen == {0, 1, 2}  # inclusive range [0, resize - crop]
@@ -272,7 +378,7 @@ def test_augment_crop_offsets_cover_range():
 
 def test_augment_rejects_oversized_crop():
     with pytest.raises(ShapeError):
-        TR.augment(np.zeros((1, 8, 8)), np.random.default_rng(0), resize_to=8, crop_to=9,
+        TR.augment([np.zeros((1, 8, 8))], [np.random.default_rng(0)], resize_to=8, crop_to=9,
                    flip=True)
 
 
@@ -345,7 +451,7 @@ def test_first_batch_loss_near_log_classes():
 
     batch_records = records[:4] + records[16:20]
     batch = as_array(
-        np.stack([TR.global_contrast_normalization(r.pixels) for r in batch_records]), "f64")
+        TR.global_contrast_normalization(np.stack([r.pixels for r in batch_records])), "f64")
     logits = M.forward(model, batch, mode="train")
     labels = np.array([r.labels[0] for r in batch_records])
     loss = L.softmax_cross_entropy(logits, labels).value.item()
