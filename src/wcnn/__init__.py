@@ -10,8 +10,9 @@ Module map:
 
 - `tensor`    the f32/f64 array contract, the transform's `Tensor` and the
               little-endian codec shared by WTNS1 files and WCNN1 checkpoints
-- `autodiff`  tape-based reverse-mode differentiation, the shape-checked
-              channel concatenation and the FD checker
+- `autodiff`  tape-based reverse-mode differentiation, the untaped
+              `no_grad` context, the shape-checked channel concatenation
+              and the FD checker
 - `layers`    conv / batch norm / pooling / losses over the tape
 - `wavelet`   the Haar transform and its subband pyramids, the
               convolve-then-downsample primitive and its lowpass-only
@@ -27,7 +28,7 @@ Module map:
 """
 
 from .tensor import ShapeError, Tensor, load_wtns, save_wtns
-from .autodiff import Variable, backward, finite_difference_check
+from .autodiff import Variable, backward, finite_difference_check, no_grad
 from .wavelet import SubbandPyramid, decompose, reconstruct
 from .model import Model, WaveletCnnConfig, build, forward, load_model, param_count, save_model
 # the epoch loop itself lives in wcnn.train (re-exporting the `train`
@@ -54,6 +55,7 @@ __all__ = [
     "forward",
     "load_model",
     "load_wtns",
+    "no_grad",
     "param_count",
     "reconstruct",
     "save_model",

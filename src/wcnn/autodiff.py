@@ -18,17 +18,25 @@ freed as soon as the last closure that reads it has finished, even while the
 caller still holds the loss or the logits.  A spent node is not a leaf
 (`_parents` is None, not empty): reusing a spent subgraph raises.  Every
 gradient check runs through `gradient_errors`.
+
+Inside `no_grad()` nothing is taped: every op returns a bare `Variable`, with
+no parents and no closure, so each value is freed as soon as the caller drops
+it.  `train.evaluate` and the probe forwards of `gradient_errors` run so, and
+there `model.forward` folds each eval-mode batch norm into its conv.  Taping
+is off for the whole process while the context is open, whatever the mode.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 
 from .tensor import ShapeError, as_array, tag
 
 _creation_rank = itertools.count()
+_taping = True
 
 
 class Variable:
@@ -56,13 +64,33 @@ class Variable:
                 f"requires_grad={self.requires_grad})")
 
 
+@contextmanager
+def no_grad():
+    """Tape nothing inside: `record` returns a bare `Variable`.  Nests, and
+    restores the taping state it found on exit, also after an exception."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
+
+
+def taping() -> bool:
+    """False inside `no_grad()`."""
+    return _taping
+
+
 def record(op: str, value, parents: tuple[Variable, ...], backward_fn) -> Variable:
-    """Append an operation result to the tape.
+    """Append an operation result to the tape; inside `no_grad()`, return it
+    as a bare `Variable` with no parents and no closure.
 
     `backward_fn(output_grad: ndarray) -> tuple[ndarray | None, ...]` returns
     one gradient per parent (None for parents that need none).
     """
     out = Variable(value, name=op)
+    if not _taping:
+        return out
     out._parents = tuple(parents)
     out._live = any(p._live for p in out._parents)
     if out._live:
@@ -222,8 +250,9 @@ def gradient_errors(loss, leaves: dict[str, Variable], coords, eps: float,
     `loss()` builds a scalar from the requires-grad `leaves` and must be
     deterministic.  One backward gives every analytic gradient; then each
     coordinate in `coords[name]` (every coordinate by default) is set to
-    keep + eps and keep - eps in place and restored.  A non-finite loss
-    raises.  The error of a coordinate is
+    keep + eps and keep - eps in place, each probed by an untaped `loss()`
+    (`no_grad()`), and restored.  A non-finite loss raises.  The error of a
+    coordinate is
 
         |numeric - analytic| / max(|analytic| + |numeric|, floor)
 
@@ -242,10 +271,11 @@ def gradient_errors(loss, leaves: dict[str, Variable], coords, eps: float,
         worst = 0.0
         for i in (coords or {}).get(name, range(flat.size)):
             keep = flat[i]
-            flat[i] = keep + eps
-            fp = loss().value.item()
-            flat[i] = keep - eps
-            fm = loss().value.item()
+            with no_grad():  # the probes are never differentiated
+                flat[i] = keep + eps
+                fp = loss().value.item()
+                flat[i] = keep - eps
+                fm = loss().value.item()
             flat[i] = keep
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise ValueError(f"non-finite output while probing {name}[{i}]")

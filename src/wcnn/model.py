@@ -15,7 +15,10 @@ then batch norm and ReLU as the one tape op `layers.batch_norm_relu`.
 `_add_block` declares it into the one registry `Model.blocks`, which
 `forward`, `Model.buffers` and `load_model` all walk.  A stage's down and
 proj blocks write their outputs into the channels of one stage buffer, so
-its concatenation copies nothing.
+its concatenation copies nothing.  An eval-mode forward under
+`autodiff.no_grad()` folds each batch norm into its conv's weights and bias,
+so a block is one conv and an in-place ReLU; its logits differ from the taped
+eval path's by rounding alone.
 
 The analysis filters are fixed and contribute zero trainable parameters;
 `param_count` walks only the registered parameter variables, and the tests
@@ -196,7 +199,17 @@ def build(config: WaveletCnnConfig) -> Model:
 
 def _cbr(model: Model, h: ad.Variable, name: str, mode: str, out=None) -> ad.Variable:
     conv, bn = model.blocks[name]
-    return L.batch_norm_relu(L.conv2d(h, conv), bn, mode, out)
+    if mode == "train" or ad.taping():
+        return L.batch_norm_relu(L.conv2d(h, conv), bn, mode, out)
+    # untaped eval: the batch norm folded into the conv (Ioffe & Szegedy,
+    # arXiv:1502.03167), w' = w * s and b' = (b - mean) * s + beta with
+    # s = gamma / sqrt(var + eps), rebuilt on every call; then the ReLU in place
+    s = bn.gamma.value / np.sqrt(bn.running_var + bn.epsilon)
+    folded = L.Conv2dParams(ad.Variable(conv.weight.value * s[:, None, None, None]),
+                            ad.Variable((conv.bias.value - bn.running_mean) * s + bn.beta.value),
+                            conv.stride)
+    y = L.conv2d(h, folded).value
+    return ad.Variable(np.maximum(y, 0, out=y if out is None else out))
 
 
 def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
@@ -204,6 +217,8 @@ def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
 
     Eval mode is deterministic and read-only; train mode normalizes with
     batch statistics and advances the running ones, which it never reads.
+    Eval mode under `autodiff.no_grad()` runs each block with its batch norm
+    folded into the conv.
     """
     cfg = model.config
     x = batch if isinstance(batch, ad.Variable) else ad.Variable(batch)

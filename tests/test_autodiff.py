@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wcnn import autodiff as ad
+from wcnn import layers as L
 from wcnn.tensor import ShapeError, Tensor
 
 
@@ -168,7 +173,7 @@ def test_gradient_errors_one_backward_for_every_leaf(monkeypatch):
     leaves = {name: ad.Variable(Tensor(rng.standard_normal(3)), requires_grad=True)
               for name in ("a", "b")}
     before = {name: v.value.copy() for name, v in leaves.items()}
-    calls = {"loss": 0, "backward": 0}
+    calls = {"loss": 0, "taped": 0, "backward": 0}
     real_backward = ad.backward
 
     def backward(loss):
@@ -177,13 +182,15 @@ def test_gradient_errors_one_backward_for_every_leaf(monkeypatch):
 
     def loss():
         calls["loss"] += 1
+        calls["taped"] += ad.taping()
         return ad.total(ad.mul(ad.mul(leaves["a"], leaves["a"]), leaves["b"]))
 
     monkeypatch.setattr(ad, "backward", backward)
     errors = ad.gradient_errors(loss, leaves, {"b": [0, 2]}, 1e-5, floor=1e-12)
     assert list(errors) == ["a", "b"]
     assert max(errors.values()) < 1e-8
-    assert calls == {"loss": 1 + 2 * (3 + 2), "backward": 1}
+    # the probe forwards run under `no_grad`; only the analytic one is taped
+    assert calls == {"loss": 1 + 2 * (3 + 2), "taped": 1, "backward": 1}
     for name, v in leaves.items():  # every probed coordinate is restored
         assert np.array_equal(v.value, before[name])
 
@@ -253,3 +260,79 @@ def test_backward_frees_spent_node_values():
         ad.backward(loss)
     with pytest.raises(RuntimeError, match="already consumed"):
         ad.backward(ad.total(ad.scale(mid, 2.0)))
+
+
+# --- no_grad ------------------------------------------------------------------------
+
+
+def test_no_grad_records_nodes_with_no_parents_and_no_closure():
+    rng = np.random.default_rng(8)
+    x = ad.Variable(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+    w = ad.Variable(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+    b = ad.Variable(rng.standard_normal(4), requires_grad=True)
+    with ad.no_grad():
+        assert not ad.taping()
+        y = L.conv2d(x, L.Conv2dParams(w, b))
+        z = ad.concat_channels([y, ad.mul(x, x)])
+        loss = ad.total(ad.scale(L.relu(z), 2.0))
+    assert ad.taping()
+    for node in (y, z, loss):
+        assert node._parents == () and node._backward_fn is None and not node._live
+    assert ad.backward(loss) == []
+    assert x.grad is None and w.grad is None and b.grad is None
+    taped = ad.total(L.relu(L.conv2d(x, L.Conv2dParams(w, b))))
+    assert np.array_equal(taped.value, ad.total(L.relu(y)).value)
+    assert ad.backward(taped) == [b, w, x]
+
+
+def test_no_grad_nests_and_restores_taping_after_an_exception():
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad.taping()
+        assert not ad.taping()
+    assert ad.taping()
+    with pytest.raises(FloatingPointError):
+        with ad.no_grad():
+            with ad.no_grad():
+                raise FloatingPointError("inside")
+    assert ad.taping()
+    x = ad.Variable(Tensor([1.0, 2.0]), requires_grad=True)
+    loss = ad.total(ad.mul(x, x))
+    assert loss._parents and ad.backward(loss) == [x]
+
+
+# the same train-mode step, optionally after an untaped eval forward of the same model
+_TRAIN_STEP = """
+import numpy as np
+from wcnn import autodiff as ad, layers as L, model as M
+
+def train_step(untaped_eval_first):
+    cfg = M.WaveletCnnConfig(levels=2, input_size=16, input_channels=1, channels=(4, 6),
+                             num_classes=3, precision="f64")
+    model = M.build(cfg)
+    x = np.random.default_rng(31).standard_normal((2, 1, 16, 16))
+    if untaped_eval_first:
+        with ad.no_grad():
+            M.forward(model, x, "eval")
+    logits = M.forward(model, x, "train")
+    ad.backward(L.softmax_cross_entropy(logits, np.array([0, 2])))
+    return {name: p.grad for name, p in model.params.items()}
+"""
+
+
+def test_train_step_after_an_untaped_eval_matches_a_fresh_process(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "fresh.npz"
+    script = _TRAIN_STEP + "import sys\nnp.savez(sys.argv[1], **train_step(False))\n"
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    scope = {}
+    exec(_TRAIN_STEP, scope)
+    got = scope["train_step"](True)
+    with np.load(out) as fresh:
+        assert sorted(fresh.files) == sorted(got)
+        for name, grad in got.items():
+            assert np.array_equal(grad, fresh[name]), name

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from wcnn import autodiff as ad
 from wcnn import layers as L
 from wcnn import model as M
+from wcnn import train as TR
+from wcnn.data import ImageRecord
 from wcnn.tensor import ShapeError, Tensor
 
 
@@ -253,6 +255,65 @@ def test_stage_concat_is_written_in_place_with_the_bits_of_a_copying_concat(monk
     monkeypatch.setattr(ad, "concat_channels", copying)
     for a, b in zip(got, step(), strict=True):
         assert np.array_equal(a, b)
+
+
+# --- untaped eval: batch norm folded into the conv -----------------------------------
+
+DESK = M.WaveletCnnConfig(levels=3, input_size=32, input_channels=1, channels=(12, 24, 32),
+                          num_classes=6, precision="f32")
+
+
+@pytest.mark.parametrize("cfg, rtol", [
+    (DESK, 1e-5),
+    (tiny_config(channels=(4, 6), blocks_per_stage=1), 1e-12),
+    (tiny_config(ablated=True), 1e-12),
+    (tiny_config(embedding_dim=5), 1e-12),
+], ids=["desk-f32", "small-f64", "ablated-f64", "embedding-f64"])
+def test_folded_eval_matches_the_taped_eval(cfg, rtol):
+    # the taped eval path (`batch_norm_relu`) is the oracle; the blocks carry
+    # random biases and affine parameters and running statistics moved by
+    # train-mode forwards, so every term of the fold counts
+    model = M.build(cfg)
+    rng = np.random.default_rng(12)
+    dt = np.float32 if cfg.precision == "f32" else np.float64
+    for name, p in model.params.items():
+        if name.endswith(".bn.gamma"):
+            p.value[...] = rng.uniform(0.5, 2.0, p.value.shape)
+        elif name.endswith((".bn.beta", ".bias")):
+            p.value[...] = 0.1 * rng.standard_normal(p.value.shape)
+    shape = (6, cfg.input_channels, cfg.input_size, cfg.input_size)
+    for _ in range(3):
+        M.forward(model, rng.standard_normal(shape).astype(dt), "train")
+    x = rng.standard_normal(shape).astype(dt)
+    state = [p.value.copy() for p in model.params.values()] + \
+        [b.copy() for b in model.buffers().values()]
+    taped = M.forward(model, x, "eval").value
+    with ad.no_grad():
+        folded = M.forward(model, x, "eval").value
+    assert folded.dtype == taped.dtype
+    assert np.max(np.abs(folded - taped)) <= rtol * np.max(np.abs(taped))
+    assert np.array_equal(folded.argmax(axis=1), taped.argmax(axis=1))
+    after = [p.value for p in model.params.values()] + list(model.buffers().values())
+    assert all(np.array_equal(a, b) for a, b in zip(state, after, strict=True))
+
+
+def test_evaluate_attaches_no_backward_closure(monkeypatch):
+    counts = {"nodes": 0, "closures": 0}
+    real_record = ad.record
+
+    def record(*args):
+        out = real_record(*args)
+        counts["nodes"] += 1
+        counts["closures"] += out._backward_fn is not None
+        return out
+
+    monkeypatch.setattr(ad, "record", record)
+    monkeypatch.setattr(L, "record", record)  # `layers` imports it by name
+    rng = np.random.default_rng(13)
+    records = [ImageRecord(rng.random((1, 32, 32)), (i % 6,), f"r{i}") for i in range(5)]
+    result = TR.evaluate(M.build(DESK), records, batch_size=2)
+    assert 0.0 <= result["accuracy"] <= 100.0
+    assert counts["nodes"] > 0 and counts["closures"] == 0
 
 
 # --- checkpointing -------------------------------------------------------------------

@@ -246,6 +246,24 @@ def test_paper_train_step_peak_memory(monkeypatch):
     assert peak < 260e6, f"{peak / 1e6:.1f} MB"
 
 
+def test_paper_eval_forward_peak_memory(monkeypatch):
+    # one eval forward of the default 224-px f32 model on a batch of 4, set up
+    # as `test_paper_train_step_peak_memory`: untaped, every activation is
+    # freed once the next block has read it, and each block's folded weights
+    # once its conv has run, so its arrays peak under 100 MB (181 MB taped)
+    monkeypatch.setattr(L, "_CPUS", 2)
+    model = M.build(M.WaveletCnnConfig())
+    rng = np.random.default_rng(25)
+    records = [ImageRecord(rng.random((3, 224, 224)), (i,), f"r{i}") for i in range(4)]
+    tracemalloc.start()
+    try:
+        TR.evaluate(model, records, batch_size=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, f"{peak / 1e6:.1f} MB"
+
+
 def scalar_adam_reference(theta, lr, steps):
     """Plain-float Adam on f(theta) = ||theta||^2, written independently."""
     b1, b2, eps = 0.9, 0.999, 1e-8
