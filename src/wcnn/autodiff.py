@@ -21,9 +21,9 @@ gradient check runs through `gradient_errors`.
 
 Inside `no_grad()` nothing is taped: every op returns a bare `Variable`, with
 no parents and no closure, so each value is freed as soon as the caller drops
-it.  `train.evaluate` and the probe forwards of `gradient_errors` run so, and
-there `model.forward` folds each eval-mode batch norm into its conv.  Taping
-is off for the whole process while the context is open, whatever the mode.
+it.  An eval-mode `model.forward` runs its whole body so, as do the probe
+forwards of `gradient_errors`.  Taping is off for the whole process while the
+context is open.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ def no_grad():
         yield
     finally:
         _taping = saved
-
-
-def taping() -> bool:
-    """False inside `no_grad()`."""
-    return _taping
 
 
 def record(op: str, value, parents: tuple[Variable, ...], backward_fn) -> Variable:

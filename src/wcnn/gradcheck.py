@@ -67,8 +67,8 @@ def layer_checks() -> list[tuple[str, float]]:
     def conv(stride):
         return lambda x, weight, bias: L.conv2d(x, L.Conv2dParams(weight, bias, stride))
 
-    def bn(op, mode):
-        return lambda x, gamma, beta: op(x, L.BatchNormParams(gamma, beta), mode)
+    def bn(op):
+        return lambda x, gamma, beta: op(x, L.BatchNormParams(gamma, beta))
 
     table = [
         ("conv2d", conv(1), r_conv, {"x": x, "weight": w3, "bias": bias}, {}),
@@ -77,14 +77,10 @@ def layer_checks() -> list[tuple[str, float]]:
         ("conv2d-1x1", conv(1), r_conv, {"x": x, "weight": w1}, {"bias": bias}),
         ("average_pool", lambda x: L.average_pool(x, 2), r_pool, {"x": x}, {}),
         ("relu", L.relu, r_like, {"x": relu_x}, {}),
-        ("batch_norm-train", bn(L.batch_norm, "train"), r_like,
+        ("batch_norm-train", bn(L.batch_norm), r_like,
          {"x": x, "gamma": gamma, "beta": beta}, {}),
-        ("batch_norm-eval", bn(L.batch_norm, "eval"), r_like,
-         {"x": x}, {"gamma": gamma, "beta": beta}),
-        ("batch_norm_relu-train", bn(L.batch_norm_relu, "train"), r_like,
+        ("batch_norm_relu-train", bn(L.batch_norm_relu), r_like,
          {"x": bn_relu_x, "gamma": gamma, "beta": zeros}, {}),
-        ("batch_norm_relu-eval", bn(L.batch_norm_relu, "eval"), r_like,
-         {"x": bn_relu_x}, {"gamma": gamma, "beta": zeros}),
         ("global_average_pool", L.global_average_pool, r_gap, {"x": x}, {}),
         ("fully_connected", L.fully_connected, r_fc,
          {"x": fc_x, "weight": fc_w, "bias": fc_b}, {}),

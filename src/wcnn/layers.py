@@ -40,14 +40,16 @@ channels, two or more each, for db.  No split changes any output element's
 arithmetic, so bits match at any CPU count.  A split of a GEMM's rows or
 columns would not: BLAS may block a part other than the whole.
 
-A model block is `conv2d` then `batch_norm_relu`, one op that keeps no
-batch-norm output and bit-matches `relu(batch_norm(...))`.  `batch_norm` and
-`relu` stay as its reference and gradient-check oracle; `relu` also follows
-the optional embedding layer.  A batch norm of `_SPLIT_BN` elements or more
-runs one channel range per CPU on the same pool, forward and backward; a
-smaller one runs the same code as one range.  A range holds at least two
-channels, which numpy reduces in the same order as the whole array, so its
-bits too match at any CPU count.  `_over_ranges` is the one split helper;
+A model block trains as `conv2d` then `batch_norm_relu`, one op that keeps
+no batch-norm output and bit-matches `relu(batch_norm(...))`.  `batch_norm`
+and `relu` stay as its reference and gradient-check oracle; `relu` also
+follows the optional embedding layer.  Batch norm is a training op: it
+normalizes with the batch's statistics and advances the running ones, which
+only the eval-mode fold in `model` reads.  A batch norm of `_SPLIT_BN`
+elements or more runs one channel range per CPU on the same pool, forward
+and backward; a smaller one runs the same code as one range.  A range holds
+at least two channels, which numpy reduces in the same order as the whole
+array, so its bits too match at any CPU count.  `_over_ranges` is the one split helper;
 `train.adam_step` uses it as well.
 """
 
@@ -103,7 +105,8 @@ class BatchNormParams:
     """Per-channel affine parameters plus running statistics.
 
     Running statistics use population (biased) variance and are updated by an
-    exponential moving average with the given momentum.
+    exponential moving average with the given momentum.  An eval-mode
+    `model.forward` folds them, with gamma and beta, into the block's conv.
     """
 
     gamma: Variable
@@ -321,19 +324,14 @@ _C = (None, slice(None), None, None)  # a per-channel vector broadcast over NCHW
 _AXES = (0, 2, 3)  # the per-channel reduction axes
 
 
-def _bn_forward_range(xs, stats, gd, bd, eps, relu: bool, out=None):
+def _bn_forward_range(xs, gd, bd, eps, relu: bool, out=None):
     """(y, mean, var, inv) of the channels of xs: y = gamma * x-hat + beta,
-    then the ReLU if `relu`, in `out` or a fresh array, and the per-channel
-    statistics it used, inv = 1/sqrt(var + eps).  `stats` is the (mean, var)
-    to use, or None for the batch's own (train mode)."""
-    if stats is None:
-        count = xs.size // xs.shape[1]
-        mu = np.add.reduce(xs, axis=_AXES) / count  # the bits of xs.mean, without its wrapper
-        y = np.subtract(xs, mu[_C], out=out)  # x - mean once: the variance and x-hat share it
-        var = np.add.reduce(np.multiply(y, y), axis=_AXES) / count  # the bits of xs.var
-    else:
-        mu, var = stats
-        y = np.subtract(xs, mu[_C], out=out)
+    then the ReLU if `relu`, in `out` or a fresh array, and the batch's own
+    per-channel statistics it used, inv = 1/sqrt(var + eps)."""
+    count = xs.size // xs.shape[1]
+    mu = np.add.reduce(xs, axis=_AXES) / count  # the bits of xs.mean, without its wrapper
+    y = np.subtract(xs, mu[_C], out=out)  # x - mean once: the variance and x-hat share it
+    var = np.add.reduce(np.multiply(y, y), axis=_AXES) / count  # the bits of xs.var
     inv = 1.0 / np.sqrt(var + eps)
     y *= inv[_C]  # x-hat, as `_bn_normalize` rebuilds it
     y *= gd[_C]
@@ -349,30 +347,26 @@ def _joined(parts: list) -> tuple:
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool, out=None):
+def _bn_forward(xd: np.ndarray, p: BatchNormParams, relu: bool, out=None):
     """(y, mean, inv): y = gamma * x-hat + beta (then the ReLU if `relu`),
-    and the per-channel statistics it used; `out`, if given, ends up holding
-    y.  Train mode advances the running statistics by their EMA.  From
-    `_SPLIT_BN` elements on, one channel range per CPU, each written in place
-    into `out` (then y is `out`) or one fresh array; below, one range, into a
-    fresh contiguous array that is y and is copied into `out`.  A per-channel
-    reduction over two or more channels has the bits of the whole array's;
-    numpy reduces a single channel in another order, so every range holds
-    at least two."""
-    if mode not in ("train", "eval"):
-        raise ShapeError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
+    and the batch statistics it used; `out`, if given, ends up holding y.
+    The running statistics advance by their EMA.  From `_SPLIT_BN` elements
+    on, one channel range per CPU, each written in place into `out` (then y
+    is `out`) or one fresh array; below, one range, into a fresh contiguous
+    array that is y and is copied into `out`.  A per-channel reduction over
+    two or more channels has the bits of the whole array's; numpy reduces a
+    single channel in another order, so every range holds at least two."""
     if xd.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got rank {xd.ndim}")
     n, c, h, w = xd.shape
     gd, bd = p.gamma.value, p.beta.value
     if gd.shape[0] != c:
         raise ShapeError(f"batch_norm channel mismatch: input {c}, params {gd.shape[0]}")
-    if mode == "train" and n * h * w <= 1:
-        raise ShapeError("batch_norm train mode needs batch*height*width > 1 per channel")
+    if n * h * w <= 1:
+        raise ShapeError("batch_norm needs batch*height*width > 1 per channel")
     if out is not None and (out.shape != xd.shape or out.dtype != xd.dtype):
         raise ShapeError(f"batch_norm out {tag(out)}{list(out.shape)} is not the input's "
                          f"{tag(xd)}{list(xd.shape)}")
-    stats = None if mode == "train" else (p.running_mean, p.running_var)
     eps = xd.dtype.type(p.epsilon)
     split = xd.size >= _SPLIT_BN
     # one range writes a fresh array, then copies it into `out`: into a channel
@@ -381,16 +375,14 @@ def _bn_forward(xd: np.ndarray, p: BatchNormParams, mode: str, relu: bool, out=N
 
     def channel_range(lo, hi):
         s = slice(lo, hi)
-        part = None if stats is None else (stats[0][s], stats[1][s])
-        return _bn_forward_range(xd[:, s], part, gd[s], bd[s], eps, relu, y[:, s])[1:]
+        return _bn_forward_range(xd[:, s], gd[s], bd[s], eps, relu, y[:, s])[1:]
 
     mu, var, inv = _joined(_over_ranges(c, channel_range, split, 2))
     if out is not None and y is not out:
         np.copyto(out, y)
-    if stats is None:
-        mom = xd.dtype.type(p.momentum)
-        p.running_mean = (1 - mom) * p.running_mean + mom * mu
-        p.running_var = (1 - mom) * p.running_var + mom * var
+    mom = xd.dtype.type(p.momentum)
+    p.running_mean = (1 - mom) * p.running_mean + mom * mu
+    p.running_var = (1 - mom) * p.running_var + mom * var
     return y, mu, inv
 
 
@@ -401,12 +393,12 @@ def _bn_normalize(xd, mu, inv) -> np.ndarray:
     return xhat
 
 
-def _bn_backward_range(gy, xs, mu, inv, gd, mode: str):
+def _bn_backward_range(gy, xs, mu, inv, gd):
     """(dx, dgamma, dbeta) of the channels of xs from gy = dL/dy, which this
     overwrites with dx.
 
-    x-hat is rebuilt from x.  Eval mode: dx = gy * gamma * inv.  Train mode
-    also carries the batch-mean terms,
+    x-hat is rebuilt from x.  The statistics are the batch's, so dx carries
+    the batch-mean terms,
 
         dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),  dxhat = gy * gamma,
 
@@ -418,8 +410,6 @@ def _bn_backward_range(gy, xs, mu, inv, gd, mode: str):
     xhat = _bn_normalize(xs, mu, inv)
     prod = gy * xhat
     dgamma = np.add.reduce(prod, axis=_AXES)
-    if mode == "eval":  # fixed statistics: dx is gy scaled per channel
-        return np.multiply(gy, (gd * inv)[_C], out=gy), dgamma, dbeta
     count = xs.size // xs.shape[1]
     dxhat = np.multiply(gy, gd[_C], out=gy)
     m2 = np.add.reduce(np.multiply(dxhat, xhat, out=prod), axis=_AXES) / count
@@ -429,7 +419,7 @@ def _bn_backward_range(gy, xs, mu, inv, gd, mode: str):
     return dx, dgamma, dbeta
 
 
-def _bn_backward(g, y, xd, mu, inv, gd, mode: str):
+def _bn_backward(g, y, xd, mu, inv, gd):
     """(dx, dgamma, dbeta) from g = dL/d(output): g itself for `batch_norm`
     (y is None), g through the ReLU mask y > 0 for `batch_norm_relu`.  dx is
     one fresh array; from `_SPLIT_BN` elements on, one channel range per CPU."""
@@ -441,31 +431,28 @@ def _bn_backward(g, y, xd, mu, inv, gd, mode: str):
             np.copyto(dx[:, s], g[:, s])
         else:
             np.multiply(g[:, s], y[:, s] > 0, out=dx[:, s])
-        return _bn_backward_range(dx[:, s], xd[:, s], mu[s], inv[s], gd[s], mode)[1:]
+        return _bn_backward_range(dx[:, s], xd[:, s], mu[s], inv[s], gd[s])[1:]
 
     dgamma, dbeta = _joined(_over_ranges(g.shape[1], channel_range, g.size >= _SPLIT_BN, 2))
     return dx, dgamma, dbeta
 
 
-def batch_norm(x: Variable, p: BatchNormParams, mode: str) -> Variable:
-    """Normalize per channel; the mode only picks the statistics.
-
-    Train mode uses the batch mean and population variance and advances the
-    running statistics by their EMA; eval mode uses the running statistics
-    and leaves them as they are.  Only in train mode do the statistics depend
-    on x, so only there does dx carry the two batch-mean terms.  The model
-    runs `batch_norm_relu`; this op and `relu` are its reference.
+def batch_norm(x: Variable, p: BatchNormParams) -> Variable:
+    """Normalize per channel with the batch mean and population variance,
+    and advance the running statistics by their EMA.  The statistics depend
+    on x, so dx carries the two batch-mean terms.  The model runs
+    `batch_norm_relu`; this op and `relu` are its reference.
     """
     xd, gd = x.value, p.gamma.value
-    y, mu, inv = _bn_forward(xd, p, mode, relu=False)
+    y, mu, inv = _bn_forward(xd, p, relu=False)
     return record("batch_norm", y, (x, p.gamma, p.beta),
-                  lambda g: _bn_backward(g, None, xd, mu, inv, gd, mode))
+                  lambda g: _bn_backward(g, None, xd, mu, inv, gd))
 
 
-def batch_norm_relu(x: Variable, p: BatchNormParams, mode: str, out=None) -> Variable:
-    """`relu(batch_norm(x, p, mode))` as one op, bit for bit, written into
-    `out` (an array of x's shape and dtype, such as a channel slice of a
-    larger buffer) if given, else into a fresh array.
+def batch_norm_relu(x: Variable, p: BatchNormParams, out=None) -> Variable:
+    """`relu(batch_norm(x, p))` as one op, bit for bit, written into `out`
+    (an array of x's shape and dtype, such as a channel slice of a larger
+    buffer) if given, else into a fresh array.
 
     The batch-norm output is never kept: the forward applies the ReLU in the
     same buffer, and the backward rebuilds x-hat from x and the ReLU mask
@@ -475,9 +462,9 @@ def batch_norm_relu(x: Variable, p: BatchNormParams, mode: str, out=None) -> Var
     comparison took about twice as long at desk scale.
     """
     xd, gd = x.value, p.gamma.value
-    y, mu, inv = _bn_forward(xd, p, mode, relu=True, out=out)
+    y, mu, inv = _bn_forward(xd, p, relu=True, out=out)
     return record("batch_norm_relu", y if out is None else out, (x, p.gamma, p.beta),
-                  lambda g: _bn_backward(g, y, xd, mu, inv, gd, mode))
+                  lambda g: _bn_backward(g, y, xd, mu, inv, gd))
 
 
 def global_average_pool(x: Variable) -> Variable:

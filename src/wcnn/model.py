@@ -11,14 +11,14 @@ reaches the end of the network.  The head is global average pooling, an
 optional embedding layer, and a fully connected classifier.
 
 Every convolution (down, proj, conv<b>) is one block: conv with padding k // 2,
-then batch norm and ReLU as the one tape op `layers.batch_norm_relu`.
-`_add_block` declares it into the one registry `Model.blocks`, which
-`forward`, `Model.buffers` and `load_model` all walk.  A stage's down and
-proj blocks write their outputs into the channels of one stage buffer, so
-its concatenation copies nothing.  An eval-mode forward under
-`autodiff.no_grad()` folds each batch norm into its conv's weights and bias,
-so a block is one conv and an in-place ReLU; its logits differ from the taped
-eval path's by rounding alone.
+then batch norm and ReLU.  `_add_block` declares it into the one registry
+`Model.blocks`, which `forward`, `Model.buffers` and `load_model` all walk.
+A stage's down and proj blocks write their outputs into the channels of one
+stage buffer, so its concatenation copies nothing.  Train mode runs a block
+as the tape ops `layers.conv2d` and `layers.batch_norm_relu`.  Eval mode is
+inference: the forward runs under `autodiff.no_grad()`, whatever the caller's
+context, and folds each batch norm into its conv's weights and bias, so a
+block is one conv and an in-place ReLU.
 
 The analysis filters are fixed and contribute zero trainable parameters;
 `param_count` walks only the registered parameter variables, and the tests
@@ -28,7 +28,9 @@ recompute the totals from the configuration arithmetic independently.
 from __future__ import annotations
 
 import io
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -135,20 +137,18 @@ def _param(model: Model, name: str, value) -> ad.Variable:
     return v
 
 
-def _he_uniform(model: Model, rng, shape, fan_in: int, scale: float = 1.0):
+def _he_uniform(rng, dt, shape, fan_in: int, scale: float):
     # He init, uniform variant: U(-b, b) with b = sqrt(6 / fan_in) has the
     # ReLU-calibrated variance 2/fan_in; `scale` damps it.  Drawn in the
     # target dtype; the f32 stream differs from cast f64 draws, but
     # determinism per (seed, precision) is what matters.
-    dt = DTYPES[model.dtype]
     return (2 * rng.random(shape, dtype=dt) - 1) * dt(scale * np.sqrt(6.0 / fan_in))
 
 
-def _add_block(model: Model, rng, name: str, in_ch: int, out_ch: int, k: int,
+def _add_block(model: Model, weight, name: str, in_ch: int, out_ch: int, k: int,
                stride: int = 1) -> None:
     """One conv (padding k // 2) followed by its batch norm `<name>.bn`."""
-    w = _param(model, f"{name}.weight",
-               _he_uniform(model, rng, (out_ch, in_ch, k, k), in_ch * k * k))
+    w = _param(model, f"{name}.weight", weight((out_ch, in_ch, k, k), in_ch * k * k, 1.0))
     b = _param(model, f"{name}.bias", np.zeros(out_ch))
     gamma = _param(model, f"{name}.bn.gamma", np.ones(out_ch))
     beta = _param(model, f"{name}.bn.beta", np.zeros(out_ch))
@@ -159,51 +159,58 @@ def _add_block(model: Model, rng, name: str, in_ch: int, out_ch: int, k: int,
     )
 
 
-def _add_fc(model: Model, rng, name: str, d_in: int, d_out: int, scale: float = 1.0) -> None:
-    _param(model, f"{name}.weight", _he_uniform(model, rng, (d_in, d_out), d_in, scale))
+def _add_fc(model: Model, weight, name: str, d_in: int, d_out: int, scale: float = 1.0) -> None:
+    _param(model, f"{name}.weight", weight((d_in, d_out), d_in, scale))
     _param(model, f"{name}.bias", np.zeros(d_out))
 
 
-def build(config: WaveletCnnConfig) -> Model:
-    """Realize the layer graph: stage t's detail subbands arrive at extent input/2^t."""
-    config.validate()
+def _layers(config: WaveletCnnConfig, weight) -> Model:
+    """The layer graph of a valid `config`: stage t's detail subbands arrive
+    at extent input/2^t.  `weight(shape, fan_in, scale)` supplies each weight
+    array, in declaration order; biases and betas start at 0, gammas at 1."""
     model = Model(config=config)
-    rng = stream_rng(config.init_seed, INIT)
     sched = config.resolved_channels()
 
     prev_ch = config.input_channels
     for t in range(1, config.levels + 1):
         out_ch = sched[t - 1]
         stage = f"stage{t}"
-        _add_block(model, rng, f"{stage}.down", prev_ch, out_ch, 3, stride=2)
+        _add_block(model, weight, f"{stage}.down", prev_ch, out_ch, 3, stride=2)
         width = out_ch
         if not config.ablated:
             model.injection_extents[t] = config.input_size >> t
             proj_ch = config.proj_width(out_ch)
-            _add_block(model, rng, f"{stage}.proj", 3 * config.input_channels, proj_ch, 1)
+            _add_block(model, weight, f"{stage}.proj", 3 * config.input_channels, proj_ch, 1)
             width = out_ch + proj_ch
         for b in range(1, config.blocks_per_stage + 1):
-            _add_block(model, rng, f"{stage}.conv{b}", width, out_ch, 3)
+            _add_block(model, weight, f"{stage}.conv{b}", width, out_ch, 3)
             width = out_ch
         prev_ch = out_ch
 
     feat = sched[-1]
     if config.embedding_dim:
-        _add_fc(model, rng, "head.embed", feat, config.embedding_dim)
+        _add_fc(model, weight, "head.embed", feat, config.embedding_dim)
         feat = config.embedding_dim
     # damped init for the classifier itself: logits start near zero, so the
     # first-batch loss sits at the uniform-prediction value log(C)
-    _add_fc(model, rng, "head.fc", feat, config.num_classes, scale=0.1)
+    _add_fc(model, weight, "head.fc", feat, config.num_classes, scale=0.1)
     return model
+
+
+def build(config: WaveletCnnConfig) -> Model:
+    """Realize the layer graph, its weights He-uniform draws from the INIT stream."""
+    config.validate()
+    return _layers(config, partial(_he_uniform, stream_rng(config.init_seed, INIT),
+                                   DTYPES[config.precision]))
 
 
 def _cbr(model: Model, h: ad.Variable, name: str, mode: str, out=None) -> ad.Variable:
     conv, bn = model.blocks[name]
-    if mode == "train" or ad.taping():
-        return L.batch_norm_relu(L.conv2d(h, conv), bn, mode, out)
-    # untaped eval: the batch norm folded into the conv (Ioffe & Szegedy,
-    # arXiv:1502.03167), w' = w * s and b' = (b - mean) * s + beta with
-    # s = gamma / sqrt(var + eps), rebuilt on every call; then the ReLU in place
+    if mode == "train":
+        return L.batch_norm_relu(L.conv2d(h, conv), bn, out)
+    # the batch norm folded into the conv (Ioffe & Szegedy, arXiv:1502.03167),
+    # w' = w * s and b' = (b - mean) * s + beta with s = gamma / sqrt(var + eps),
+    # rebuilt on every call; then the ReLU in place
     s = bn.gamma.value / np.sqrt(bn.running_var + bn.epsilon)
     folded = L.Conv2dParams(ad.Variable(conv.weight.value * s[:, None, None, None]),
                             ad.Variable((conv.bias.value - bn.running_mean) * s + bn.beta.value),
@@ -215,10 +222,10 @@ def _cbr(model: Model, h: ad.Variable, name: str, mode: str, out=None) -> ad.Var
 def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
     """Run the network on an NCHW batch and return the logits Variable.
 
-    Eval mode is deterministic and read-only; train mode normalizes with
-    batch statistics and advances the running ones, which it never reads.
-    Eval mode under `autodiff.no_grad()` runs each block with its batch norm
-    folded into the conv.
+    Train mode normalizes with batch statistics and advances the running
+    ones, which it never reads.  Eval mode is deterministic and read-only:
+    it runs untaped (`autodiff.no_grad()`) in any context, each block's batch
+    norm folded into its conv, so its logits have no parents and no closure.
     """
     cfg = model.config
     x = batch if isinstance(batch, ad.Variable) else ad.Variable(batch)
@@ -231,28 +238,30 @@ def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
     if mode not in ("train", "eval"):
         raise ShapeError(f"mode must be 'train' or 'eval', got {mode!r}")
 
-    stacks = None
-    if not cfg.ablated:
-        stacks = W.decompose_variables(x, cfg.levels)
+    with ad.no_grad() if mode == "eval" else nullcontext():
+        stacks = None
+        if not cfg.ablated:
+            stacks = W.decompose_variables(x, cfg.levels)
 
-    h = x
-    for t, c in enumerate(cfg.resolved_channels(), 1):
-        stage = f"stage{t}"
-        if stacks is None:
-            h = _cbr(model, h, f"{stage}.down", mode)
-        else:  # down and proj write their channels of one stage buffer, which the concat records
-            extent = cfg.input_size >> t
-            buf = np.empty((shape[0], c + cfg.proj_width(c), extent, extent), x.value.dtype)
-            h = ad.concat_channels([_cbr(model, h, f"{stage}.down", mode, buf[:, :c]),
-                                    _cbr(model, stacks[t - 1], f"{stage}.proj", mode, buf[:, c:])])
-        for b in range(1, cfg.blocks_per_stage + 1):
-            h = _cbr(model, h, f"{stage}.conv{b}", mode)
+        h = x
+        for t, c in enumerate(cfg.resolved_channels(), 1):
+            stage = f"stage{t}"
+            if stacks is None:
+                h = _cbr(model, h, f"{stage}.down", mode)
+            else:  # down and proj write their channels of one stage buffer, the concat's value
+                extent = cfg.input_size >> t
+                buf = np.empty((shape[0], c + cfg.proj_width(c), extent, extent), x.value.dtype)
+                h = ad.concat_channels([_cbr(model, h, f"{stage}.down", mode, buf[:, :c]),
+                                        _cbr(model, stacks[t - 1], f"{stage}.proj", mode,
+                                             buf[:, c:])])
+            for b in range(1, cfg.blocks_per_stage + 1):
+                h = _cbr(model, h, f"{stage}.conv{b}", mode)
 
-    g = L.global_average_pool(h)
-    if cfg.embedding_dim:
-        g = L.relu(L.fully_connected(g, model.params["head.embed.weight"],
-                                     model.params["head.embed.bias"]))
-    return L.fully_connected(g, model.params["head.fc.weight"], model.params["head.fc.bias"])
+        g = L.global_average_pool(h)
+        if cfg.embedding_dim:
+            g = L.relu(L.fully_connected(g, model.params["head.embed.weight"],
+                                         model.params["head.embed.bias"]))
+        return L.fully_connected(g, model.params["head.fc.weight"], model.params["head.fc.bias"])
 
 
 def param_count(model: Model) -> tuple[int, list[tuple[str, int]]]:
@@ -364,7 +373,9 @@ def load_model(path) -> Model:
         if set(items) != set(keys.values()):
             raise CheckpointError(f"{path}: config block keys are not the config fields")
         config = from_items(WaveletCnnConfig, items, keys)
-        model = build(config)
+        config.validate()
+        # every array is restored below, so nothing is drawn
+        model = _layers(config, lambda shape, *_: np.empty(shape, DTYPES[config.precision]))
         stored = {}
         for parts in manifest:
             # name kind <dtype> <ndim> <d0> ... offset

@@ -468,19 +468,18 @@ def evaluate(model: M.Model, records: list[ImageRecord], batch_size: int = 32) -
     """Eval-mode metrics: accuracy for softmax heads, plus the multi-label
     bundle (threshold 0.5) for multilabel heads.  The truth is encoded, and
     checked against the head, by `_targets`, as in training.  The forwards
-    run under `autodiff.no_grad()`, untaped and with each batch norm folded
-    into its conv (`model.forward`)."""
+    are eval-mode `model.forward`s: untaped, each batch norm folded into its
+    conv."""
     if not records:
         raise ShapeError("evaluation set is empty")
     mcfg = model.config
     truth = _targets(records, mcfg.head, mcfg.num_classes)
     outputs = []
-    with ad.no_grad():
-        for at in range(0, len(records), batch_size):
-            chunk = records[at:at + batch_size]
-            images = _stacked([r.pixels for r in chunk], mcfg.input_size)
-            batch = as_array(global_contrast_normalization(images), mcfg.precision)
-            outputs.append(M.forward(model, batch, mode="eval").value)
+    for at in range(0, len(records), batch_size):
+        chunk = records[at:at + batch_size]
+        images = _stacked([r.pixels for r in chunk], mcfg.input_size)
+        batch = as_array(global_contrast_normalization(images), mcfg.precision)
+        outputs.append(M.forward(model, batch, mode="eval").value)
     logits = np.concatenate(outputs, axis=0)
 
     if mcfg.head == "softmax":

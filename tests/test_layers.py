@@ -441,9 +441,8 @@ LAYER_ROWS = [
     "conv2d-stride2-odd/x", "conv2d-1x1/x", "conv2d-1x1/weight",
     "average_pool/x", "relu/x",
     "batch_norm-train/x", "batch_norm-train/gamma", "batch_norm-train/beta",
-    "batch_norm-eval/x",
     "batch_norm_relu-train/x", "batch_norm_relu-train/gamma", "batch_norm_relu-train/beta",
-    "batch_norm_relu-eval/x", "global_average_pool/x",
+    "global_average_pool/x",
     "fully_connected/x", "fully_connected/weight", "fully_connected/bias",
     "softmax_cross_entropy/logits", "sigmoid_bce/logits", "wavelet_decompose/x",
     "concat_channels/a", "concat_channels/b", "scale/a",
@@ -487,7 +486,7 @@ def test_layer_check_rows_one_backward_per_check(monkeypatch):
     monkeypatch.setattr(ad, "backward", lambda loss: backwards.append(loss) or real_backward(loss))
     rows = G.layer_checks()
     assert [name for name, _ in rows] == LAYER_ROWS
-    assert len(backwards) == len({name.split("/")[0] for name in LAYER_ROWS}) == 17
+    assert len(backwards) == len({name.split("/")[0] for name in LAYER_ROWS}) == 15
     for name, err in rows:
         assert err < 1e-6, f"{name}: {err:.2e}"
 
@@ -557,7 +556,7 @@ def bn_params(c, gamma=None, beta=None, **kw):
 def test_batch_norm_train_normalizes():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 3, 5, 5)) * 3 + 1
-    y = L.batch_norm(var(x), bn_params(3), mode="train").value
+    y = L.batch_norm(var(x), bn_params(3)).value
     assert np.max(np.abs(y.mean(axis=(0, 2, 3)))) < 1e-12
     assert np.max(np.abs(y.var(axis=(0, 2, 3)) - 1)) < 1e-4  # epsilon effect
 
@@ -566,41 +565,40 @@ def test_batch_norm_gamma_zero_gives_beta():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 2, 3, 3))
     p = bn_params(2, gamma=[0.0, 0.0], beta=[0.5, -1.5])
-    y = L.batch_norm(var(x), p, mode="train").value
+    y = L.batch_norm(var(x), p).value
     assert np.all(y[:, 0] == 0.5)
     assert np.all(y[:, 1] == -1.5)
 
 
 def test_batch_norm_eval_matches_hand_computation():
-    # three samples of one channel, running stats set by hand
-    x = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1, 1)
+    # one eval block, its batch norm folded into the conv: four samples of one
+    # channel through a 1x1 conv, with the running statistics set by hand
+    x = np.array([-1.0, 1.0, 2.0, 3.0]).reshape(4, 1, 1, 1)
+    conv = L.Conv2dParams(var([[[[1.5]]]]), var([0.1]))
     p = bn_params(1, gamma=[2.0], beta=[0.25], epsilon=1e-5)
     p.running_mean = np.array([0.5])
     p.running_var = np.array([4.0])
-    y = L.batch_norm(var(x), p, mode="eval").value.reshape(-1)
-    expected = (x.reshape(-1) - 0.5) / np.sqrt(4.0 + 1e-5) * 2.0 + 0.25
-    assert np.max(np.abs(y - expected)) < 1e-15
+    block = M.Model(M.WaveletCnnConfig(), blocks={"block": (conv, p)})
+    y = M._cbr(block, var(x), "block", "eval").value.reshape(-1)
+    expected = np.maximum((1.5 * x.reshape(-1) + 0.1 - 0.5) / np.sqrt(4.0 + 1e-5) * 2.0 + 0.25, 0)
+    assert y[0] == 0.0 and np.all(y[1:] > 0)
+    assert np.max(np.abs(y - expected)) < 1e-14
 
 
 def test_batch_norm_running_stats_ema():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((4, 2, 3, 3)) + 5.0
     p = bn_params(2, momentum=0.1)
-    L.batch_norm(var(x), p, mode="train")
+    L.batch_norm(var(x), p)
     mu = x.mean(axis=(0, 2, 3))
     vr = x.var(axis=(0, 2, 3))
     assert np.allclose(p.running_mean, 0.9 * 0.0 + 0.1 * mu, rtol=0, atol=1e-15)
     assert np.allclose(p.running_var, 0.9 * 1.0 + 0.1 * vr, rtol=0, atol=1e-15)
-    # eval mode reads them and leaves both untouched
-    mean_before, var_before = p.running_mean.copy(), p.running_var.copy()
-    L.batch_norm(var(x), p, mode="eval")
-    assert np.array_equal(p.running_mean, mean_before)
-    assert np.array_equal(p.running_var, var_before)
 
 
 def test_batch_norm_degenerate_train_raises():
     with pytest.raises(ShapeError):
-        L.batch_norm(var(np.ones((1, 2, 1, 1))), bn_params(2), mode="train")
+        L.batch_norm(var(np.ones((1, 2, 1, 1))), bn_params(2))
 
 
 @pytest.mark.parametrize("stats", [
@@ -624,33 +622,33 @@ def test_batch_norm_finite_differences():
 
     def wrt_x(v):
         p = L.BatchNormParams(var(g0), var(b0))
-        out = L.batch_norm(v, p, mode="train")
+        out = L.batch_norm(v, p)
         return ad.total(ad.mul(out, r))
 
     assert ad.finite_difference_check(wrt_x, Tensor(x0), eps=1e-5) < 1e-6
 
     def wrt_gamma(v):
         p = L.BatchNormParams(v, var(b0))
-        out = L.batch_norm(var(x0), p, mode="train")
+        out = L.batch_norm(var(x0), p)
         return ad.total(ad.mul(out, r))
 
     assert ad.finite_difference_check(wrt_gamma, Tensor(g0), eps=1e-5) < 1e-6
 
     def wrt_beta(v):
         p = L.BatchNormParams(var(g0), v)
-        out = L.batch_norm(var(x0), p, mode="train")
+        out = L.batch_norm(var(x0), p)
         return ad.total(ad.mul(out, r))
 
     assert ad.finite_difference_check(wrt_beta, Tensor(b0), eps=1e-5) < 1e-6
 
 
-def _bn_relu_step(op, x0, g0, b0, r, mode):
-    """Output, running statistics and gradients of op(x, p, mode) under the loss sum(op * r)."""
+def _bn_relu_step(op, x0, g0, b0, r):
+    """Output, running statistics and gradients of op(x, p) under the loss sum(op * r)."""
     x, gamma, beta = (ad.Variable(a.copy(), requires_grad=True) for a in (x0, g0, b0))
     c = x0.shape[1]
     p = L.BatchNormParams(gamma, beta, running_mean=np.linspace(-0.2, 0.3, c, dtype=x0.dtype),
                           running_var=np.linspace(0.5, 2.0, c, dtype=x0.dtype))
-    y = op(x, p, mode)
+    y = op(x, p)
     out = y.value.copy()
     ad.backward(ad.total(ad.mul(y, ad.Variable(r))))
     return out, p.running_mean, p.running_var, x.grad, gamma.grad, beta.grad
@@ -660,35 +658,31 @@ def _bn_relu_step(op, x0, g0, b0, r, mode):
 @pytest.mark.parametrize("shape", [(16, 12, 16, 16), (16, 24, 8, 8), (16, 32, 4, 4),
                                    (4, 64, 28, 28)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("mode", ["train"])  # batch norm's one mode; the cases keep their ids
 def test_batch_norm_relu_is_bit_identical_to_relu_of_batch_norm(shape, dtype, mode):
     rng = np.random.default_rng(sum(shape))
     x0 = (rng.standard_normal(shape) * 2 + 0.3).astype(dtype)
     g0 = (rng.standard_normal(shape[1]) + 1).astype(dtype)
     b0 = rng.standard_normal(shape[1]).astype(dtype)
     r = rng.standard_normal(shape).astype(dtype)
-    fused = _bn_relu_step(L.batch_norm_relu, x0, g0, b0, r, mode)
-    oracle = _bn_relu_step(lambda x, p, m: L.relu(L.batch_norm(x, p, m)), x0, g0, b0, r, mode)
+    fused = _bn_relu_step(L.batch_norm_relu, x0, g0, b0, r)
+    oracle = _bn_relu_step(lambda x, p: L.relu(L.batch_norm(x, p)), x0, g0, b0, r)
     names = ("y", "running_mean", "running_var", "dx", "dgamma", "dbeta")
     for name, a, b in zip(names, fused, oracle):
         assert a.dtype == dtype and np.array_equal(a, b), name
     # the in-place arithmetic computes the closed form as written, bit for bit
-    y, mu, var_, dx, dgamma, dbeta = oracle  # eval mode leaves the running statistics
+    y, _, _, dx, dgamma, dbeta = oracle
     axes, c4 = (0, 2, 3), (None, slice(None), None, None)
-    if mode == "train":
-        mu, var_ = x0.mean(axis=axes), x0.var(axis=axes)
+    mu, var_ = x0.mean(axis=axes), x0.var(axis=axes)
     inv = 1.0 / np.sqrt(var_ + dtype(1e-5))
     xhat = (x0 - mu[c4]) * inv[c4]
     assert np.array_equal(y, np.maximum(g0[c4] * xhat + b0[c4], 0))
     g = r * (y > 0)
     assert np.array_equal(dgamma, (g * xhat).sum(axis=axes))
     assert np.array_equal(dbeta, g.sum(axis=axes))
-    if mode == "eval":
-        assert np.array_equal(dx, g * (g0 * inv)[c4])
-    else:
-        dxhat = g * g0[c4]
-        assert np.array_equal(dx, inv[c4] * (dxhat - dxhat.mean(axis=axes)[c4]
-                                            - xhat * (dxhat * xhat).mean(axis=axes)[c4]))
+    dxhat = g * g0[c4]
+    assert np.array_equal(dx, inv[c4] * (dxhat - dxhat.mean(axis=axes)[c4]
+                                        - xhat * (dxhat * xhat).mean(axis=axes)[c4]))
 
 
 def test_batch_norm_relu_keeps_no_batch_norm_output():
@@ -698,26 +692,23 @@ def test_batch_norm_relu_keeps_no_batch_norm_output():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        y = L.batch_norm_relu(x, bn_params(16), mode="train")
+        y = L.batch_norm_relu(x, bn_params(16))
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert held - y.value.nbytes < 0.25 * x.value.nbytes
 
 
-def _bn_serial(x, gd, bd, rm, rv, mode, relu, g):
+def _bn_serial(x, gd, bd, rm, rv, relu, g):
     """Whole-array batch norm, then the ReLU if `relu`, and its backward under
     the output gradient g: the arithmetic every channel range must repeat.
     Returns y, dx, dgamma, dbeta and the running mean and variance after."""
     axes, c4 = (0, 2, 3), (None, slice(None), None, None)
     eps, mom = x.dtype.type(1e-5), x.dtype.type(0.1)
-    if mode == "train":
-        mu = x.mean(axis=axes)
-        d = x - mu[c4]
-        var_ = (d * d).sum(axis=axes) / (x.size // x.shape[1])
-        rm, rv = (1 - mom) * rm + mom * mu, (1 - mom) * rv + mom * var_
-    else:
-        mu, var_ = rm, rv
+    mu = x.mean(axis=axes)
+    d = x - mu[c4]
+    var_ = (d * d).sum(axis=axes) / (x.size // x.shape[1])
+    rm, rv = (1 - mom) * rm + mom * mu, (1 - mom) * rv + mom * var_
     inv = 1.0 / np.sqrt(var_ + eps)
     xhat = (x - mu[c4]) * inv[c4]
     y = xhat * gd[c4] + bd[c4]
@@ -725,15 +716,13 @@ def _bn_serial(x, gd, bd, rm, rv, mode, relu, g):
         y = np.maximum(y, 0)
         g = g * (y > 0)
     dgamma, dbeta = (g * xhat).sum(axis=axes), g.sum(axis=axes)
-    if mode == "eval":
-        return y, g * (gd * inv)[c4], dgamma, dbeta, rm, rv
     dxhat = g * gd[c4]
     dx = (dxhat - dxhat.mean(axis=axes)[c4] - xhat * (dxhat * xhat).mean(axis=axes)[c4]) * inv[c4]
     return y, dx, dgamma, dbeta, rm, rv
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("mode", ["train"])  # batch norm's one mode; the cases keep their ids
 @pytest.mark.parametrize("op", [L.batch_norm, L.batch_norm_relu], ids=lambda op: op.__name__)
 def test_batch_norm_channel_ranges_are_bit_identical_to_one_range(monkeypatch, op, mode, dtype):
     # a gate of 0 splits every batch into min(c // 2, 3) channel ranges of at
@@ -759,7 +748,7 @@ def test_batch_norm_channel_ranges_are_bit_identical_to_one_range(monkeypatch, o
         bd = rng.standard_normal(c).astype(dtype)
         rm, rv = np.linspace(-0.2, 0.3, c, dtype=dtype), np.linspace(0.5, 2.0, c, dtype=dtype)
         g = rng.standard_normal(x.value.shape).astype(dtype)
-        want = _bn_serial(x.value, gd, bd, rm, rv, mode, op is L.batch_norm_relu, g)
+        want = _bn_serial(x.value, gd, bd, rm, rv, op is L.batch_norm_relu, g)
         intos = (False, True) if op is L.batch_norm_relu else (False,)
         for gate, into in itertools.product((np.inf, 0.0), intos):
             monkeypatch.setattr(L, "_SPLIT_BN", gate)
@@ -768,10 +757,10 @@ def test_batch_norm_channel_ranges_are_bit_identical_to_one_range(monkeypatch, o
                                   running_mean=rm.copy(), running_var=rv.copy())
             if into:
                 out = np.empty((5, c + 3, 6, 7), dtype)[:, 1:1 + c]
-                y = op(x, p, mode, out)
+                y = op(x, p, out)
                 assert y.value is out
             else:
-                y = op(x, p, mode)
+                y = op(x, p)
             got = (y.value, *y._backward_fn(g), p.running_mean, p.running_var)
             names = ("y", "dx", "dgamma", "dbeta", "running_mean", "running_var")
             for name, a, b in zip(names, got, want):
@@ -783,7 +772,7 @@ def test_batch_norm_relu_rejects_an_out_unlike_its_input():
     x = var(np.ones((2, 3, 4, 4)))
     for out in (np.empty((2, 4, 4, 4)), np.empty((2, 3, 4, 4), np.float32)):
         with pytest.raises(ShapeError):
-            L.batch_norm_relu(x, bn_params(3), "train", out)
+            L.batch_norm_relu(x, bn_params(3), out)
 
 
 def test_batch_norm_gradcheck_over_channel_ranges(monkeypatch):
@@ -793,21 +782,21 @@ def test_batch_norm_gradcheck_over_channel_ranges(monkeypatch):
     monkeypatch.setattr(L, "_SPLIT_BN", 0.0)
     monkeypatch.setattr(L, "_CPUS", 3)
     rows = [(name, err) for name, err in G.layer_checks() if name.startswith("batch_norm")]
-    assert len(rows) == 8
+    assert len(rows) == 6
     rng = np.random.default_rng(21)
     x, r = rng.standard_normal((2, 6, 4, 4)), rng.standard_normal((2, 6, 4, 4))
     gamma, beta = rng.standard_normal(6) + 1.5, rng.standard_normal(6)
-    for op, mode in itertools.product((L.batch_norm, L.batch_norm_relu), ("train", "eval")):
+    for op in (L.batch_norm, L.batch_norm_relu):
         leaves = {k: ad.Variable(a.copy(), requires_grad=True)
                   for k, a in (("x", x), ("gamma", gamma), ("beta", beta))}
 
         def loss():
             return ad.total(ad.mul(op(leaves["x"], L.BatchNormParams(leaves["gamma"],
-                                                                     leaves["beta"]), mode),
+                                                                     leaves["beta"])),
                                    ad.Variable(r)))
 
         errors = ad.gradient_errors(loss, leaves, None, G.EPS, floor=1e-12)
-        rows += [(f"{op.__name__}-{mode}-6ch/{k}", err) for k, err in errors.items()]
+        rows += [(f"{op.__name__}-6ch/{k}", err) for k, err in errors.items()]
     for name, err in rows:
         assert err < 1e-5, f"{name}: {err:.2e}"
 

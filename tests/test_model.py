@@ -257,7 +257,7 @@ def test_stage_concat_is_written_in_place_with_the_bits_of_a_copying_concat(monk
         assert np.array_equal(a, b)
 
 
-# --- untaped eval: batch norm folded into the conv -----------------------------------
+# --- eval is inference: untaped, batch norm folded into the conv ---------------------
 
 DESK = M.WaveletCnnConfig(levels=3, input_size=32, input_channels=1, channels=(12, 24, 32),
                           num_classes=6, precision="f32")
@@ -269,10 +269,11 @@ DESK = M.WaveletCnnConfig(levels=3, input_size=32, input_channels=1, channels=(1
     (tiny_config(ablated=True), 1e-12),
     (tiny_config(embedding_dim=5), 1e-12),
 ], ids=["desk-f32", "small-f64", "ablated-f64", "embedding-f64"])
-def test_folded_eval_matches_the_taped_eval(cfg, rtol):
-    # the taped eval path (`batch_norm_relu`) is the oracle; the blocks carry
-    # random biases and affine parameters and running statistics moved by
-    # train-mode forwards, so every term of the fold counts
+def test_folded_eval_matches_the_taped_eval(cfg, rtol, monkeypatch):
+    # the oracle is each block unfolded, as the taped eval path computed it:
+    # relu(gamma * (conv - mean) / sqrt(var + eps) + beta) on the conv's output;
+    # the blocks carry random biases and affine parameters and running
+    # statistics moved by train-mode forwards, so every term of the fold counts
     model = M.build(cfg)
     rng = np.random.default_rng(12)
     dt = np.float32 if cfg.precision == "f32" else np.float64
@@ -287,14 +288,44 @@ def test_folded_eval_matches_the_taped_eval(cfg, rtol):
     x = rng.standard_normal(shape).astype(dt)
     state = [p.value.copy() for p in model.params.values()] + \
         [b.copy() for b in model.buffers().values()]
-    taped = M.forward(model, x, "eval").value
-    with ad.no_grad():
-        folded = M.forward(model, x, "eval").value
-    assert folded.dtype == taped.dtype
-    assert np.max(np.abs(folded - taped)) <= rtol * np.max(np.abs(taped))
-    assert np.array_equal(folded.argmax(axis=1), taped.argmax(axis=1))
+    folded = M.forward(model, x, "eval").value
+
+    def unfolded_cbr(model, h, name, mode, out=None):
+        conv, bn = model.blocks[name]
+        c4 = (None, slice(None), None, None)
+        y = np.maximum(bn.gamma.value[c4] * (L.conv2d(h, conv).value - bn.running_mean[c4])
+                       / np.sqrt(bn.running_var[c4] + bn.epsilon) + bn.beta.value[c4], 0)
+        if out is not None:
+            out[...] = y
+            y = out
+        return ad.Variable(y)
+
+    monkeypatch.setattr(M, "_cbr", unfolded_cbr)
+    unfolded = M.forward(model, x, "eval").value
+    assert folded.dtype == unfolded.dtype
+    assert np.max(np.abs(folded - unfolded)) <= rtol * np.max(np.abs(unfolded))
+    assert np.array_equal(folded.argmax(axis=1), unfolded.argmax(axis=1))
     after = [p.value for p in model.params.values()] + list(model.buffers().values())
     assert all(np.array_equal(a, b) for a, b in zip(state, after, strict=True))
+
+
+@pytest.mark.parametrize("cfg", [DESK, tiny_config(embedding_dim=5)],
+                         ids=["desk-f32", "embedding-f64"])
+def test_eval_forward_ignores_the_taping_context(cfg):
+    # eval is inference wherever it runs: the same bits inside and outside
+    # `no_grad()`, and even a grad-requiring input leaves nothing to differentiate
+    model = M.build(cfg)
+    dt = np.float32 if cfg.precision == "f32" else np.float64
+    shape = (3, cfg.input_channels, cfg.input_size, cfg.input_size)
+    x = ad.Variable(np.random.default_rng(14).standard_normal(shape).astype(dt),
+                    requires_grad=True)
+    logits = M.forward(model, x, "eval")
+    with ad.no_grad():
+        inside = M.forward(model, x, "eval")
+    assert np.array_equal(logits.value, inside.value)
+    assert logits._parents == () and logits._backward_fn is None
+    assert ad.backward(L.softmax_cross_entropy(logits, np.array([0, 1, 2]))) == []
+    assert x.grad is None and all(p.grad is None for p in model.params.values())
 
 
 def test_evaluate_attaches_no_backward_closure(monkeypatch):
@@ -334,6 +365,26 @@ def test_checkpoint_roundtrip(tmp_path):
     before = M.forward(model, x, mode="eval").value
     after = M.forward(loaded, x, mode="eval").value
     assert np.array_equal(before, after)
+
+
+def test_load_model_draws_no_init(tmp_path, monkeypatch):
+    # every array comes from the file, so loading draws nothing from the INIT stream
+    model = M.build(tiny_config(embedding_dim=5))
+    M.forward(model, Tensor(np.random.default_rng(15).standard_normal((4, 3, 32, 32))), "train")
+    path = tmp_path / "model.wcnn"
+    M.save_model(model, path)
+
+    def refuse(*args):
+        raise AssertionError("load_model drew an initial weight")
+
+    monkeypatch.setattr(M, "_he_uniform", refuse)
+    loaded = M.load_model(path)
+    assert list(loaded.params) == list(model.params)
+    assert list(loaded.blocks) == list(model.blocks)
+    for name, v in model.params.items():
+        assert np.array_equal(loaded.params[name].value, v.value)
+    for name, t in model.buffers().items():
+        assert np.array_equal(loaded.buffers()[name], t)
 
 
 def test_checkpoint_rejects_truncation(tmp_path):

@@ -250,7 +250,7 @@ def test_paper_eval_forward_peak_memory(monkeypatch):
     # one eval forward of the default 224-px f32 model on a batch of 4, set up
     # as `test_paper_train_step_peak_memory`: untaped, every activation is
     # freed once the next block has read it, and each block's folded weights
-    # once its conv has run, so its arrays peak under 100 MB (181 MB taped)
+    # once its conv has run, so its arrays peak under 100 MB
     monkeypatch.setattr(L, "_CPUS", 2)
     model = M.build(M.WaveletCnnConfig())
     rng = np.random.default_rng(25)
