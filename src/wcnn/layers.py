@@ -45,12 +45,19 @@ no batch-norm output and bit-matches `relu(batch_norm(...))`.  `batch_norm`
 and `relu` stay as its reference and gradient-check oracle; `relu` also
 follows the optional embedding layer.  Batch norm is a training op: it
 normalizes with the batch's statistics and advances the running ones, which
-only the eval-mode fold in `model` reads.  A batch norm of `_SPLIT_BN`
-elements or more runs one channel range per CPU on the same pool, forward
-and backward; a smaller one runs the same code as one range.  A range holds
-at least two channels, which numpy reduces in the same order as the whole
-array, so its bits too match at any CPU count.  `_over_ranges` is the one split helper;
-`train.adam_step` uses it as well.
+only the eval-mode fold in `model` reads.  Each direction makes two fused
+per-channel sums and applies one scale per channel: the forward sums x,
+then the squares of x - mean (which, unlike E[x^2] - mean^2, does not cancel
+when the mean dwarfs the spread); the backward sums g and g * (x - mean),
+from which both batch-mean terms of dx follow (Ioffe & Szegedy,
+arXiv:1502.03167).  Every per-channel sum here and conv2d's db is one
+`np.einsum` pass with no temporary, 2-4x faster than a reduction over axes
+(0, 2, 3) at desk and 224-px shapes.  A batch norm of `_SPLIT_BN` elements
+or more runs one channel range per CPU on the same pool, forward and
+backward; a smaller one runs the same code as one range.  A range holds at
+least two channels, which einsum sums in the same order as the whole array,
+so its bits too match at any CPU count.  `_over_ranges` is the one split
+helper; `train.adam_step` uses it as well.
 """
 
 from __future__ import annotations
@@ -66,7 +73,10 @@ from .autodiff import Variable, record
 from .tensor import ShapeError, tag
 
 _SPLIT_FLOP = 5e7  # two ranges lost to hand-off below about 2e7, won 1.4-2.2x above 5e7
-_SPLIT_BN = 2**18  # elements; two channel ranges lost below 1e5, tied at 2e5, won 1.3-2x from 2.6e5
+# elements of a BN-ReLU forward and backward: two channel ranges ran 0.4-0.6x as
+# fast as one at 1e5 and 0.86-1.13x at 2e5; from 2.6e5 to 3.2e6, 1.3-1.8x while
+# the second CPU was free and 0.7-1.0x while other load held it
+_SPLIT_BN = 2**18
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = ThreadPoolExecutor(max_workers=_CPUS)
 
@@ -243,7 +253,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
 
     def backward_fn(g):
         db = np.empty(o, g.dtype)
-        _over_ranges(o, lambda lo, hi: g[:, lo:hi].sum(axis=(0, 2, 3), out=db[lo:hi]), split, 2)
+        _over_ranges(o, lambda lo, hi: np.einsum("nchw->c", g[:, lo:hi], out=db[lo:hi]), split, 2)
         # dW's taps X_t, each read against g laid out as its columns
         if kh == 1:  # the one tap is x itself
             gm, xs = g.reshape(n, o, ho * wo), [xd]
@@ -321,20 +331,20 @@ def relu(x: Variable) -> Variable:
 
 
 _C = (None, slice(None), None, None)  # a per-channel vector broadcast over NCHW
-_AXES = (0, 2, 3)  # the per-channel reduction axes
 
 
 def _bn_forward_range(xs, gd, bd, eps, relu: bool, out=None):
-    """(y, mean, var, inv) of the channels of xs: y = gamma * x-hat + beta,
-    then the ReLU if `relu`, in `out` or a fresh array, and the batch's own
-    per-channel statistics it used, inv = 1/sqrt(var + eps)."""
+    """(y, mean, var, inv) of the channels of xs: y = (x - mean) * (gamma *
+    inv) + beta, then the ReLU if `relu`, in `out` or a fresh array, and the
+    batch's own per-channel statistics it used, inv = 1/sqrt(var + eps).  The
+    variance sums the squares of x - mean, which does not cancel when the
+    mean is large against the spread."""
     count = xs.size // xs.shape[1]
-    mu = np.add.reduce(xs, axis=_AXES) / count  # the bits of xs.mean, without its wrapper
-    y = np.subtract(xs, mu[_C], out=out)  # x - mean once: the variance and x-hat share it
-    var = np.add.reduce(np.multiply(y, y), axis=_AXES) / count  # the bits of xs.var
+    mu = np.einsum("nchw->c", xs) / count
+    y = np.subtract(xs, mu[_C], out=out)
+    var = np.einsum("nchw,nchw->c", y, y) / count
     inv = 1.0 / np.sqrt(var + eps)
-    y *= inv[_C]  # x-hat, as `_bn_normalize` rebuilds it
-    y *= gd[_C]
+    y *= (gd * inv)[_C]
     y += bd[_C]
     if relu:
         np.maximum(y, 0, out=y)
@@ -348,14 +358,14 @@ def _joined(parts: list) -> tuple:
 
 
 def _bn_forward(xd: np.ndarray, p: BatchNormParams, relu: bool, out=None):
-    """(y, mean, inv): y = gamma * x-hat + beta (then the ReLU if `relu`),
-    and the batch statistics it used; `out`, if given, ends up holding y.
+    """(y, mean, inv): y = (x - mean) * (gamma * inv) + beta (then the ReLU
+    if `relu`), and the batch statistics it used; `out`, if given, ends up holding y.
     The running statistics advance by their EMA.  From `_SPLIT_BN` elements
     on, one channel range per CPU, each written in place into `out` (then y
     is `out`) or one fresh array; below, one range, into a fresh contiguous
-    array that is y and is copied into `out`.  A per-channel reduction over
-    two or more channels has the bits of the whole array's; numpy reduces a
-    single channel in another order, so every range holds at least two."""
+    array that is y and is copied into `out`.  A per-channel sum over two or
+    more channels has the bits of the whole array's; einsum sums a single
+    channel in another order, so every range holds at least two."""
     if xd.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got rank {xd.ndim}")
     n, c, h, w = xd.shape
@@ -386,36 +396,30 @@ def _bn_forward(xd: np.ndarray, p: BatchNormParams, relu: bool, out=None):
     return y, mu, inv
 
 
-def _bn_normalize(xd, mu, inv) -> np.ndarray:
-    """x-hat = (x - mean) * inv, in a fresh array."""
-    xhat = np.subtract(xd, mu[_C])
-    xhat *= inv[_C]
-    return xhat
-
-
 def _bn_backward_range(gy, xs, mu, inv, gd):
     """(dx, dgamma, dbeta) of the channels of xs from gy = dL/dy, which this
     overwrites with dx.
 
-    x-hat is rebuilt from x.  The statistics are the batch's, so dx carries
-    the batch-mean terms,
+    The statistics are the batch's, so dx carries the two batch-mean terms
+    (Ioffe & Szegedy, arXiv:1502.03167, section 3), both written with the
+    two channel sums dbeta = sum(gy) and dgamma = inv * sum(gy * d), where
+    d = x - mean:
 
-        dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),  dxhat = gy * gamma,
+        dx = k1 * gy + k2 * d + k3,  k1 = gamma * inv,
+        k2 = -k1 * inv * dgamma / count,  k3 = -k1 * dbeta / count,
 
-    evaluated in place in gy, the rebuilt x-hat and one product buffer,
-    operation for operation in this order, so the bits equal those of the
-    expression as written.
+    evaluated in place in gy and d, in this order, so the bits equal those of
+    the expression as written.
     """
-    dbeta = np.add.reduce(gy, axis=_AXES)
-    xhat = _bn_normalize(xs, mu, inv)
-    prod = gy * xhat
-    dgamma = np.add.reduce(prod, axis=_AXES)
     count = xs.size // xs.shape[1]
-    dxhat = np.multiply(gy, gd[_C], out=gy)
-    m2 = np.add.reduce(np.multiply(dxhat, xhat, out=prod), axis=_AXES) / count
-    dx = np.subtract(dxhat, (np.add.reduce(dxhat, axis=_AXES) / count)[_C], out=dxhat)
-    dx -= np.multiply(xhat, m2[_C], out=xhat)
-    dx *= inv[_C]
+    dbeta = np.einsum("nchw->c", gy)
+    d = np.subtract(xs, mu[_C])
+    dgamma = inv * np.einsum("nchw,nchw->c", gy, d)
+    k1 = gd * inv
+    dx = np.multiply(gy, k1[_C], out=gy)
+    d *= (-k1 * inv * dgamma / count)[_C]
+    dx += d
+    dx += (-k1 * dbeta / count)[_C]
     return dx, dgamma, dbeta
 
 
@@ -455,7 +459,7 @@ def batch_norm_relu(x: Variable, p: BatchNormParams, out=None) -> Variable:
     buffer) if given, else into a fresh array.
 
     The batch-norm output is never kept: the forward applies the ReLU in the
-    same buffer, and the backward rebuilds x-hat from x and the ReLU mask
+    same buffer, and the backward rebuilds x - mean from x and the ReLU mask
     from its own output (y > 0 exactly where the batch-norm output is).
     Below `_SPLIT_BN` the mask comes from the contiguous array the forward
     computed into, not from `out`: on a channel slice of a larger buffer the
