@@ -39,7 +39,7 @@ def layer_checks() -> list[tuple[str, float]]:
     x = rng.standard_normal((2, 3, 8, 8))
     w3 = rng.standard_normal((4, 3, 3, 3))
     w1 = rng.standard_normal((4, 3, 1, 1))
-    bias = rng.standard_normal(4)
+    shift = rng.standard_normal(4)
     r_conv = rng.standard_normal((2, 4, 8, 8))
     r_half = rng.standard_normal((2, 4, 4, 4))
     r_pool = rng.standard_normal((2, 3, 4, 4))
@@ -64,17 +64,21 @@ def layer_checks() -> list[tuple[str, float]]:
     x_cat = rng.standard_normal((2, 1, 8, 8))
     r_cat = rng.standard_normal((2, 4, 8, 8))
 
-    def conv(stride):
-        return lambda x, weight, bias: L.conv2d(x, L.Conv2dParams(weight, bias, stride))
+    def conv(stride, extent):
+        # then a fixed per-channel shift, as batch norm shifts a block's conv
+        # output: each row's loss, and so its central-difference rounding, stays
+        # what it was while conv2d added a bias
+        b = _v(np.broadcast_to(shift[:, None, None], (2, 4, extent, extent)))
+        return lambda x, weight: ad.add(L.conv2d(x, L.Conv2dParams(weight, stride)), b)
 
     def bn(op):
         return lambda x, gamma, beta: op(x, L.BatchNormParams(gamma, beta))
 
     table = [
-        ("conv2d", conv(1), r_conv, {"x": x, "weight": w3, "bias": bias}, {}),
-        ("conv2d-stride2", conv(2), r_half, {"x": x, "weight": w3, "bias": bias}, {}),
-        ("conv2d-stride2-odd", conv(2), r_half, {"x": x_odd}, {"weight": w3, "bias": bias}),
-        ("conv2d-1x1", conv(1), r_conv, {"x": x, "weight": w1}, {"bias": bias}),
+        ("conv2d", conv(1, 8), r_conv, {"x": x, "weight": w3}, {}),
+        ("conv2d-stride2", conv(2, 4), r_half, {"x": x, "weight": w3}, {}),
+        ("conv2d-stride2-odd", conv(2, 4), r_half, {"x": x_odd}, {"weight": w3}),
+        ("conv2d-1x1", conv(1, 8), r_conv, {"x": x, "weight": w1}, {}),
         ("average_pool", lambda x: L.average_pool(x, 2), r_pool, {"x": x}, {}),
         ("relu", L.relu, r_like, {"x": relu_x}, {}),
         ("batch_norm-train", bn(L.batch_norm), r_like,
@@ -120,8 +124,8 @@ def model_checks(config: M.WaveletCnnConfig, *, input_stride: int,
     The loss is the classification loss plus a fixed random linear functional
     of the logits, which keeps most gradients away from the central-difference
     noise floor.  The error denominator is floored at 1e-4: coordinates with
-    (near-)zero true gradient (conv biases feeding train-mode batch norm,
-    which cancels them; input pixels below 1e-6) would otherwise divide
+    (near-)zero true gradient (in the default check model, input pixels and
+    conv weights whose gradient is as small as 5e-8) would otherwise divide
     rounding noise by itself.  Floored coordinates must still agree to 1e-9
     absolute to stay under a 1e-5 threshold.  Train-mode batch norm advances
     running statistics it never reads, so every probe is the same function.

@@ -10,8 +10,11 @@ subband projections).  Each is zero-padded by k // 2, so stride 1 keeps the
 spatial extent and stride 2 halves it, rounding up.
 
 `conv2d` is one tap sum, two forward operand layouts, one dW method and two
-dx methods.  The forward is y = sum_t W_t @ X_t + b, and tap t of dW is the
-sum over images of g @ X_t^T; only the operands X_t differ.  A 3x3 stride-1
+dx methods.  The forward is y = sum_t W_t @ X_t, with no bias: every conv
+the network builds feeds batch norm, whose mean subtraction cancels a bias
+and whose beta takes over its role (Ioffe & Szegedy, arXiv:1502.03167,
+section 3.2).  Tap t of dW is the sum over images of g @ X_t^T; only the
+operands X_t differ from one kind to the next.  A 3x3 stride-1
 conv, most of the backbone, has nine taps (the low-memory kn2row of
 Anderson et al., arXiv:1709.03395): with each image's zero-padded rows laid
 end to end, tap (i, j) is the contiguous slice that starts i*row + j further
@@ -35,10 +38,10 @@ columns and scatters nothing; or, for im2col, the input-gradient columns
 scattered back one contiguous per-tap block at a time.
 
 A conv of `_SPLIT_FLOP` forward FLOPs or more runs on a thread pool, one
-range per CPU: of images for the forward and dx, of taps for dW, and of
-channels, two or more each, for db.  No split changes any output element's
-arithmetic, so bits match at any CPU count.  A split of a GEMM's rows or
-columns would not: BLAS may block a part other than the whole.
+range per CPU: of images for the forward and dx, and of taps for dW.  No
+split changes any output element's arithmetic, so bits match at any CPU
+count.  A split of a GEMM's rows or columns would not: BLAS may block a part
+other than the whole.
 
 A model block trains as `conv2d` then `batch_norm_relu`, one op that keeps
 no batch-norm output and bit-matches `relu(batch_norm(...))`.  `batch_norm`
@@ -50,7 +53,7 @@ per-channel sums and applies one scale per channel: the forward sums x,
 then the squares of x - mean (which, unlike E[x^2] - mean^2, does not cancel
 when the mean dwarfs the spread); the backward sums g and g * (x - mean),
 from which both batch-mean terms of dx follow (Ioffe & Szegedy,
-arXiv:1502.03167).  Every per-channel sum here and conv2d's db is one
+arXiv:1502.03167).  Every per-channel sum here is one
 `np.einsum` pass with no temporary, 2-4x faster than a reduction over axes
 (0, 2, 3) at desk and 224-px shapes.  A batch norm of `_SPLIT_BN` elements
 or more runs one channel range per CPU on the same pool, forward and
@@ -94,20 +97,17 @@ def _over_ranges(n: int, fn, split: bool = True, least: int = 1) -> list:
 
 @dataclass
 class Conv2dParams:
-    """Weights [out_ch, in_ch, k, k], bias [out_ch] and the stride of one of
-    the three conv kinds: 3x3 at stride 1 or 2, or 1x1 at stride 1."""
+    """Weights [out_ch, in_ch, k, k] and the stride of one of the three conv
+    kinds: 3x3 at stride 1 or 2, or 1x1 at stride 1."""
 
     weight: Variable
-    bias: Variable
     stride: int = 1
 
     def __post_init__(self):
-        o, c, kh, kw = self.weight.value.shape
+        kh, kw = self.weight.value.shape[2:]
         if (kh, kw, self.stride) not in ((3, 3, 1), (3, 3, 2), (1, 1, 1)):
             raise ShapeError(f"conv must be 3x3 at stride 1 or 2 or 1x1 at stride 1, "
                              f"got {kh}x{kw} at stride {self.stride}")
-        if self.bias.value.shape != (o,):
-            raise ShapeError(f"conv bias shape {self.bias.value.shape} != ({o},)")
 
 
 @dataclass
@@ -203,7 +203,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
 
     Every kind pads by k // 2, so the output extent per axis is
     ceil(in / stride): stride 1 keeps the shape, stride 2 halves it (rounding
-    up).  y = sum_t W_t @ X_t + b and dW_t = sum over images of g @ X_t^T,
+    up).  y = sum_t W_t @ X_t and dW_t = sum over images of g @ X_t^T,
     where the forward's operands X_t are the nine shifted slices of the
     padded rows or the one im2col column matrix, and dW's are x's taps, one
     at a time.  The backward closure keeps x, and no operands and no tap
@@ -213,8 +213,8 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
     xd = x.value
     if xd.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input, got rank {xd.ndim}")
-    w, b = p.weight, p.bias
-    wd, bd = w.value, b.value
+    w = p.weight
+    wd = w.value
     n, c, h, width = xd.shape
     o, cw, kh, kw = wd.shape
     if c != cw:
@@ -244,16 +244,14 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
             ops, row = [np.empty((m, ckk, ho * wo), xd.dtype)], wo
             np.copyto(ops[0].reshape(m, c, 3, 3, ho, wo), win.transpose(0, 1, 4, 5, 2, 3))
         # the GEMM writes y in place unless junk columns follow each output row
-        yf = y[lo:hi].reshape(hi - lo, o, ho * wo) if row == wo else \
-            np.empty((hi - lo, o, ho * row), xd.dtype)
+        yf = y[lo:hi].reshape(m, o, ho * wo) if row == wo else np.empty((m, o, ho * row), xd.dtype)
         _tap_sum(taps, ops, yf)
-        np.add(yf.reshape(hi - lo, o, ho, row)[..., :wo], bd[:, None, None], out=y[lo:hi])
+        if row != wo:
+            y[lo:hi] = yf.reshape(m, o, ho, row)[..., :wo]
 
     _over_ranges(n, forward_range, split)
 
     def backward_fn(g):
-        db = np.empty(o, g.dtype)
-        _over_ranges(o, lambda lo, hi: np.einsum("nchw->c", g[:, lo:hi], out=db[lo:hi]), split, 2)
         # dW's taps X_t, each read against g laid out as its columns
         if kh == 1:  # the one tap is x itself
             gm, xs = g.reshape(n, o, ho * wo), [xd]
@@ -277,7 +275,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
         xs = xp = None  # free the padded input before dx
         dw = dwt.transpose(1, 2, 0).reshape(o, c, kh, kw)
         if not x._live:
-            return None, dw, db
+            return None, dw
         if shifted:  # correlate g, padded by one, with the flipped taps transposed
             flipped = _weight_taps(wd)[::-1].transpose(0, 2, 1)  # views BLAS reads as transposed
             dxr = np.empty((n, c, h, row), g.dtype)  # rows of g's padded width
@@ -287,7 +285,7 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
                 _tap_sum(flipped, _tap_slices(gp[lo:hi], h), out)
 
             _over_ranges(n, input_grad_range, split)
-            return dxr[..., :width], dw, db
+            return dxr[..., :width], dw
         # scatter the input-gradient columns, one contiguous block per tap
         dcols = np.empty((n, c, kh, kw, ho, wo), g.dtype)
         dxp = np.zeros((n, c, h + 2 * pad, width + 2 * pad), dtype=g.dtype)
@@ -300,9 +298,9 @@ def conv2d(x: Variable, p: Conv2dParams) -> Variable:
                     dxp[lo:hi, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[lo:hi, :, i, j]
 
         _over_ranges(n, scatter_range, split)
-        return dxp[:, :, pad:pad + h, pad:pad + width], dw, db
+        return dxp[:, :, pad:pad + h, pad:pad + width], dw
 
-    return record("conv2d", y, (x, w, b), backward_fn)
+    return record("conv2d", y, (x, w), backward_fn)
 
 
 def average_pool(x: Variable, p: int) -> Variable:

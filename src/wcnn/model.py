@@ -11,14 +11,16 @@ reaches the end of the network.  The head is global average pooling, an
 optional embedding layer, and a fully connected classifier.
 
 Every convolution (down, proj, conv<b>) is one block: conv with padding k // 2,
-then batch norm and ReLU.  `_add_block` declares it into the one registry
-`Model.blocks`, which `forward`, `Model.buffers` and `load_model` all walk.
+then batch norm and ReLU.  The conv has no bias, which the batch norm's mean
+subtraction would cancel; beta is the block's shift.  `_add_block` declares
+each block into the one registry `Model.blocks`, which `forward`,
+`Model.buffers` and `load_model` all walk.
 A stage's down and proj blocks write their outputs into the channels of one
 stage buffer, so its concatenation copies nothing.  Train mode runs a block
 as the tape ops `layers.conv2d` and `layers.batch_norm_relu`.  Eval mode is
 inference: the forward runs under `autodiff.no_grad()`, whatever the caller's
-context, and folds each batch norm into its conv's weights and bias, so a
-block is one conv and an in-place ReLU.
+context, and folds each batch norm into its conv's weights and a
+per-channel shift, so a block is one conv, the shift and an in-place ReLU.
 
 The analysis filters are fixed and contribute zero trainable parameters;
 `param_count` walks only the registered parameter variables, and the tests
@@ -147,16 +149,13 @@ def _he_uniform(rng, dt, shape, fan_in: int, scale: float):
 
 def _add_block(model: Model, weight, name: str, in_ch: int, out_ch: int, k: int,
                stride: int = 1) -> None:
-    """One conv (padding k // 2) followed by its batch norm `<name>.bn`."""
+    """One conv (padding k // 2, no bias) followed by its batch norm `<name>.bn`."""
     w = _param(model, f"{name}.weight", weight((out_ch, in_ch, k, k), in_ch * k * k, 1.0))
-    b = _param(model, f"{name}.bias", np.zeros(out_ch))
     gamma = _param(model, f"{name}.bn.gamma", np.ones(out_ch))
     beta = _param(model, f"{name}.bn.beta", np.zeros(out_ch))
     cfg = model.config
-    model.blocks[name] = (
-        L.Conv2dParams(w, b, stride=stride),
-        L.BatchNormParams(gamma, beta, epsilon=cfg.bn_epsilon, momentum=cfg.bn_momentum),
-    )
+    model.blocks[name] = (L.Conv2dParams(w, stride), L.BatchNormParams(
+        gamma, beta, epsilon=cfg.bn_epsilon, momentum=cfg.bn_momentum))
 
 
 def _add_fc(model: Model, weight, name: str, d_in: int, d_out: int, scale: float = 1.0) -> None:
@@ -167,7 +166,7 @@ def _add_fc(model: Model, weight, name: str, d_in: int, d_out: int, scale: float
 def _layers(config: WaveletCnnConfig, weight) -> Model:
     """The layer graph of a valid `config`: stage t's detail subbands arrive
     at extent input/2^t.  `weight(shape, fan_in, scale)` supplies each weight
-    array, in declaration order; biases and betas start at 0, gammas at 1."""
+    array, in declaration order; FC biases and betas start at 0, gammas at 1."""
     model = Model(config=config)
     sched = config.resolved_channels()
 
@@ -209,13 +208,13 @@ def _cbr(model: Model, h: ad.Variable, name: str, mode: str, out=None) -> ad.Var
     if mode == "train":
         return L.batch_norm_relu(L.conv2d(h, conv), bn, out)
     # the batch norm folded into the conv (Ioffe & Szegedy, arXiv:1502.03167),
-    # w' = w * s and b' = (b - mean) * s + beta with s = gamma / sqrt(var + eps),
-    # rebuilt on every call; then the ReLU in place
+    # w' = w * s with s = gamma / sqrt(var + eps), rebuilt on every call; the
+    # shift beta - mean * s goes into the conv's own output, then the ReLU
+    # writes `out` (a channel slice, slower to update in place) or y
     s = bn.gamma.value / np.sqrt(bn.running_var + bn.epsilon)
-    folded = L.Conv2dParams(ad.Variable(conv.weight.value * s[:, None, None, None]),
-                            ad.Variable((conv.bias.value - bn.running_mean) * s + bn.beta.value),
-                            conv.stride)
-    y = L.conv2d(h, folded).value
+    w = ad.Variable(conv.weight.value * s[:, None, None, None])
+    y = L.conv2d(h, L.Conv2dParams(w, conv.stride)).value
+    y += (bn.beta.value - bn.running_mean * s)[:, None, None]
     return ad.Variable(np.maximum(y, 0, out=y if out is None else out))
 
 
@@ -336,7 +335,10 @@ def load_model(path) -> Model:
     Any malformed header line, config value, manifest line or payload raises
     `CheckpointError`, and so does a value `save_model` would not have
     written: an array whose shape or dtype is not the config's, a non-finite
-    parameter or buffer, or a negative running variance.
+    parameter or buffer, a negative running variance, or a manifest name
+    that is given twice or that the config does not declare.  A file written
+    while blocks had a conv bias loads with each block's bias folded into its
+    running mean (rm - b), which gives the same eval logits up to rounding.
     """
     with open(path, "rb") as fh:
         def line() -> str:
@@ -382,6 +384,8 @@ def load_model(path) -> Model:
             if len(parts) < 5 or not parts[-1].isdecimal():
                 raise CheckpointError(f"{path}: malformed manifest line {' '.join(parts)!r}")
             dtype, shape = parse_shape_fields(parts[2:-1])
+            if parts[0] in stored:
+                raise CheckpointError(f"{path}: {parts[0]} appears twice in the manifest")
             stored[parts[0]] = decode(blob, dtype, shape, int(parts[-1]))
     except (ConfigError, ShapeError) as e:
         raise CheckpointError(f"{path}: {e}") from None
@@ -389,7 +393,7 @@ def load_model(path) -> Model:
     def restore(name: str, like: np.ndarray) -> np.ndarray:
         if name not in stored:
             raise CheckpointError(f"{path}: missing {name}")
-        arr = stored[name]
+        arr = stored.pop(name)
         if arr.shape != like.shape or arr.dtype != like.dtype:
             raise CheckpointError(f"{path}: {name} is {tag(arr)}{list(arr.shape)}, "
                                   f"expected {tag(like)}{list(like.shape)}")
@@ -404,4 +408,8 @@ def load_model(path) -> Model:
         bn.running_var = restore(f"{name}.bn.running_var", bn.running_var)
         if np.any(bn.running_var < 0):
             raise CheckpointError(f"{path}: {name}.bn.running_var is negative")
+        if f"{name}.bias" in stored:  # a legacy conv bias b: (y + b) - rm = y - (rm - b)
+            bn.running_mean = bn.running_mean - restore(f"{name}.bias", bn.running_mean)
+    if stored:
+        raise CheckpointError(f"{path}: the config declares no {', '.join(sorted(stored))}")
     return model

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wcnn import autodiff as ad
 from wcnn import cli
 from wcnn import data as D
 from wcnn import gradcheck as G
@@ -427,6 +428,25 @@ def test_eval_checkpoint_with_corrupted_values_exits_2(tmp_path, corpus, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: {name}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("stray, message", [("undeclared", "the config declares no stage9.bogus.weight"),
+                                            ("twice", "stage1.down.bn.gamma appears twice")])
+def test_eval_checkpoint_with_a_stray_manifest_name_exits_2(tmp_path, corpus, capsys, stray,
+                                                             message):
+    model = M.build(RC.model_config_from(RC.load_config(write_cfg(tmp_path, corpus))))
+    if stray == "undeclared":
+        model.params["stage9.bogus.weight"] = ad.Variable(np.ones(3, np.float32))
+    path = tmp_path / "m.wcnn"
+    M.save_model(model, path)
+    if stray == "twice":
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"\nstage1.down.bn.beta ", b"\nstage1.down.bn.gamma ", 1))
+    rc = cli.main(["eval", str(path), "--manifest", str(corpus / "manifest.tsv"),
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
 
 
 def checkpoint_with_wavelet_line(tmp_path, corpus, wavelet):

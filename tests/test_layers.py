@@ -21,11 +21,8 @@ def var(arr, requires_grad=False, dtype="f64"):
     return ad.Variable(Tensor(np.asarray(arr), dtype=dtype), requires_grad=requires_grad)
 
 
-def conv_params(weight, bias=None, stride=1):
-    w = var(weight)
-    if bias is None:
-        bias = np.zeros(w.value.shape[0])
-    return L.Conv2dParams(w, var(bias), stride=stride)
+def conv_params(weight, stride=1):
+    return L.Conv2dParams(var(weight), stride=stride)
 
 
 # (kernel, stride, padding k // 2) of the three conv kinds the model builds
@@ -55,9 +52,8 @@ def test_conv2d_stride2_equals_stride1_then_downsample():
     rng = np.random.default_rng(0)
     x = var(rng.standard_normal((2, 3, 8, 8)))
     w = rng.standard_normal((4, 3, 3, 3))
-    b = rng.standard_normal(4)
-    y2 = L.conv2d(x, conv_params(w, b, stride=2)).value
-    y1 = L.conv2d(x, conv_params(w, b, stride=1)).value
+    y2 = L.conv2d(x, conv_params(w, stride=2)).value
+    y1 = L.conv2d(x, conv_params(w, stride=1)).value
     # two kernels (im2col at stride 2, shifted taps at stride 1) sum in different orders
     assert np.max(np.abs(y2 - y1[:, :, ::2, ::2])) <= 1e-12
 
@@ -97,30 +93,23 @@ def test_conv2d_finite_differences():
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal((1, 1, 8, 8))
     w0 = rng.standard_normal((2, 1, 3, 3))
-    b0 = rng.standard_normal(2)
 
     def wrt_x(v):
-        return ad.total(L.conv2d(v, conv_params(w0, b0)))
+        return ad.total(L.conv2d(v, conv_params(w0)))
 
     assert ad.finite_difference_check(wrt_x, Tensor(x0), eps=1e-5) < 1e-6
 
     def wrt_w(v):
-        p = L.Conv2dParams(v, var(b0), stride=2)
+        p = L.Conv2dParams(v, stride=2)
         return ad.total(L.conv2d(var(x0), p))
 
     assert ad.finite_difference_check(wrt_w, Tensor(w0), eps=1e-5) < 1e-6
 
-    def wrt_b(v):
-        p = L.Conv2dParams(var(w0), v)
-        return ad.total(L.conv2d(var(x0), p))
 
-    assert ad.finite_difference_check(wrt_b, Tensor(b0), eps=1e-5) < 1e-6
-
-
-def _conv2d_reference(xd, wd, bd, s, pad, g):
+def _conv2d_reference(xd, wd, s, pad, g):
     """Pixel-major (NHWC-ordered) im2col convolution, forward and backward.
 
-    Returns y and, for the output gradient g, (dx, dw, db).
+    Returns y and, for the output gradient g, (dx, dw).
     """
     n, c, h, width = xd.shape
     o, _, kh, kw = wd.shape
@@ -130,16 +119,15 @@ def _conv2d_reference(xd, wd, bd, s, pad, g):
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
     wmat = wd.reshape(o, c * kh * kw)
-    y = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2) + bd[None, :, None, None]
+    y = (cols @ wmat.T).reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
     gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
-    db = g.sum(axis=(0, 2, 3))
     dw = (gmat.T @ cols).reshape(o, c, kh, kw)
     dwin = (gmat @ wmat).reshape(n, ho, wo, c, kh, kw)
     dxp = np.zeros(xp.shape, dtype=g.dtype)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dwin[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return y, dxp[:, :, pad:pad + h, pad:pad + width], dw, db
+    return y, dxp[:, :, pad:pad + h, pad:pad + width], dw
 
 
 @pytest.mark.parametrize("dtype,rtol", [("f64", 1e-12), ("f32", 1e-5)])
@@ -148,14 +136,13 @@ def test_conv2d_matches_reference(k, s, pad, dtype, rtol):
     rng = np.random.default_rng(15)
     for n, (h, w) in itertools.product((1, 3), [(1, 1), (5, 5), (7, 6), (8, 8)]):
         x = var(rng.standard_normal((n, 2, h, w)), requires_grad=True, dtype=dtype)
-        p = L.Conv2dParams(var(rng.standard_normal((3, 2, k, k)), True, dtype),
-                           var(rng.standard_normal(3), True, dtype), stride=s)
+        p = L.Conv2dParams(var(rng.standard_normal((3, 2, k, k)), True, dtype), stride=s)
         y = L.conv2d(x, p)
         g = rng.standard_normal(y.value.shape).astype(y.value.dtype)
         ad.backward(ad.total(ad.mul(y, var(g, dtype=dtype))))
-        ref = _conv2d_reference(x.value, p.weight.value, p.bias.value, s, pad, g)
-        got = (y.value, x.grad, p.weight.grad, p.bias.grad)
-        for name, a, b in zip(("y", "dx", "dw", "db"), got, ref):
+        ref = _conv2d_reference(x.value, p.weight.value, s, pad, g)
+        got = (y.value, x.grad, p.weight.grad)
+        for name, a, b in zip(("y", "dx", "dw"), got, ref):
             assert a.shape == b.shape, name
             np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol, err_msg=f"{name} n={n} {h}x{w}")
 
@@ -166,18 +153,17 @@ def test_conv2d_dead_input_gradient_is_skipped():
     rng = np.random.default_rng(16)
     x0 = rng.standard_normal((2, 3, 7, 7))
     w0 = rng.standard_normal((4, 3, 3, 3))
-    b0 = rng.standard_normal(4)
     grads = []
     for live in (True, False):
         x = var(x0, requires_grad=live)
-        p = L.Conv2dParams(var(w0, True), var(b0, True), stride=2)
+        p = L.Conv2dParams(var(w0, True), stride=2)
         y = L.conv2d(x, p)
         dx = y._backward_fn(np.ones(y.value.shape))[0]
         assert (dx is None) == (not live)
         y = L.conv2d(x, p)
         ad.backward(ad.total(ad.mul(y, y)))
-        grads.append((p.weight.grad, p.bias.grad))
-    assert all(np.array_equal(a, b) for a, b in zip(*grads))
+        grads.append(p.weight.grad)
+    assert np.array_equal(*grads)
 
 
 def test_conv2d_output_is_contiguous_nchw():
@@ -203,8 +189,7 @@ def test_conv2d_image_output_does_not_depend_on_its_batch(k, s, pad, dtype):
     rng = np.random.default_rng(13)
     for h in (8, 4):
         x = var(rng.standard_normal((16, 12, h, h)), dtype=dtype)
-        p = L.Conv2dParams(var(rng.standard_normal((24, 12, k, k)), dtype=dtype),
-                           var(rng.standard_normal(24), dtype=dtype), stride=s)
+        p = L.Conv2dParams(var(rng.standard_normal((24, 12, k, k)), dtype=dtype), stride=s)
         whole = L.conv2d(x, p).value
         m = -(-24 // (h * h)) if (k, s) == (3, 1) else 1  # only that conv has the rule
         for i in range(0, 16, m):
@@ -276,7 +261,7 @@ def test_conv2d_backward_holds_no_weight_copy():
     assert held - y.value.nbytes < 0.5 * w_nbytes
 
 
-def _shifted_taps_serial(xd, wd, bd, g):
+def _shifted_taps_serial(xd, wd, g):
     """Whole-batch stride-1 3x3 conv2d as nine shifted GEMMs over flat padded rows."""
     width = xd.shape[3]
     o, c = wd.shape[:2]
@@ -291,7 +276,7 @@ def _shifted_taps_serial(xd, wd, bd, g):
 
     xf, row = flat(xd)
     yr = sum(np.ascontiguousarray(wd[:, :, i, j]) @ xs for i, j, xs in taps(xf, row, ho))
-    y = yr.reshape(-1, o, ho, row)[..., :wo] + bd[:, None, None]
+    y = yr.reshape(-1, o, ho, row)[..., :wo]
     gp = np.zeros((g.shape[0], o, ho, row), g.dtype)
     gp[..., :wo] = g
     gp = gp.reshape(-1, o, ho * row)
@@ -305,10 +290,10 @@ def _shifted_taps_serial(xd, wd, bd, g):
     flipped = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
     dxr = sum(flipped[i, j] @ gs for i, j, gs in taps(gf, grow, xd.shape[2]))
     dx = dxr.reshape(xd.shape[:3] + (grow,))[..., :width]
-    return y, dx, dw, np.einsum("nchw->c", g)
+    return y, dx, dw
 
 
-def _conv2d_serial(xd, wd, bd, s, pad, g):
+def _conv2d_serial(xd, wd, s, pad, g):
     """Whole-batch conv2d: the arithmetic every image range must repeat.  dW is
     formed tap by tap and image by image in order, whichever kernel the
     forward ran; a stride-1 3x3 conv reads its taps from the padded rows."""
@@ -316,7 +301,7 @@ def _conv2d_serial(xd, wd, bd, s, pad, g):
     o, _, kh, kw = wd.shape
     ho, wo = g.shape[2:]
     if kh == 3 and s == 1:
-        shifted = _shifted_taps_serial(xd, wd, bd, g)
+        shifted = _shifted_taps_serial(xd, wd, g)
         if n * ho * wo >= o:
             return shifted
     xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
@@ -324,7 +309,6 @@ def _conv2d_serial(xd, wd, bd, s, pad, g):
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
     wmat = wd.reshape(o, c * kh * kw)
     y = (wmat @ cols).reshape(n, o, ho, wo)
-    y += bd[:, None, None]
     gm = g.reshape(n, o, ho * wo)
     if kh == 3 and s == 1:
         dw = shifted[2]
@@ -342,22 +326,22 @@ def _conv2d_serial(xd, wd, bd, s, pad, g):
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, :, i, j]
-    return y, dxp[:, :, pad:pad + h, pad:pad + width], dw, np.einsum("nchw->c", g)
+    return y, dxp[:, :, pad:pad + h, pad:pad + width], dw
 
 
-def _check_conv2d_ranges(monkeypatch, x0, w0, b0, g, s, dtype, label):
-    """conv2d's y, dx, dW and db on one range and on one uneven range per CPU
+def _check_conv2d_ranges(monkeypatch, x0, w0, g, s, dtype, label):
+    """conv2d's y, dx and dW on one range and on one uneven range per CPU
     have the bits of the whole-batch arithmetic."""
     x = var(x0, requires_grad=True, dtype=dtype)
-    p = L.Conv2dParams(var(w0, True, dtype), var(b0, True, dtype), stride=s)
+    p = L.Conv2dParams(var(w0, True, dtype), stride=s)
     g = g.astype(x.value.dtype)
-    want = _conv2d_serial(x.value, p.weight.value, p.bias.value, s, w0.shape[2] // 2, g)
+    want = _conv2d_serial(x.value, p.weight.value, s, w0.shape[2] // 2, g)
     for gate, cpus in ((np.inf, 3), *((0.0, cpus) for cpus in (2, 3, 4, 9, 10))):
         monkeypatch.setattr(L, "_SPLIT_FLOP", gate)
         monkeypatch.setattr(L, "_CPUS", cpus)
         y = L.conv2d(x, p)
         got = (y.value, *y._backward_fn(g))
-        for name, a, b in zip(("y", "dx", "dw", "db"), got, want):
+        for name, a, b in zip(("y", "dx", "dw"), got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), \
                 f"{name} {label} gate={gate} cpus={cpus}"
 
@@ -367,7 +351,7 @@ def _check_conv2d_ranges(monkeypatch, x0, w0, b0, g, s, dtype, label):
 def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, pad, dtype):
     # a gate of inf runs one range on the calling thread; a gate of 0 splits
     # the work into one uneven range per CPU on the pool: images (forward,
-    # dx), taps (dW) or channels (db, two or more each).  At every CPU count,
+    # dx) or taps (dW).  At every CPU count,
     # up to more ranges than there are taps, all must give the bits of the
     # whole-batch arithmetic
     rng = np.random.default_rng(18)
@@ -380,14 +364,14 @@ def test_conv2d_image_ranges_are_bit_identical_to_one_range(monkeypatch, k, s, p
     for n, (kind, make) in itertools.product((1, 2, 3, 5), views.items()):
         x0 = make(n)
         assert x0.shape == (n, 4, 9, 8) and (kind == "owned") == (x0.base is None)
-        w0, b0 = rng.standard_normal((5, 4, k, k)), rng.standard_normal(5)
+        w0 = rng.standard_normal((5, 4, k, k))
         g = rng.standard_normal((n, 5, (9 + 2 * pad - k) // s + 1, (8 + 2 * pad - k) // s + 1))
-        _check_conv2d_ranges(monkeypatch, x0, w0, b0, g, s, dtype, f"n={n} {kind}")
+        _check_conv2d_ranges(monkeypatch, x0, w0, g, s, dtype, f"n={n} {kind}")
     if s == 2:  # a stage-opening conv of desk size, where one GEMM over all nine
         # taps' columns rounds otherwise than nine GEMMs of one tap each
         x0, w0 = rng.standard_normal((16, 12, 16, 16)), rng.standard_normal((24, 12, 3, 3))
         g = rng.standard_normal((16, 24, 8, 8))
-        _check_conv2d_ranges(monkeypatch, x0, w0, rng.standard_normal(24), g, s, dtype, "desk")
+        _check_conv2d_ranges(monkeypatch, x0, w0, g, s, dtype, "desk")
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -402,10 +386,9 @@ def test_conv2d_weight_image_sum_is_in_image_order_for_lone_elements(monkeypatch
     rng = np.random.default_rng(19)
     scale = np.logspace(0, 7, 9)[:, None, None, None]  # rounding that depends on the order
     x = var(rng.standard_normal((9, 1, 4, 4)) * scale, requires_grad=True, dtype=dtype)
-    p = L.Conv2dParams(var(rng.standard_normal((o, 1, k, k)), True, dtype),
-                       var(np.zeros(o), True, dtype))
+    p = L.Conv2dParams(var(rng.standard_normal((o, 1, k, k)), True, dtype))
     g = rng.standard_normal((9, o, 4, 4)).astype(x.value.dtype)
-    want = _conv2d_serial(x.value, p.weight.value, p.bias.value, 1, k // 2, g)[2]
+    want = _conv2d_serial(x.value, p.weight.value, 1, k // 2, g)[2]
     assert np.array_equal(L.conv2d(x, p)._backward_fn(g)[1], want)
 
 
@@ -426,10 +409,9 @@ def test_conv2d_generated_shapes(data):
                   label="o")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     x = var(rng.standard_normal((n, c, h, w)), requires_grad=True, dtype=dtype)
-    p = L.Conv2dParams(var(rng.standard_normal((o, c, k, k)), True, dtype),
-                       var(rng.standard_normal(o), True, dtype), stride=s)
+    p = L.Conv2dParams(var(rng.standard_normal((o, c, k, k)), True, dtype), stride=s)
     g = rng.standard_normal((n, o, -(-h // s), -(-w // s))).astype(x.value.dtype)
-    ref = _conv2d_reference(x.value, p.weight.value, p.bias.value, s, pad, g)
+    ref = _conv2d_reference(x.value, p.weight.value, s, pad, g)
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(L, "_CPUS", 3)
@@ -437,7 +419,7 @@ def test_conv2d_generated_shapes(data):
             mp.setattr(L, "_SPLIT_FLOP", gate)
             y = L.conv2d(x, p)
             runs.append((y.value, *y._backward_fn(g)))
-    for name, one, split, want in zip(("y", "dx", "dw", "db"), *runs, ref):
+    for name, one, split, want in zip(("y", "dx", "dw"), *runs, ref):
         atol = rtol * max(1.0, float(np.abs(want).max()))
         np.testing.assert_allclose(one, want, rtol=rtol, atol=atol, err_msg=name)
         assert one.dtype == split.dtype and np.array_equal(one, split), name
@@ -448,14 +430,13 @@ def test_conv2d_gradcheck_over_image_ranges(monkeypatch):
     monkeypatch.setattr(L, "_SPLIT_FLOP", 0.0)
     monkeypatch.setattr(L, "_CPUS", 2)
     rows = [(name, err) for name, err in G.layer_checks() if name.startswith("conv2d")]
-    assert len(rows) == 9
+    assert len(rows) == 7
     for name, err in rows:
         assert err < 1e-5, f"{name}: {err:.2e}"
 
 
 LAYER_ROWS = [
-    "conv2d/x", "conv2d/weight", "conv2d/bias",
-    "conv2d-stride2/x", "conv2d-stride2/weight", "conv2d-stride2/bias",
+    "conv2d/x", "conv2d/weight", "conv2d-stride2/x", "conv2d-stride2/weight",
     "conv2d-stride2-odd/x", "conv2d-1x1/x", "conv2d-1x1/weight",
     "average_pool/x", "relu/x",
     "batch_norm-train/x", "batch_norm-train/gamma", "batch_norm-train/beta",
@@ -592,13 +573,13 @@ def test_batch_norm_eval_matches_hand_computation():
     # one eval block, its batch norm folded into the conv: four samples of one
     # channel through a 1x1 conv, with the running statistics set by hand
     x = np.array([-1.0, 1.0, 2.0, 3.0]).reshape(4, 1, 1, 1)
-    conv = L.Conv2dParams(var([[[[1.5]]]]), var([0.1]))
+    conv = L.Conv2dParams(var([[[[1.5]]]]))
     p = bn_params(1, gamma=[2.0], beta=[0.25], epsilon=1e-5)
     p.running_mean = np.array([0.5])
     p.running_var = np.array([4.0])
     block = M.Model(M.WaveletCnnConfig(), blocks={"block": (conv, p)})
     y = M._cbr(block, var(x), "block", "eval").value.reshape(-1)
-    expected = np.maximum((1.5 * x.reshape(-1) + 0.1 - 0.5) / np.sqrt(4.0 + 1e-5) * 2.0 + 0.25, 0)
+    expected = np.maximum((1.5 * x.reshape(-1) - 0.5) / np.sqrt(4.0 + 1e-5) * 2.0 + 0.25, 0)
     assert y[0] == 0.0 and np.all(y[1:] > 0)
     assert np.max(np.abs(y - expected)) < 1e-14
 

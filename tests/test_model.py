@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,16 +26,16 @@ def census_walker(cfg: M.WaveletCnnConfig) -> int:
     total = 0
     prev = cfg.input_channels
     for out in sched:
-        total += out * prev * 9 + out  # stride-2 conv, 3x3 kernel + bias
+        total += out * prev * 9  # stride-2 conv, 3x3 kernel, no bias
         total += 2 * out  # batch norm gamma/beta
         width = out
         if not cfg.ablated:
             proj = max(1, int(out * cfg.proj_fraction + 0.5))
-            total += proj * (3 * cfg.input_channels) + proj  # 1x1 projection
+            total += proj * (3 * cfg.input_channels)  # 1x1 projection
             total += 2 * proj
             width = out + proj
         for _ in range(cfg.blocks_per_stage):
-            total += out * width * 9 + out
+            total += out * width * 9
             total += 2 * out
             width = out
         prev = out
@@ -99,11 +101,26 @@ def test_param_count_matches_census_walker():
 
 
 def test_param_count_layer_examples():
-    # stage1.down for 3 -> 8 channels: 8*3*9 + 8 = 224; its norm: 2*8 = 16
+    # stage1.down for 3 -> 8 channels: 8*3*9 = 216; its norm: 2*8 = 16
     model = M.build(tiny_config())
     breakdown = dict(M.param_count(model)[1])
-    assert breakdown["stage1.down"] == 224
+    assert breakdown["stage1.down"] == 216
     assert breakdown["stage1.down.bn"] == 16
+
+
+@pytest.mark.parametrize("ablated, embedding_dim", [(False, 0), (True, 0), (False, 5)],
+                         ids=["full", "ablated", "embedding"])
+def test_every_declared_parameter_learns(ablated, embedding_dim):
+    # no parameter that does nothing: after the backward of one f64 desk train
+    # step, every parameter's gradient stands well above rounding noise (here a
+    # conv bias under batch norm read 6.5e-19 to 1.0e-17, all else 1.4e-3 or more)
+    cfg = replace(DESK, precision="f64", ablated=ablated, embedding_dim=embedding_dim)
+    model = M.build(cfg)
+    x = np.random.default_rng(20).standard_normal((8, 1, 32, 32))
+    logits = M.forward(model, x, "train")
+    ad.backward(L.softmax_cross_entropy(logits, np.arange(8) % cfg.num_classes))
+    for name, p in model.params.items():
+        assert np.max(np.abs(p.grad)) > 1e-8, name
 
 
 def test_default_config_under_20m():
@@ -263,6 +280,25 @@ DESK = M.WaveletCnnConfig(levels=3, input_size=32, input_channels=1, channels=(1
                           num_classes=6, precision="f32")
 
 
+def unfolded_cbr(biases: dict):
+    """A stand-in for `model._cbr` that runs each eval block unfolded,
+    relu(gamma * (conv + b - mean) / sqrt(var + eps) + beta), where b is
+    `biases[block]`, a conv bias as blocks once had, or 0 if absent."""
+    def cbr(model, h, name, mode, out=None):
+        conv, bn = model.blocks[name]
+        c4 = (None, slice(None), None, None)
+        y = L.conv2d(h, conv).value
+        if name in biases:
+            y = y + biases[name][c4]
+        y = np.maximum(bn.gamma.value[c4] * (y - bn.running_mean[c4])
+                       / np.sqrt(bn.running_var[c4] + bn.epsilon) + bn.beta.value[c4], 0)
+        if out is not None:
+            out[...] = y
+            y = out
+        return ad.Variable(y)
+    return cbr
+
+
 @pytest.mark.parametrize("cfg, rtol", [
     (DESK, 1e-5),
     (tiny_config(channels=(4, 6), blocks_per_stage=1), 1e-12),
@@ -270,10 +306,9 @@ DESK = M.WaveletCnnConfig(levels=3, input_size=32, input_channels=1, channels=(1
     (tiny_config(embedding_dim=5), 1e-12),
 ], ids=["desk-f32", "small-f64", "ablated-f64", "embedding-f64"])
 def test_folded_eval_matches_the_taped_eval(cfg, rtol, monkeypatch):
-    # the oracle is each block unfolded, as the taped eval path computed it:
-    # relu(gamma * (conv - mean) / sqrt(var + eps) + beta) on the conv's output;
-    # the blocks carry random biases and affine parameters and running
-    # statistics moved by train-mode forwards, so every term of the fold counts
+    # the oracle is each block unfolded, as the taped eval path computed it;
+    # the blocks carry random affine parameters, the head random biases, and
+    # running statistics moved by train-mode forwards, so every term counts
     model = M.build(cfg)
     rng = np.random.default_rng(12)
     dt = np.float32 if cfg.precision == "f32" else np.float64
@@ -289,18 +324,7 @@ def test_folded_eval_matches_the_taped_eval(cfg, rtol, monkeypatch):
     state = [p.value.copy() for p in model.params.values()] + \
         [b.copy() for b in model.buffers().values()]
     folded = M.forward(model, x, "eval").value
-
-    def unfolded_cbr(model, h, name, mode, out=None):
-        conv, bn = model.blocks[name]
-        c4 = (None, slice(None), None, None)
-        y = np.maximum(bn.gamma.value[c4] * (L.conv2d(h, conv).value - bn.running_mean[c4])
-                       / np.sqrt(bn.running_var[c4] + bn.epsilon) + bn.beta.value[c4], 0)
-        if out is not None:
-            out[...] = y
-            y = out
-        return ad.Variable(y)
-
-    monkeypatch.setattr(M, "_cbr", unfolded_cbr)
+    monkeypatch.setattr(M, "_cbr", unfolded_cbr({}))
     unfolded = M.forward(model, x, "eval").value
     assert folded.dtype == unfolded.dtype
     assert np.max(np.abs(folded - unfolded)) <= rtol * np.max(np.abs(unfolded))
@@ -385,6 +409,79 @@ def test_load_model_draws_no_init(tmp_path, monkeypatch):
         assert np.array_equal(loaded.params[name].value, v.value)
     for name, t in model.buffers().items():
         assert np.array_equal(loaded.buffers()[name], t)
+
+
+def with_legacy_biases(model: M.Model, rng) -> dict:
+    """Give `model` the parameter layout blocks had while their conv carried
+    a bias: a random `<block>.bias` after each block's weight.  Returns the
+    biases by block."""
+    params, biases = {}, {}
+    for name, v in model.params.items():
+        params[name] = v
+        block = name.removesuffix(".weight")
+        if block in model.blocks:
+            biases[block] = 0.1 * rng.standard_normal(v.value.shape[0])
+            params[f"{block}.bias"] = ad.Variable(biases[block])
+    model.params = params
+    return biases
+
+
+@pytest.mark.parametrize("cfg", [tiny_config(embedding_dim=5), tiny_config(ablated=True)],
+                         ids=["embedding", "ablated"])
+def test_legacy_checkpoint_folds_block_biases_into_running_means(tmp_path, monkeypatch, cfg):
+    # a WCNN1 file written while blocks had a conv bias loads without it and
+    # gives the eval logits of its unfolded blocks with the biases in:
+    # (conv + b - mean) * s = (conv - (mean - b)) * s
+    model = M.build(cfg)
+    rng = np.random.default_rng(21)
+    shape = (6, cfg.input_channels, cfg.input_size, cfg.input_size)
+    for _ in range(2):
+        M.forward(model, rng.standard_normal(shape), "train")
+    biases = with_legacy_biases(model, rng)
+    assert biases.keys() == model.blocks.keys()
+    path = tmp_path / "legacy.wcnn"
+    M.save_model(model, path)
+    loaded = M.load_model(path)
+    assert list(loaded.params) == [n for n in model.params if n.removesuffix(".bias") not in biases]
+    x = rng.standard_normal(shape)
+    got = M.forward(loaded, x, "eval").value
+    monkeypatch.setattr(M, "_cbr", unfolded_cbr(biases))
+    want = M.forward(model, x, "eval").value
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+@pytest.mark.parametrize("bias, match", [(np.zeros(3), r"is f64\[3\], expected f64\[8\]"),
+                                         (np.zeros(8, np.float32), r"is f32\[8\], expected f64"),
+                                         (np.full(8, np.inf), "is not finite")])
+def test_legacy_block_bias_is_checked_like_any_stored_array(tmp_path, bias, match):
+    model = M.build(tiny_config())
+    saved = np.nan_to_num(bias)  # save_model writes finite values only: the inf goes in after
+    model.params["stage1.conv1.bias"] = ad.Variable(saved)
+    path = tmp_path / "legacy.wcnn"
+    M.save_model(model, path)
+    le = bias.dtype.newbyteorder("<")
+    path.write_bytes(path.read_bytes().replace(saved.astype(le).tobytes(), bias.astype(le).tobytes()))
+    with pytest.raises(M.CheckpointError, match=r"stage1\.conv1\.bias " + match):
+        M.load_model(path)
+
+
+def test_checkpoint_rejects_a_manifest_name_the_config_does_not_declare(tmp_path):
+    model = M.build(tiny_config())
+    model.params["stage9.bogus.weight"] = ad.Variable(np.ones(3))
+    path = tmp_path / "model.wcnn"
+    M.save_model(model, path)
+    with pytest.raises(M.CheckpointError, match=r"declares no stage9\.bogus\.weight"):
+        M.load_model(path)
+
+
+def test_checkpoint_rejects_a_manifest_name_given_twice(tmp_path):
+    path = tmp_path / "model.wcnn"
+    M.save_model(M.build(tiny_config()), path)
+    raw = path.read_bytes().replace(b"\nstage1.down.bn.beta ", b"\nstage1.down.bn.gamma ", 1)
+    path.write_bytes(raw)
+    with pytest.raises(M.CheckpointError, match=r"stage1\.down\.bn\.gamma appears twice"):
+        M.load_model(path)
 
 
 def test_checkpoint_rejects_truncation(tmp_path):

@@ -245,8 +245,7 @@ def test_cnn_reduction_equals_strided_conv_chain():
     for k in (k1, k2):
         # conv2d pads by k // 2: its step is the reduction step of its input padded by one
         want = W.generalized_conv_pool(np.pad(h.value, ((0, 0), (0, 0), (1, 1), (1, 1))), k, 2)
-        p = L.Conv2dParams(ad.Variable(Tensor(k.reshape(1, 1, 3, 3))),
-                           ad.Variable(Tensor(np.zeros(1))), stride=2)
+        p = L.Conv2dParams(ad.Variable(Tensor(k.reshape(1, 1, 3, 3))), stride=2)
         h = L.conv2d(h, p)
         assert rel_err(want.data, h.value) < 1e-12
 
