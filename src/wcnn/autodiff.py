@@ -24,6 +24,10 @@ no parents and no closure, so each value is freed as soon as the caller drops
 it.  An eval-mode `model.forward` runs its whole body so, as do the probe
 forwards of `gradient_errors`.  Taping is off for the whole process while the
 context is open.
+
+An op outside this module records its node with `record` too: `model.forward`
+records each stage buffer, whose channels its blocks wrote, as the
+`concat_channels` of those blocks, without the copy `concat_channels` makes.
 """
 
 from __future__ import annotations
@@ -185,31 +189,10 @@ def total(a: Variable) -> Variable:
     return record("total", value, (a,), lambda g: (np.full(shape, g.reshape(-1)[0], dtype=dt),))
 
 
-def _tiled(parts: list[Variable]) -> np.ndarray | None:
-    """The memory-owning array whose channels the parts' values are, in order
-    and without gap or overlap, or None if they are not such slices of one."""
-    first = parts[0].value
-    base = first.base
-    if not isinstance(base, np.ndarray) or base.ndim != 4:
-        return None
-    at = 0
-    for p in parts:
-        v = p.value
-        if v.base is not base or v.strides != base.strides or \
-                v.ctypes.data != base.ctypes.data + at * base.strides[1]:
-            return None
-        at += v.shape[1]
-    return base if base.shape == (first.shape[0], at, *first.shape[2:]) else None
-
-
 def concat_channels(parts: list[Variable]) -> Variable:
-    """Concatenate NCHW values along the channel axis, in argument order.
-
-    Every part must agree with the first on batch, height, width and dtype.
-    Parts whose values are consecutive channel slices that tile one array
-    owning its memory (as `model.forward` writes each stage's parts) record
-    that array itself, with no copy; any other parts are copied into a fresh one.
-    """
+    """Concatenate NCHW values along the channel axis, in argument order, into
+    a fresh array.  Every part must agree with the first on batch, height,
+    width and dtype."""
     if not parts:
         raise ShapeError("concat_channels requires at least one part")
     first = parts[0].value
@@ -220,9 +203,7 @@ def concat_channels(parts: list[Variable]) -> Variable:
             raise ShapeError(f"concat_channels spatial/batch mismatch: {first.shape} vs {t.shape}")
         if t.dtype != first.dtype:
             raise ShapeError(f"concat_channels dtype mismatch: {tag(first)} vs {tag(t)}")
-    value = _tiled(parts)
-    if value is None:
-        value = np.concatenate([p.value for p in parts], axis=1)
+    value = np.concatenate([p.value for p in parts], axis=1)
     sizes = [p.value.shape[1] for p in parts]
 
     def backward_fn(g):

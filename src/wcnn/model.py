@@ -16,7 +16,8 @@ subtraction would cancel; beta is the block's shift.  `_add_block` declares
 each block into the one registry `Model.blocks`, which `forward`,
 `Model.buffers` and `load_model` all walk.
 A stage's down and proj blocks write their outputs into the channels of one
-stage buffer, so its concatenation copies nothing.  Train mode runs a block
+stage buffer, which `forward` records itself as the tape op `concat_channels`
+of the two, so the concatenation copies nothing.  Train mode runs a block
 as the tape ops `layers.conv2d` and `layers.batch_norm_relu`.  Eval mode is
 inference: the forward runs under `autodiff.no_grad()`, whatever the caller's
 context, and folds each batch norm into its conv's weights and a
@@ -247,12 +248,13 @@ def forward(model: Model, batch, mode: str = "eval") -> ad.Variable:
             stage = f"stage{t}"
             if stacks is None:
                 h = _cbr(model, h, f"{stage}.down", mode)
-            else:  # down and proj write their channels of one stage buffer, the concat's value
+            else:  # down and proj write the channels of one stage buffer, recorded as their concat
                 extent = cfg.input_size >> t
                 buf = np.empty((shape[0], c + cfg.proj_width(c), extent, extent), x.value.dtype)
-                h = ad.concat_channels([_cbr(model, h, f"{stage}.down", mode, buf[:, :c]),
-                                        _cbr(model, stacks[t - 1], f"{stage}.proj", mode,
-                                             buf[:, c:])])
+                h = ad.record("concat_channels", buf,
+                              (_cbr(model, h, f"{stage}.down", mode, buf[:, :c]),
+                               _cbr(model, stacks[t - 1], f"{stage}.proj", mode, buf[:, c:])),
+                              lambda g, c=c: (g[:, :c], g[:, c:]))
             for b in range(1, cfg.blocks_per_stage + 1):
                 h = _cbr(model, h, f"{stage}.conv{b}", mode)
 
@@ -335,8 +337,10 @@ def load_model(path) -> Model:
     Any malformed header line, config value, manifest line or payload raises
     `CheckpointError`, and so does a value `save_model` would not have
     written: an array whose shape or dtype is not the config's, a non-finite
-    parameter or buffer, a negative running variance, or a manifest name
-    that is given twice or that the config does not declare.  A file written
+    parameter or buffer, a negative running variance, a manifest name
+    that is given twice or that the config does not declare, a kind other
+    than `param` for a parameter or `buffer` for a running statistic, or
+    offsets that do not tile the payload in manifest order.  A file written
     while blocks had a conv bias loads with each block's bias folded into its
     running mean (rm - b), which gives the same eval logits up to rounding.
     """
@@ -378,7 +382,7 @@ def load_model(path) -> Model:
         config.validate()
         # every array is restored below, so nothing is drawn
         model = _layers(config, lambda shape, *_: np.empty(shape, DTYPES[config.precision]))
-        stored = {}
+        stored, end = {}, 0
         for parts in manifest:
             # name kind <dtype> <ndim> <d0> ... offset
             if len(parts) < 5 or not parts[-1].isdecimal():
@@ -386,14 +390,23 @@ def load_model(path) -> Model:
             dtype, shape = parse_shape_fields(parts[2:-1])
             if parts[0] in stored:
                 raise CheckpointError(f"{path}: {parts[0]} appears twice in the manifest")
-            stored[parts[0]] = decode(blob, dtype, shape, int(parts[-1]))
+            if int(parts[-1]) != end:  # each entry starts where the one before it ended
+                raise CheckpointError(f"{path}: {parts[0]} starts at payload byte "
+                                      f"{parts[-1]}, expected {end}")
+            arr = decode(blob, dtype, shape, end)
+            stored[parts[0]] = parts[1], arr
+            end += arr.nbytes
+        if end != nbytes:
+            raise CheckpointError(f"{path}: the manifest covers {end} of {nbytes} payload bytes")
     except (ConfigError, ShapeError) as e:
         raise CheckpointError(f"{path}: {e}") from None
 
-    def restore(name: str, like: np.ndarray) -> np.ndarray:
+    def restore(name: str, like: np.ndarray, kind: str) -> np.ndarray:
         if name not in stored:
             raise CheckpointError(f"{path}: missing {name}")
-        arr = stored.pop(name)
+        stored_kind, arr = stored.pop(name)
+        if stored_kind != kind:
+            raise CheckpointError(f"{path}: {name} is stored as {stored_kind!r}, expected {kind!r}")
         if arr.shape != like.shape or arr.dtype != like.dtype:
             raise CheckpointError(f"{path}: {name} is {tag(arr)}{list(arr.shape)}, "
                                   f"expected {tag(like)}{list(like.shape)}")
@@ -402,14 +415,14 @@ def load_model(path) -> Model:
         return arr
 
     for name, v in model.params.items():
-        v.value = restore(name, v.value)
+        v.value = restore(name, v.value, "param")
     for name, (_, bn) in model.blocks.items():
-        bn.running_mean = restore(f"{name}.bn.running_mean", bn.running_mean)
-        bn.running_var = restore(f"{name}.bn.running_var", bn.running_var)
+        bn.running_mean = restore(f"{name}.bn.running_mean", bn.running_mean, "buffer")
+        bn.running_var = restore(f"{name}.bn.running_var", bn.running_var, "buffer")
         if np.any(bn.running_var < 0):
             raise CheckpointError(f"{path}: {name}.bn.running_var is negative")
         if f"{name}.bias" in stored:  # a legacy conv bias b: (y + b) - rm = y - (rm - b)
-            bn.running_mean = bn.running_mean - restore(f"{name}.bias", bn.running_mean)
+            bn.running_mean = bn.running_mean - restore(f"{name}.bias", bn.running_mean, "param")
     if stored:
         raise CheckpointError(f"{path}: the config declares no {', '.join(sorted(stored))}")
     return model

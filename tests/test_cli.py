@@ -16,6 +16,8 @@ from wcnn import train as TR
 from wcnn.schema import field_keys, from_items, to_items
 from wcnn.tensor import ShapeError, load_wtns
 
+from test_model import MANIFEST_CORRUPTIONS, rewrite_manifest
+
 
 @pytest.fixture()
 def corpus(tmp_path):
@@ -442,6 +444,19 @@ def test_eval_checkpoint_with_a_stray_manifest_name_exits_2(tmp_path, corpus, ca
     if stray == "twice":
         raw = path.read_bytes()
         path.write_bytes(raw.replace(b"\nstage1.down.bn.beta ", b"\nstage1.down.bn.gamma ", 1))
+    rc = cli.main(["eval", str(path), "--manifest", str(corpus / "manifest.tsv"),
+                   "--out", str(tmp_path / "ev")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("corruption", MANIFEST_CORRUPTIONS)
+def test_eval_checkpoint_with_a_corrupted_manifest_exits_2(tmp_path, corpus, capsys, corruption):
+    edit, message = MANIFEST_CORRUPTIONS[corruption]
+    path = tmp_path / "m.wcnn"
+    M.save_model(M.build(RC.model_config_from(RC.load_config(write_cfg(tmp_path, corpus)))), path)
+    rewrite_manifest(path, edit)
     rc = cli.main(["eval", str(path), "--manifest", str(corpus / "manifest.tsv"),
                    "--out", str(tmp_path / "ev")])
     assert rc == 2

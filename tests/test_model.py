@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -236,40 +237,47 @@ def test_end_to_end_gradient_subset():
 
 
 def test_stage_concat_is_written_in_place_with_the_bits_of_a_copying_concat(monkeypatch):
-    # each stage's down and proj outputs are channels of the concat's value,
-    # and the logits, every gradient and the running statistics equal those
-    # of a forward whose concat copies its parts with np.concatenate
+    # in train and in eval mode, each stage records as its concat the buffer
+    # whose channel slices its down and proj blocks wrote; the logits, every
+    # gradient and the running statistics equal those of a forward whose
+    # stage records a copy of its parts, made with np.concatenate
     cfg = tiny_config(levels=3, channels=(4, 6, 8), blocks_per_stage=1)
     rng = np.random.default_rng(6)
     batch, labels = rng.standard_normal((2, 3, 32, 32)), np.array([0, 2])
+    record = ad.record
 
     def step():
         model = M.build(cfg)
         logits = M.forward(model, batch, mode="train")
         ad.backward(L.softmax_cross_entropy(logits, labels))
         return [logits.value, *(p.grad for p in model.params.values()),
-                *model.buffers().values()]
-
-    def copying(parts):
-        value = np.concatenate([p.value for p in parts], axis=1)
-        cuts = np.cumsum([p.value.shape[1] for p in parts])[:-1]
-        return ad.record("concat_channels", value, tuple(parts),
-                         lambda g: tuple(np.split(g, cuts, axis=1)))
+                *model.buffers().values(), M.forward(model, batch, mode="eval").value]
 
     concats = []
-    in_place = ad.concat_channels
 
-    def spy(parts):
-        out = in_place(parts)
-        concats.append((out.value, [p.value for p in parts]))
-        return out
+    def spy(op, value, parents, backward_fn):
+        if op == "concat_channels":
+            concats.append((value, [p.value for p in parents]))
+        return record(op, value, parents, backward_fn)
 
-    monkeypatch.setattr(ad, "concat_channels", spy)
+    def copying(op, value, parents, backward_fn):
+        if op == "concat_channels":
+            value = np.concatenate([p.value for p in parents], axis=1)
+            cuts = np.cumsum([p.value.shape[1] for p in parents])[:-1]
+            backward_fn = lambda g: tuple(np.split(g, cuts, axis=1))  # noqa: E731
+        return record(op, value, parents, backward_fn)
+
+    def is_view(a, b):
+        return (a.base is b.base and a.shape == b.shape and a.strides == b.strides
+                and a.ctypes.data == b.ctypes.data)
+
+    monkeypatch.setattr(ad, "record", spy)
     got = step()
-    assert len(concats) == cfg.levels
-    for value, parts in concats:
-        assert all(part.base is value for part in parts)
-    monkeypatch.setattr(ad, "concat_channels", copying)
+    assert len(concats) == 2 * cfg.levels  # the train forward's stages, then the eval one's
+    for (value, (down, proj)), c in zip(concats, 2 * cfg.channels, strict=True):
+        assert value.base is None and value.shape[1] == c + cfg.proj_width(c)
+        assert is_view(down, value[:, :c]) and is_view(proj, value[:, c:])
+    monkeypatch.setattr(ad, "record", copying)
     for a, b in zip(got, step(), strict=True):
         assert np.array_equal(a, b)
 
@@ -481,6 +489,99 @@ def test_checkpoint_rejects_a_manifest_name_given_twice(tmp_path):
     raw = path.read_bytes().replace(b"\nstage1.down.bn.beta ", b"\nstage1.down.bn.gamma ", 1)
     path.write_bytes(raw)
     with pytest.raises(M.CheckpointError, match=r"stage1\.down\.bn\.gamma appears twice"):
+        M.load_model(path)
+
+
+def rewrite_manifest(path, edit):
+    """Rewrite the checkpoint at `path`: `edit(rows, payload)` changes its
+    manifest rows (field lists, in file order) in place and returns the new
+    payload, whose length the payload line then states."""
+    raw = path.read_bytes()
+    start = raw.index(b"\n", raw.index(b"\npayload ") + 1) + 1
+    lines = raw[:start].decode("ascii").splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("manifest ")) + 1
+    rows = [line.split() for line in lines[first:-1]]
+    payload = edit(rows, raw[start:])
+    lines[first:-1] = [" ".join(row) for row in rows]
+    lines[-1] = f"payload {len(payload)}"
+    path.write_bytes("".join(line + "\n" for line in lines).encode("ascii") + payload)
+
+
+def _row(rows, name):
+    return next(row for row in rows if row[0] == name)
+
+
+def _swap_kinds(rows, payload):
+    for row in rows:
+        row[1] = {"param": "buffer", "buffer": "param"}[row[1]]
+    return payload
+
+
+def _set_kind(name, kind):
+    def edit(rows, payload):
+        _row(rows, name)[1] = kind
+        return payload
+    return edit
+
+
+def _swap_offsets(rows, payload):
+    gamma, beta = _row(rows, "stage1.down.bn.gamma"), _row(rows, "stage1.down.bn.beta")
+    gamma[-1], beta[-1] = beta[-1], gamma[-1]
+    return payload
+
+
+def _alias_offsets(rows, payload):
+    _row(rows, "stage1.down.bn.beta")[-1] = _row(rows, "stage1.down.bn.gamma")[-1]
+    return payload
+
+
+def _gap(rows, payload):
+    # 8 bytes in front of beta's array, and every offset from beta on moved past them
+    at = int(_row(rows, "stage1.down.bn.beta")[-1])
+    for row in rows:
+        if int(row[-1]) >= at:
+            row[-1] = str(int(row[-1]) + 8)
+    return payload[:at] + bytes(8) + payload[at:]
+
+
+def _trailing_bytes(rows, payload):
+    return payload + bytes(8)
+
+
+# corruption -> (edit, what the error names); save_model has always written
+# parameters as `param`, running statistics as `buffer`, and offsets that
+# tile the payload in manifest order
+MANIFEST_CORRUPTIONS = {
+    "kinds-swapped": (_swap_kinds, "stage1.down.weight is stored as 'buffer', expected 'param'"),
+    "unknown-kind": (_set_kind("stage1.down.bn.running_mean", "junkkind"),
+                     "stage1.down.bn.running_mean is stored as 'junkkind', expected 'buffer'"),
+    "offsets-swapped": (_swap_offsets, "stage1.down.bn.gamma starts at payload byte"),
+    "offsets-aliased": (_alias_offsets, "stage1.down.bn.beta starts at payload byte"),
+    "gap": (_gap, "stage1.down.bn.beta starts at payload byte"),
+    "trailing-bytes": (_trailing_bytes, "the manifest covers"),
+}
+
+
+@pytest.mark.parametrize("corruption", MANIFEST_CORRUPTIONS)
+def test_checkpoint_rejects_a_corrupted_manifest(tmp_path, corruption):
+    edit, message = MANIFEST_CORRUPTIONS[corruption]
+    path = tmp_path / "model.wcnn"
+    M.save_model(M.build(tiny_config()), path)
+    rewrite_manifest(path, lambda rows, payload: payload)
+    M.load_model(path)  # the rewrite alone changes nothing
+    rewrite_manifest(path, edit)
+    with pytest.raises(M.CheckpointError, match=re.escape(f"{path}: {message}")):
+        M.load_model(path)
+
+
+def test_legacy_block_bias_must_be_stored_as_a_param(tmp_path):
+    model = M.build(tiny_config())
+    with_legacy_biases(model, np.random.default_rng(22))
+    path = tmp_path / "legacy.wcnn"
+    M.save_model(model, path)
+    rewrite_manifest(path, _set_kind("stage1.conv1.bias", "buffer"))
+    with pytest.raises(M.CheckpointError,
+                       match=r"stage1\.conv1\.bias is stored as 'buffer', expected 'param'"):
         M.load_model(path)
 
 
